@@ -9,26 +9,22 @@ the noise level.
 
 from .minors import (
     MinorsLayout,
-    MinorsVector,
     all_minors,
     apply_minors_gradient,
     higher_minors,
     minor_block,
     minors_gradient,
-    minors_vector,
     pull_back,
 )
 from .integrands import (
     CoercivityReport,
     ConvexityReport,
     Integrand,
-    SignedSingularValues,
     check_coercivity,
     check_convexity,
     detsq_energy,
     pq_energy,
     rotation_energy,
-    signed_svd,
 )
 from .fields import (
     CellMask,
@@ -41,7 +37,6 @@ from .fields import (
     discrete_jacobian,
     disk_mask,
     energy,
-    energy_gradient,
     energy_with_gradient,
     field_from_function,
     full_mask,

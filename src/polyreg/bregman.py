@@ -32,14 +32,12 @@ import numpy as np
 from .fields import (
     InfiniteEnergyError,
     MatrixField,
-    UnboundedGradientError,
-    _active_cell_data,
+    _density_pass,
     energy,
     pairing,
     random_smooth_field,
     scatter_to_corners,
 )
-from .minors import all_minors
 
 
 @dataclass(frozen=True)
@@ -113,15 +111,8 @@ def poly_subgradient(F, u) -> PolySubgradient:
     is averaged onto the nodes.  Requires finite energy and finite gradient
     fields; either failure raises.
     """
-    ev = energy(u, F)
-    if not np.isfinite(ev.value):
-        raise InfiniteEnergyError("cannot take a subgradient at infinite energy")
+    act, _, ev, g_u, g_xi = _density_pass(u, F, gradient=True)
     grid = u.grid
-    act, xc, uc, jc = _active_cell_data(u)
-    g_u, g_xi = F.gradient(xc, uc, all_minors(jc))
-    if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
-        raise UnboundedGradientError("density gradient is unbounded on the grid")
-
     layout = F.layout
     n2 = layout.N * layout.n
     u1 = np.zeros(grid.cell_shape + (2, 2))

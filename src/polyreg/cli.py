@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -22,19 +23,26 @@ from .config import build_experiment, build_grid, build_integrand, load_config
 from .fields import (
     Grid,
     energy,
-    energy_gradient,
+    energy_with_gradient,
     full_mask,
     identity_field,
     random_smooth_field,
 )
 from .integrands import detsq_energy, pq_energy, rotation_energy
-from .rates import choose_alpha, run_rates
-from .registration import add_noise, admissibility_gap, rotation_field, warp
-from .solver import TikhonovProblem, solve_multi_start
+from .rates import run_rates, solve_level
+from .registration import admissibility_gap, rotation_field, warp
 
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _noise_level(text) -> float:
+    delta = float(text)
+    if not (math.isfinite(delta) and delta >= 0):
+        raise argparse.ArgumentTypeError(
+            f"noise level must be a finite number >= 0, got {text!r}")
+    return delta
 
 
 def _check_grid():
@@ -88,7 +96,7 @@ def cmd_check_gradient(args) -> int:
         worst = 0.0
         for k in range(5):
             u = random_smooth_field(grid, seed=[303, k], amplitude=0.6)
-            g = energy_gradient(u, F)
+            g = energy_with_gradient(u, F)[1]
             for d in range(3):
                 phi = random_smooth_field(grid, seed=[909, k, d], amplitude=1.0)
                 plus = energy(u.with_values(u.values + h * phi.values), F).value
@@ -103,28 +111,14 @@ def cmd_check_gradient(args) -> int:
 def cmd_register(args) -> int:
     cfg = load_config(args.config)
     exp = build_experiment(cfg)
-    q = exp.forward.q
-    delta = float(args.delta)
     seed = exp.seeds[0]
-    if delta > 0:
-        sample = add_noise(exp.forward.exact_data, delta, q, seed)
-        alpha = choose_alpha(delta, q, exp.alpha0, exp.epsilon,
-                             beta2=exp.source_params.beta2)
-    else:
-        sample = add_noise(exp.forward.exact_data, 0.0, q, seed)
-        alpha = 0.0
-    problem = TikhonovProblem(exp.integrand, exp.forward.reference, sample,
-                              q, alpha, identity_field(exp.u_dagger.grid))
-    result = solve_multi_start(
-        problem, tol=exp.solver_tol, max_iter=exp.solver_max_iter,
-        memory=exp.solver_memory, starts=exp.solver_starts, seed=seed,
-    )
+    _, alpha, result = solve_level(exp, args.delta, seed, seed)
     os.makedirs(args.out, exist_ok=True)
     pio.save_field(os.path.join(args.out, "deformation.csv"), result.u_min)
     pio.save_pgm(os.path.join(args.out, "warped.pgm"),
                  warp(exp.forward.reference, result.u_min))
     summary = {
-        "delta": delta,
+        "delta": args.delta,
         "alpha": alpha,
         "seed": int(seed),
         "objective": result.objective,
@@ -216,7 +210,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("register", help="single regularized solve")
     p.add_argument("--config", default=None)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_noise_level, required=True,
+                   help="noise level; 0 solves the exact, unregularized problem")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_register)
 

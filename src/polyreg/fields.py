@@ -7,10 +7,10 @@ the nodal values, which makes it exact for affine fields.  Integral energies
     R(u) = sum over active cells of  |cell| * F(x_c, u_c, all_minors(J_c))
 
 use one-point midpoint quadrature per cell: x_c is the cell center, u_c the
-mean of the four corner values, J_c the cell Jacobian.  ``energy_gradient``
-returns the exact gradient of this discrete sum with respect to the nodal
-values, assembled by pushing integrand gradients through the minors chain
-rule and the transpose of the difference stencil.
+mean of the four corner values, J_c the cell Jacobian.  ``energy_with_gradient``
+also returns the exact gradient of this discrete sum with respect to the
+nodal values, assembled by pushing integrand gradients through the minors
+chain rule and the transpose of the difference stencil.
 
 Non-rectangular domains are handled by a cell mask; inactive cells contribute
 nothing to energies, gradients or pairings.  Summation always runs over the
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .minors import MinorsLayout, all_minors, higher_minors, minors_gradient, pull_back
+from .minors import MinorsLayout, all_minors, higher_minors
 
 
 class InfiniteEnergyError(ValueError):
@@ -230,7 +230,7 @@ class MatrixField:
     Jacobians cached on first use.
 
     Values are copied on construction and treated as immutable; derive
-    modified fields with ``with_values``.
+    modified fields with ``with_values``.  They must be finite.
     """
 
     def __init__(self, grid, values):
@@ -239,6 +239,8 @@ class MatrixField:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {grid.node_shape} + (2,)"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field values must be finite; got NaN or infinite entries")
         self.grid = grid
         self.values = values
 
@@ -248,16 +250,6 @@ class MatrixField:
 
     def with_values(self, values) -> "MatrixField":
         return MatrixField(self.grid, values)
-
-    def w1p_norm(self, p) -> float:
-        """Sobolev-type diagnostic norm over active cells."""
-        p = float(p)
-        act = self.grid.active_cells
-        uc = cell_center_values(self.values)[act]
-        jc = self.jacobians[act]
-        total = np.sum(np.sum(uc * uc, axis=-1) ** (p / 2.0))
-        total += np.sum(np.sum(jc * jc, axis=(-2, -1)) ** (p / 2.0))
-        return float((self.grid.cell_area * total) ** (1.0 / p))
 
 
 def discrete_jacobian(u) -> np.ndarray:
@@ -298,49 +290,52 @@ def _active_cell_data(u):
     )
 
 
-def energy(u, F) -> EnergyValue:
-    """Midpoint-rule energy of ``u`` under integrand ``F`` over active cells."""
-    _check_layout(F)
-    grid = u.grid
-    act, xc, uc, jc = _active_cell_data(u)
-    with np.errstate(over="ignore"):
-        dens = np.asarray(F.value(xc, uc, all_minors(jc)), dtype=float)
-    densities = np.zeros(grid.cell_shape)
-    densities[act] = dens
-    return EnergyValue(value=float(grid.cell_area * np.sum(dens)), densities=densities)
+def _density_pass(u, F, gradient):
+    """Densities of ``F`` along ``u`` and, with ``gradient``, their slot gradients.
 
-
-def energy_gradient(u, F) -> np.ndarray:
-    """Exact gradient of the discrete energy w.r.t. nodal values.
-
-    Returns an array shaped like ``u.values``.  Per active cell, the
-    slot-space gradient of ``F`` is pulled back through the minors Jacobian
-    to a matrix-space gradient, which the transposed difference stencil
-    distributes onto the four corner nodes; the direct dependence on u
-    (integrands with a u argument) is averaged onto the corners.
+    The one pass over the active cells behind ``energy``, ``energy_with_gradient``
+    and the certificates of :mod:`polyreg.bregman`.  Returns
+    ``(act, jc, ev, g_u, g_xi)``; the two gradients are None without
+    ``gradient``.  A gradient requires finite energy and is checked finite.
     """
-    return energy_with_gradient(u, F)[1]
-
-
-def energy_with_gradient(u, F):
-    """Energy and its nodal gradient in a single assembly pass."""
     _check_layout(F)
     grid = u.grid
     act, xc, uc, jc = _active_cell_data(u)
     xi = all_minors(jc)
     with np.errstate(over="ignore"):
         dens = np.asarray(F.value(xc, uc, xi), dtype=float)
-    total = float(grid.cell_area * np.sum(dens))
     densities = np.zeros(grid.cell_shape)
     densities[act] = dens
-    ev = EnergyValue(value=total, densities=densities)
-    if not np.isfinite(total):
+    ev = EnergyValue(value=float(grid.cell_area * np.sum(dens)), densities=densities)
+    if not gradient:
+        return act, jc, ev, None, None
+    if not np.isfinite(ev.value):
         raise InfiniteEnergyError("energy is not finite; gradient undefined")
-
     g_u, g_xi = F.gradient(xc, uc, xi)
     if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
         raise UnboundedGradientError("integrand gradient has non-finite entries")
-    df_dA = pull_back(minors_gradient(jc), g_xi)
+    return act, jc, ev, g_u, g_xi
+
+
+def energy(u, F) -> EnergyValue:
+    """Midpoint-rule energy of ``u`` under integrand ``F`` over active cells."""
+    return _density_pass(u, F, gradient=False)[2]
+
+
+def energy_with_gradient(u, F):
+    """Energy and its exact gradient w.r.t. the nodal values, in one pass.
+
+    The gradient is shaped like ``u.values``.  Per active cell, the slot
+    gradient ``(g_A, g_det)`` of ``F`` maps to the matrix gradient
+    ``g_A + g_det * cof(J)``, with ``cof(J) = [[J11, -J10], [-J01, J00]]`` the
+    derivative of det J.  The transposed difference stencil distributes it
+    onto the four corner nodes; the direct dependence on u (integrands with
+    a u argument) is averaged onto the corners.
+    """
+    act, jc, ev, g_u, g_xi = _density_pass(u, F, gradient=True)
+    grid = u.grid
+    cof = np.stack([jc[:, 1, 1], -jc[:, 1, 0], -jc[:, 0, 1], jc[:, 0, 0]], axis=-1)
+    df_dA = (g_xi[:, :4] + g_xi[:, 4:] * cof).reshape(-1, 2, 2)
 
     area = grid.cell_area
     h1, h2 = grid.spacing

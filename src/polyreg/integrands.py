@@ -87,15 +87,6 @@ class Integrand:
             )
 
 
-@dataclass(frozen=True)
-class SignedSingularValues:
-    """Singular values of a 2 x 2 matrix with the determinant's sign attached
-    to the larger one: ``|mu1| >= mu2 >= 0`` and ``mu1 * mu2 = det``."""
-
-    mu1: float
-    mu2: float
-
-
 def _singular_values_2x2(a):
     """Both singular values of stacked 2 x 2 matrices, closed form.
 
@@ -110,17 +101,6 @@ def _singular_values_2x2(a):
     big = np.hypot(half_sum, half_skw)
     small = np.hypot(half_dif, half_sym)
     return big + small, np.abs(big - small)
-
-
-def signed_svd(a) -> SignedSingularValues:
-    """Signed singular values of a single 2 x 2 matrix."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2 x 2 matrix, got shape {a.shape}")
-    lam1, lam2 = _singular_values_2x2(a)
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    mu1 = -lam1 if det < 0 else lam1
-    return SignedSingularValues(float(mu1), float(lam2))
 
 
 def _split_order1_det(xi, layout):

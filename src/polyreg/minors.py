@@ -102,31 +102,6 @@ class MinorsLayout:
         return slice(start, start + self.block_size(s))
 
 
-@dataclass(frozen=True)
-class MinorsVector:
-    """All minors of one matrix, ordered according to ``layout``."""
-
-    layout: MinorsLayout
-    slots: np.ndarray
-
-    def __post_init__(self):
-        slots = np.asarray(self.slots, dtype=float)
-        if slots.shape != (self.layout.tau,):
-            raise ValueError(
-                f"expected {self.layout.tau} slots, got shape {slots.shape}"
-            )
-        object.__setattr__(self, "slots", slots)
-
-    def block(self, s) -> np.ndarray:
-        return self.slots[self.layout.block_slice(s)]
-
-    @property
-    def det(self) -> float:
-        if self.layout.N != self.layout.n:
-            raise ValueError("determinant slot exists only for square matrices")
-        return float(self.slots[-1])
-
-
 def _as_matrix_stack(a):
     a = np.asarray(a, dtype=float)
     if a.ndim < 2:
@@ -172,14 +147,6 @@ def all_minors(a):
     if len(blocks) == 1:
         return blocks[0]
     return np.concatenate(blocks, axis=-1)
-
-
-def minors_vector(a) -> MinorsVector:
-    """``all_minors`` for a single matrix, wrapped with its layout."""
-    layout, arr = _as_matrix_stack(a)
-    if arr.ndim != 2:
-        raise ValueError("minors_vector expects a single matrix; use all_minors for stacks")
-    return MinorsVector(layout, all_minors(arr))
 
 
 def higher_minors(a):

@@ -27,6 +27,11 @@ from .fields import energy, identity_field, random_smooth_field
 from .registration import add_noise, data_term, warp
 from .solver import TikhonovProblem, solve_multi_start
 
+# Certificate sampling that every sweep runs before its first solve.
+_PRECHECK_TRIALS = 24
+_PRECHECK_RADIUS = 0.25
+_PRECHECK_SEED = 2024
+
 
 def choose_alpha(delta, q, alpha0, epsilon=0.5, beta2=None) -> float:
     """A-priori regularization weight for noise level ``delta``.
@@ -155,7 +160,9 @@ class RateExperiment:
     descending).  ``w`` is the certificate at the exact solution
     ``u_dagger``.  The fit uses the ``fit_levels`` smallest levels.  When
     ``exact_row`` is set, a final noise-free solve is appended as a sanity
-    row, excluded from all fits.
+    row, excluded from all fits.  Before the first solve the sweep samples
+    the certificate inequality, and the source condition when
+    ``source_params`` is given, and stops on a violation.
     """
 
     integrand: object
@@ -173,16 +180,12 @@ class RateExperiment:
     solver_starts: int = 3
     fit_levels: int = 4
     exact_row: bool = True
-    precheck: bool = True
-    precheck_trials: int = 24
-    precheck_radius: float = 0.25
-    precheck_seed: int = 2024
 
 
 def _precheck(exp) -> None:
     report = verify_subgradient(
-        exp.integrand, exp.w, trials=exp.precheck_trials,
-        seed=exp.precheck_seed, radius=exp.precheck_radius,
+        exp.integrand, exp.w, trials=_PRECHECK_TRIALS,
+        seed=_PRECHECK_SEED, radius=_PRECHECK_RADIUS,
     )
     if report.violations:
         raise ValueError(
@@ -193,7 +196,7 @@ def _precheck(exp) -> None:
         exp.source_params.check_sublevel(exp.w.base_energy)
         grid = exp.u_dagger.grid
         for t in range(8):
-            rng = np.random.default_rng([exp.precheck_seed, 61, t])
+            rng = np.random.default_rng([_PRECHECK_SEED, 61, t])
             probe = random_smooth_field(grid, rng=rng, amplitude=0.05)
             u = exp.u_dagger.with_values(0.95 * exp.u_dagger.values + probe.values)
             resid = source_condition_residual(
@@ -203,6 +206,34 @@ def _precheck(exp) -> None:
                 raise ValueError(f"source condition violated at a probe: {resid:.3e}")
 
 
+def solve_level(exp, delta, seed, start_seed, warm_start=None):
+    """One regularized solve at noise level ``delta``.
+
+    Draws the noisy data with ``seed``, picks the weight by the a-priori
+    rule (``alpha = 0`` at ``delta = 0``: the exact, unregularized solve) and
+    runs the multi-start solver, whose perturbed start derives from
+    ``start_seed``.  Returns ``(sample, alpha, result)``.
+    """
+    q = exp.forward.q
+    sample = add_noise(exp.forward.exact_data, delta, q, seed)
+    alpha = 0.0
+    if delta > 0:
+        alpha = choose_alpha(
+            delta, q, exp.alpha0, exp.epsilon,
+            beta2=None if exp.source_params is None else exp.source_params.beta2,
+        )
+    problem = TikhonovProblem(
+        exp.integrand, exp.forward.reference, sample, q, alpha,
+        initial=identity_field(exp.u_dagger.grid),
+    )
+    result = solve_multi_start(
+        problem, tol=exp.solver_tol, max_iter=exp.solver_max_iter,
+        memory=exp.solver_memory, starts=exp.solver_starts,
+        seed=start_seed, warm_start=warm_start,
+    )
+    return sample, alpha, result
+
+
 def run_rates(exp) -> RateReport:
     """Execute the sweep and fit the observed convergence orders.
 
@@ -210,29 +241,17 @@ def run_rates(exp) -> RateReport:
     excluded from the fits; fits are attempted whenever at least three
     usable rows remain.
     """
-    if exp.precheck:
-        _precheck(exp)
-    q = exp.forward.q
+    levels = sorted(set(float(d) for d in exp.deltas), reverse=True)
+    if not all(d > 0 for d in levels):
+        raise ValueError(f"noise levels must be positive, got {levels}")
+    _precheck(exp)
     rows = []
     warm = None
-    for level, delta in enumerate(sorted(set(float(d) for d in exp.deltas), reverse=True)):
+    for level, delta in enumerate(levels):
         best_of_level = None
         for seed in exp.seeds:
             started = time.perf_counter()
-            sample = add_noise(exp.forward.exact_data, delta, q, seed)
-            alpha = choose_alpha(
-                delta, q, exp.alpha0, exp.epsilon,
-                beta2=None if exp.source_params is None else exp.source_params.beta2,
-            )
-            problem = TikhonovProblem(
-                exp.integrand, exp.forward.reference, sample, q, alpha,
-                initial=identity_field(exp.u_dagger.grid),
-            )
-            result = solve_multi_start(
-                problem, tol=exp.solver_tol, max_iter=exp.solver_max_iter,
-                memory=exp.solver_memory, starts=exp.solver_starts,
-                seed=seed + 7919 * level, warm_start=warm,
-            )
+            sample, alpha, result = solve_level(exp, delta, seed, seed + 7919 * level, warm)
             rows.append(_make_row(exp, sample, alpha, seed, result, started))
             if best_of_level is None or result.objective < best_of_level.objective:
                 best_of_level = result
@@ -240,17 +259,9 @@ def run_rates(exp) -> RateReport:
 
     if exp.exact_row:
         started = time.perf_counter()
-        sample = add_noise(exp.forward.exact_data, 0.0, q, exp.seeds[0])
-        problem = TikhonovProblem(
-            exp.integrand, exp.forward.reference, sample, q, 0.0,
-            initial=identity_field(exp.u_dagger.grid),
-        )
-        result = solve_multi_start(
-            problem, tol=exp.solver_tol, max_iter=exp.solver_max_iter,
-            memory=exp.solver_memory, starts=exp.solver_starts,
-            seed=exp.seeds[0], warm_start=warm,
-        )
-        rows.append(_make_row(exp, sample, 0.0, exp.seeds[0], result, started, exact=True))
+        seed = exp.seeds[0]
+        sample, alpha, result = solve_level(exp, 0.0, seed, seed, warm)
+        rows.append(_make_row(exp, sample, alpha, seed, result, started, exact=True))
 
     return _assemble_report(exp, rows)
 

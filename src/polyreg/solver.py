@@ -26,12 +26,14 @@ from .fields import (
     energy_with_gradient,
     identity_field,
     random_smooth_field,
+    scatter_to_corners,
 )
 from .registration import data_term, warp
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
 _DECREASE_WINDOW = 5
+_START_PERTURBATION = 0.02  # sup norm of the bump on the third multi-start field
 
 
 class TikhonovProblem:
@@ -69,16 +71,6 @@ class TikhonovProblem:
         if not np.isfinite(witness):
             raise ValueError("initial field has infinite objective; no feasible witness")
 
-    def with_initial(self, initial) -> "TikhonovProblem":
-        clone = object.__new__(TikhonovProblem)
-        clone.integrand = self.integrand
-        clone.reference = self.reference
-        clone.data = self.data
-        clone.q = self.q
-        clone.alpha = self.alpha
-        clone.initial = initial
-        return clone
-
     def misfit(self, u) -> float:
         return data_term(warp(self.reference, u), self.data.image, self.q)
 
@@ -101,12 +93,7 @@ class TikhonovProblem:
             grid.cell_area * self.q / 4.0
             * np.sign(diff_c[act]) * np.abs(diff_c[act]) ** (self.q - 1.0)
         )
-        weights = np.zeros(grid.node_shape)
-        weights[:-1, :-1] += slope
-        weights[1:, :-1] += slope
-        weights[:-1, 1:] += slope
-        weights[1:, 1:] += slope
-        grad = weights[..., None] * img_grad
+        grad = scatter_to_corners(slope, grid.node_shape)[..., None] * img_grad
 
         value = float(misfit)
         if self.alpha > 0:
@@ -238,27 +225,29 @@ def _backtrack(value_at, x, f, g, d):
 
 
 def solve_multi_start(problem, tol=1e-8, max_iter=500, memory=10, starts=3,
-                      seed=0, warm_start=None, perturbation=0.02) -> MinimizeResult:
+                      seed=0, warm_start=None) -> MinimizeResult:
     """Run ``minimize`` from up to three starting fields and keep the best.
 
     Starts, in order: the warm start (when given), the identity field, and
-    the identity plus a small seeded smooth perturbation.  Ties in the final
-    objective resolve in favor of the earlier start, so results are
-    deterministic.
+    the identity plus a small seeded smooth perturbation.  Each start poses
+    ``problem`` anew, so it must have a finite objective like any initial
+    field.  Ties in the final objective resolve in favor of the earlier
+    start, so results are deterministic.
     """
-    grid = problem.reference.grid if problem.initial is None else problem.initial.grid
+    grid = problem.initial.grid
     candidates = []
     if warm_start is not None:
         candidates.append(warm_start)
     candidates.append(identity_field(grid))
-    bump = random_smooth_field(grid, seed=[int(seed), 977], amplitude=perturbation)
+    bump = random_smooth_field(grid, seed=[int(seed), 977], amplitude=_START_PERTURBATION)
     candidates.append(MatrixField(grid, grid.node_points + bump.values))
     candidates = candidates[:max(1, starts)]
 
     best = None
     for start in candidates:
-        result = minimize(problem.with_initial(start), tol=tol,
-                          max_iter=max_iter, memory=memory)
+        posed = TikhonovProblem(problem.integrand, problem.reference, problem.data,
+                                problem.q, problem.alpha, start)
+        result = minimize(posed, tol=tol, max_iter=max_iter, memory=memory)
         if best is None or result.objective < best.objective:
             best = result
     return best

@@ -90,6 +90,16 @@ class TestRegister:
         assert summary["d_poly"] >= 0.0
         assert summary["admissibility_gap"] < 0.05
 
+    @pytest.mark.parametrize("delta", ["-0.1", "nan", "inf"])
+    def test_bad_noise_level_rejected(self, small_config, tmp_path, capsys, delta):
+        out_dir = tmp_path / "reg"
+        with pytest.raises(SystemExit) as exc:
+            main(["register", "--config", small_config,
+                  "--delta", delta, "--out", str(out_dir)])
+        assert exc.value.code == 2
+        assert "noise level must be a finite number >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestRates:
     def test_end_to_end_and_determinism(self, small_config, tmp_path):

@@ -8,17 +8,19 @@ from polyreg import (
     Integrand,
     MatrixField,
     MinorsLayout,
+    all_minors,
     cell_center_values,
     detsq_energy,
     discrete_jacobian,
     disk_mask,
     energy,
-    energy_gradient,
     energy_with_gradient,
     field_from_function,
     identity_field,
+    minors_gradient,
     pairing,
     pq_energy,
+    pull_back,
     random_smooth_field,
     rotation_energy,
 )
@@ -145,7 +147,7 @@ class TestEnergy:
         )  # det = -1
         assert energy(flipped, F).value == np.inf
         with pytest.raises(InfiniteEnergyError):
-            energy_gradient(flipped, F)
+            energy_with_gradient(flipped, F)
 
     def test_masked_cells_do_not_contribute(self):
         base = Grid(((0.0, 1.0), (0.0, 1.0)), 5, 5)
@@ -175,11 +177,33 @@ class TestEnergy:
         assert order > 1.9
 
 
+def minors_assembled_gradient(u, F):
+    """Nodal gradient of an autonomous density's energy through the general
+    minors Jacobian: pull the slot gradient back with ``minors_gradient`` and
+    scatter it with the transposed difference stencil."""
+    grid = u.grid
+    act = grid.active_cells
+    jc = u.jacobians[act]
+    _, g_xi = F.gradient(None, None, all_minors(jc))
+    df_dA = pull_back(minors_gradient(jc), g_xi)
+    h1, h2 = grid.spacing
+    gx = np.zeros(grid.cell_shape + (2,))
+    gy = np.zeros(grid.cell_shape + (2,))
+    gx[act] = grid.cell_area * df_dA[..., :, 0] / (2.0 * h1)
+    gy[act] = grid.cell_area * df_dA[..., :, 1] / (2.0 * h2)
+    grad = np.zeros_like(u.values)
+    grad[:-1, :-1] += -gx - gy
+    grad[1:, :-1] += gx - gy
+    grad[:-1, 1:] += -gx + gy
+    grad[1:, 1:] += gx + gy
+    return grad
+
+
 class TestEnergyGradient:
     def test_hand_assembled_3x3_detsq_at_identity(self):
         g = Grid(((0.0, 1.0), (0.0, 1.0)), 3, 3)
         u = identity_field(g)
-        grad = energy_gradient(u, detsq_energy())
+        grad = energy_with_gradient(u, detsq_energy())[1]
         # hand assembly: every cell has density gradient 2 * cofactor(I) = 2I
         area = g.cell_area
         h1, h2 = g.spacing
@@ -203,7 +227,7 @@ class TestEnergyGradient:
         h = 1e-5
         for k in range(20):
             u = random_smooth_field(g, seed=[42, k], amplitude=0.7)
-            grad = energy_gradient(u, F)
+            grad = energy_with_gradient(u, F)[1]
             phi = random_smooth_field(g, seed=[77, k], amplitude=1.0)
             plus = energy(u.with_values(u.values + h * phi.values), F).value
             minus = energy(u.with_values(u.values - h * phi.values), F).value
@@ -215,17 +239,27 @@ class TestEnergyGradient:
         from polyreg import rotation_field
 
         u = rotation_field(np.pi / 5, disk_grid)
-        grad = energy_gradient(u, rotation_energy(4.0))
+        grad = energy_with_gradient(u, rotation_energy(4.0))[1]
         for k in range(5):
             phi = random_smooth_field(disk_grid, seed=[5, k], amplitude=1.0)
             assert abs(float(np.sum(grad * phi.values))) < 1e-8
 
+    @pytest.mark.parametrize("make_f", [detsq_energy, lambda: pq_energy(4.0, 2.0),
+                                        lambda: rotation_energy(4.0)])
+    def test_cofactor_chain_rule_matches_minors_oracle(self, make_f, disk_grid):
+        F = make_f()
+        for k in range(4):
+            u = random_smooth_field(disk_grid, seed=[31, k], amplitude=0.8)
+            grad = energy_with_gradient(u, F)[1]
+            expected = minors_assembled_gradient(u, F)
+            assert np.max(np.abs(grad - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     def test_energy_with_gradient_consistent(self, unit_grid):
         u = random_smooth_field(unit_grid, seed=9, amplitude=0.5)
         F = pq_energy(4.0, 2.0)
-        ev, grad = energy_with_gradient(u, F)
+        ev = energy_with_gradient(u, F)[0]
         assert ev.value == energy(u, F).value
-        assert np.array_equal(grad, energy_gradient(u, F))
+        assert np.array_equal(ev.densities, energy(u, F).densities)
 
 
 class TestPairing:
@@ -266,10 +300,12 @@ class TestFieldBasics:
         with pytest.raises(ValueError):
             MatrixField(unit_grid, np.zeros((3, 3, 2)))
 
-    def test_w1p_norm_positive_and_finite(self, unit_grid):
-        u = random_smooth_field(unit_grid, seed=4)
-        norm = u.w1p_norm(4.0)
-        assert np.isfinite(norm) and norm > 0
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, unit_grid, bad):
+        vals = unit_grid.node_points.copy()
+        vals[3, 4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MatrixField(unit_grid, vals)
 
     def test_random_smooth_field_deterministic(self, unit_grid):
         a = random_smooth_field(unit_grid, seed=123)

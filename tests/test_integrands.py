@@ -10,7 +10,6 @@ from polyreg import (
     detsq_energy,
     pq_energy,
     rotation_energy,
-    signed_svd,
 )
 
 from oracles import relative_error, singular_values_reference
@@ -36,41 +35,6 @@ def nonconvex_control():
     return Integrand(layout, "nonconvex-control", value_fn, grad_fn)
 
 
-class TestSignedSvd:
-    def test_identity(self):
-        sv = signed_svd(np.eye(2))
-        assert (sv.mu1, sv.mu2) == (1.0, 1.0)
-
-    def test_positive_diagonal(self):
-        sv = signed_svd(np.diag([2.0, 1.0]))
-        assert (sv.mu1, sv.mu2) == (2.0, 1.0)
-
-    def test_negative_determinant(self):
-        sv = signed_svd(np.diag([-2.0, 1.0]))
-        assert (sv.mu1, sv.mu2) == (-2.0, 1.0)
-        assert sv.mu1 * sv.mu2 == -2.0
-
-    def test_product_is_determinant(self, rng):
-        for _ in range(300):
-            a = rng.uniform(-3, 3, (2, 2))
-            sv = signed_svd(a)
-            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            assert abs(sv.mu1 * sv.mu2 - det) <= 1e-12 * max(1.0, abs(det))
-
-    def test_magnitudes_match_lapack(self, rng):
-        for _ in range(300):
-            a = rng.uniform(-3, 3, (2, 2))
-            sv = signed_svd(a)
-            lam = singular_values_reference(a)
-            assert abs(abs(sv.mu1) - lam[0]) < 1e-12 * max(1.0, lam[0])
-            assert abs(sv.mu2 - lam[1]) < 1e-12 * max(1.0, lam[0])
-            assert abs(sv.mu1) >= sv.mu2 >= 0
-
-    def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            signed_svd(np.eye(3))
-
-
 class TestRotationEnergy:
     def test_exponent_guard(self):
         with pytest.raises(ValueError):
@@ -92,6 +56,19 @@ class TestRotationEnergy:
         for theta in rng.uniform(-np.pi, np.pi, 50):
             val = F.value(None, None, all_minors(rotation_matrix(theta)))
             assert abs(val - 6.0) <= 1e-12
+
+    def test_singular_value_term_matches_lapack(self, rng):
+        # value - p exp(1 - det) is lam1^p + lam2^p of the order-1 block; the
+        # subtraction itself may lose a few ulps of the full value
+        p = 4.0
+        F = rotation_energy(p)
+        a = rng.uniform(-3, 3, (300, 2, 2))
+        xi = all_minors(a)
+        value = F.value(None, None, xi)
+        got = value - p * np.exp(1.0 - xi[:, 4])
+        expected = np.sum(singular_values_reference(a) ** p, axis=-1)
+        slack = 4.0 * np.finfo(float).eps * value
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected + slack)
 
     def test_minimality_over_random_matrices(self, rng):
         F = rotation_energy(4.0)

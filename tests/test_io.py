@@ -45,6 +45,16 @@ class TestFieldCsv:
         with pytest.raises(ValueError):
             load_field(path, unit_grid)
 
+    def test_nan_entry_rejected(self, tmp_path, unit_grid):
+        path = tmp_path / "field.csv"
+        save_field(path, identity_field(unit_grid))
+        lines = path.read_text().splitlines()
+        i, j, x, y, u1, _ = lines[5].split(",")
+        lines[5] = ",".join([i, j, x, y, u1, "nan"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_field(path, unit_grid)
+
 
 class TestImageFormats:
     def test_csv_round_trip_exact(self, tmp_path, unit_grid, rng):

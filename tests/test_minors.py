@@ -3,13 +3,11 @@ import pytest
 
 from polyreg import (
     MinorsLayout,
-    MinorsVector,
     all_minors,
     apply_minors_gradient,
     higher_minors,
     minor_block,
     minors_gradient,
-    minors_vector,
 )
 
 from oracles import brute_force_minors, relative_error
@@ -120,23 +118,6 @@ class TestHigherMinors:
     def test_consistent_with_all_minors(self, rng):
         a = rng.uniform(-2, 2, (3, 3))
         assert np.array_equal(higher_minors(a), all_minors(a)[9:])
-
-
-class TestMinorsVector:
-    def test_wraps_layout_and_det(self):
-        mv = minors_vector(np.diag([2.0, 3.0]))
-        assert mv.layout == MinorsLayout(2, 2)
-        assert mv.det == 6.0
-        assert np.array_equal(mv.block(1), [2, 0, 0, 3])
-
-    def test_det_requires_square(self):
-        mv = minors_vector(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            mv.det
-
-    def test_slot_count_enforced(self):
-        with pytest.raises(ValueError):
-            MinorsVector(MinorsLayout(2, 2), np.zeros(4))
 
 
 class TestMinorsGradient:

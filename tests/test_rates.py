@@ -96,7 +96,7 @@ def small_experiment(grid, **overrides):
         deltas=geometric_levels(0.2, 1, 4), alpha0=0.05, epsilon=0.5,
         seeds=(0,), source_params=params,
         solver_tol=1e-6, solver_max_iter=600, solver_memory=10, solver_starts=2,
-        fit_levels=4, exact_row=True, precheck=True, precheck_trials=8,
+        fit_levels=4, exact_row=True,
     )
     kwargs.update(overrides)
     return RateExperiment(**kwargs)
@@ -164,6 +164,15 @@ class TestRunRates:
             "d_poly", "residual", "d_poly_full_range", "residual_full_range",
             "d_poly_monotone", "excluded_rows", "warnings",
         }
+
+    @pytest.mark.parametrize("bad", [0.0, -0.05, float("nan")])
+    def test_non_positive_noise_level_rejected(self, bad):
+        from polyreg import Grid, disk_mask
+
+        base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 8, 8)
+        exp = small_experiment(base.with_mask(disk_mask(base)), deltas=[0.1, bad])
+        with pytest.raises(ValueError, match="noise levels must be positive"):
+            run_rates(exp)
 
     def test_precheck_rejects_bad_certificate(self):
         from polyreg import Grid, PolySubgradient, disk_mask

@@ -90,7 +90,8 @@ class TestMinimize:
         values = [problem.objective(identity_field(disk_grid))]
         u = identity_field(disk_grid)
         for _ in range(6):
-            result = minimize(problem.with_initial(u), tol=1e-12, max_iter=25)
+            restarted = TikhonovProblem(F, reference, sample, 2.0, 0.01, u)
+            result = minimize(restarted, tol=1e-12, max_iter=25)
             values.append(result.objective)
             u = result.u_min
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
