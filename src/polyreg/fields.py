@@ -27,6 +27,10 @@ import numpy as np
 from .minors import MinorsLayout, all_minors, higher_minors
 
 
+# Entries of each (points x cells) temporary in Grid.distance_outside: 4 MB of floats.
+_DISTANCE_BLOCK = 1 << 19
+
+
 class InfiniteEnergyError(ValueError):
     """Raised when a gradient or distance is requested at infinite energy."""
 
@@ -53,21 +57,6 @@ class CellMask:
         self.kind = kind
         self.center = None if center is None else (float(center[0]), float(center[1]))
         self.radius = None if radius is None else float(radius)
-
-    def __eq__(self, other):
-        if not isinstance(other, CellMask):
-            return NotImplemented
-        return (
-            self.active.shape == other.active.shape
-            and bool(np.all(self.active == other.active))
-            and self.kind == other.kind
-            and self.center == other.center
-            and self.radius == other.radius
-        )
-
-    @property
-    def n_active(self) -> int:
-        return int(np.sum(self.active))
 
     def is_centered_disk(self, center=(0.0, 0.0), tol=1e-12) -> bool:
         return (
@@ -198,13 +187,20 @@ class Grid:
         box_dist = np.hypot(dx, dy)
         if self.mask is None or self.mask.kind == "box":
             return box_dist
-        # Generic mask: distance to the union of active closed cells.
+        # Generic mask: distance to the union of active closed cells, one block
+        # of points at a time.  Each point's row is reduced whole, so the result
+        # does not depend on the block size.
         centers = self.cell_centers[self.mask.active]
         h1, h2 = self.spacing
         flat = pts.reshape(-1, 2)
-        dx = np.maximum(np.abs(flat[:, None, 0] - centers[None, :, 0]) - 0.5 * h1, 0.0)
-        dy = np.maximum(np.abs(flat[:, None, 1] - centers[None, :, 1]) - 0.5 * h2, 0.0)
-        return np.hypot(dx, dy).min(axis=1).reshape(pts.shape[:-1])
+        out = np.empty(len(flat))
+        step = max(1, _DISTANCE_BLOCK // max(len(centers), 1))
+        for s in range(0, len(flat), step):
+            block = flat[s:s + step]
+            dx = np.maximum(np.abs(block[:, None, 0] - centers[None, :, 0]) - 0.5 * h1, 0.0)
+            dy = np.maximum(np.abs(block[:, None, 1] - centers[None, :, 1]) - 0.5 * h2, 0.0)
+            out[s:s + step] = np.hypot(dx, dy).min(axis=1)
+        return out.reshape(pts.shape[:-1])
 
 
 def cell_center_values(node_values) -> np.ndarray:

@@ -12,6 +12,7 @@ All floats are written with repr, which round-trips exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -21,62 +22,75 @@ from .fields import CellMask, Grid, MatrixField
 from .registration import ScalarImage
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+_FIELD_HEADER = "i,j,x,y,u1,u2"
+_IMAGE_HEADER = "i,j,value"
+
+
+def _bundle_tables(grid, tau2):
+    """File name, header and table shape of the u0, u1 and v2 bundle CSVs."""
+    v2_header = "i,j," + ",".join(f"v{k + 1}" for k in range(tau2))
+    return (("u0.csv", "i,j,g1,g2", grid.node_shape + (2,)),
+            ("u1.csv", "i,j,a11,a12,a21,a22", grid.cell_shape + (4,)),
+            ("v2.csv", v2_header, grid.cell_shape + (tau2,)))
+
+
+def _write_table(path, header, table) -> None:
+    """Write an (n1, n2, k) array as ``i,j,c1..ck`` rows, j varying fastest."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(header + "\n")
+        for i, block in enumerate(np.asarray(table, dtype=float)):
+            for j, row in enumerate(block.tolist()):
+                fh.write(f"{i},{j}," + ",".join(map(repr, row)) + "\n")
+
+
+def _read_table(path, header, shape) -> np.ndarray:
+    """Parse a ``_write_table`` file into an array of ``shape`` (n1, n2, k).
+
+    Rejects, naming the file and line, a wrong header or column count, bad,
+    out-of-range or repeated indices, non-finite values and missing rows."""
+    n1, n2, k = shape
+    table = np.empty(shape)
+    seen = np.zeros((n1, n2), dtype=bool)
+    with open(path, encoding="ascii") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ValueError(f"{path}: line 1: expected header {header!r}, got {found!r}")
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.split(",")
+            try:  # every row error is re-raised below with the file and line
+                if len(cells) != k + 2:
+                    raise ValueError(f"expected {k + 2} columns, got {len(cells)}")
+                i, j, row = int(cells[0]), int(cells[1]), [float(c) for c in cells[2:]]
+                if not (0 <= i < n1 and 0 <= j < n2):
+                    raise ValueError(f"index ({i}, {j}) outside {n1} x {n2}")
+                if seen[i, j]:
+                    raise ValueError(f"repeated index ({i}, {j})")
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("non-finite value")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            seen[i, j] = True
+            table[i, j] = row
+    if not seen.all():
+        i, j = np.argwhere(~seen)[0]
+        raise ValueError(f"{path}: no row for index ({i}, {j}) of {n1} x {n2}")
+    return table
 
 
 def save_field(path, u) -> None:
-    grid = u.grid
-    pts = grid.node_points
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("i,j,x,y,u1,u2\n")
-        for i in range(grid.nx):
-            for j in range(grid.ny):
-                fh.write(
-                    f"{i},{j},{_fmt(pts[i, j, 0])},{_fmt(pts[i, j, 1])},"
-                    f"{_fmt(u.values[i, j, 0])},{_fmt(u.values[i, j, 1])}\n"
-                )
+    _write_table(path, _FIELD_HEADER, np.concatenate([u.grid.node_points, u.values], axis=-1))
 
 
 def load_field(path, grid) -> MatrixField:
-    values = np.zeros(grid.node_shape + (2,))
-    seen = np.zeros(grid.node_shape, dtype=bool)
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "i,j,x,y,u1,u2":
-            raise ValueError(f"unexpected field header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            i_s, j_s, _, _, u1_s, u2_s = line.split(",")
-            i, j = int(i_s), int(j_s)
-            values[i, j] = (float(u1_s), float(u2_s))
-            seen[i, j] = True
-    if not seen.all():
-        raise ValueError("field file does not cover every node")
-    return MatrixField(grid, values)
+    return MatrixField(grid, _read_table(path, _FIELD_HEADER, grid.node_shape + (4,))[..., 2:])
 
 
 def save_image_csv(path, image) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("i,j,value\n")
-        for i in range(image.grid.nx):
-            for j in range(image.grid.ny):
-                fh.write(f"{i},{j},{_fmt(image.samples[i, j])}\n")
+    _write_table(path, _IMAGE_HEADER, image.samples[..., None])
 
 
 def load_image_csv(path, grid) -> ScalarImage:
-    samples = np.zeros(grid.node_shape)
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "i,j,value":
-            raise ValueError(f"unexpected image header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            i_s, j_s, v_s = line.split(",")
-            samples[int(i_s), int(j_s)] = float(v_s)
-    return ScalarImage(grid, samples)
+    return ScalarImage(grid, _read_table(path, _IMAGE_HEADER, grid.node_shape + (1,))[..., 0])
 
 
 def save_pgm(path, image) -> None:
@@ -90,7 +104,7 @@ def save_pgm(path, image) -> None:
     quant = np.rint((image.samples - lo) / span * 65535.0).astype(">u2")
     raster = quant.T[::-1, :]  # rows: j descending; cols: i ascending
     header = (
-        f"P5\n# scale {_fmt(lo)} {_fmt(hi)}\n"
+        f"P5\n# scale {float(lo)!r} {float(hi)!r}\n"
         f"{image.grid.nx} {image.grid.ny}\n65535\n"
     )
     with open(path, "wb") as fh:
@@ -133,89 +147,40 @@ def save_mask(path, mask) -> None:
 
 
 def load_mask(path) -> CellMask:
+    """Read a rectangular 0/1 matrix, one text row per i index."""
     rows = []
     with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([int(v) for v in line.split(",")])
-    return CellMask(np.asarray(rows, dtype=bool), kind="cells")
+        for lineno, line in enumerate(fh, start=1):
+            row = [v.strip() for v in line.split(",")]
+            if not set(row) <= {"0", "1"}:
+                raise ValueError(f"{path}: line {lineno}: mask entries must be 0 or 1")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}: line {lineno}: ragged row of {len(row)} entries")
+            rows.append([v == "1" for v in row])
+    return CellMask(rows, kind="cells")
 
 
 def save_subgradient(directory, w, protocol=None) -> None:
     """Write a certificate bundle: JSON header plus per-component CSVs."""
     os.makedirs(directory, exist_ok=True)
     grid = w.base_point.grid
-    header = {
-        "nx": grid.nx,
-        "ny": grid.ny,
-        "bounds": [list(b) for b in grid.bounds],
-        "tau2": int(w.v2.shape[-1]),
-        "base_energy": float(w.base_energy),
-        "protocol": protocol or {},
-    }
+    tau2 = int(w.v2.shape[-1])
+    header = {"nx": grid.nx, "ny": grid.ny, "bounds": [list(b) for b in grid.bounds],
+              "tau2": tau2, "base_energy": float(w.base_energy), "protocol": protocol or {}}
     with open(os.path.join(directory, "header.json"), "w", encoding="ascii") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    with open(os.path.join(directory, "u0.csv"), "w", encoding="ascii", newline="") as fh:
-        fh.write("i,j,g1,g2\n")
-        for i in range(grid.nx):
-            for j in range(grid.ny):
-                fh.write(f"{i},{j},{_fmt(w.u0[i, j, 0])},{_fmt(w.u0[i, j, 1])}\n")
-
-    ncx, ncy = grid.cell_shape
-    with open(os.path.join(directory, "u1.csv"), "w", encoding="ascii", newline="") as fh:
-        fh.write("i,j,a11,a12,a21,a22\n")
-        for i in range(ncx):
-            for j in range(ncy):
-                a = w.u1[i, j]
-                fh.write(f"{i},{j},{_fmt(a[0, 0])},{_fmt(a[0, 1])},"
-                         f"{_fmt(a[1, 0])},{_fmt(a[1, 1])}\n")
-
-    tau2 = w.v2.shape[-1]
-    with open(os.path.join(directory, "v2.csv"), "w", encoding="ascii", newline="") as fh:
-        fh.write("i,j," + ",".join(f"v{k+1}" for k in range(tau2)) + "\n")
-        for i in range(ncx):
-            for j in range(ncy):
-                vals = ",".join(_fmt(v) for v in w.v2[i, j])
-                fh.write(f"{i},{j},{vals}\n")
-
+    for (name, head, shape), table in zip(_bundle_tables(grid, tau2), (w.u0, w.u1, w.v2)):
+        _write_table(os.path.join(directory, name), head, table.reshape(shape))
     save_field(os.path.join(directory, "base_field.csv"), w.base_point)
 
 
 def load_subgradient(directory, mask=None) -> PolySubgradient:
     with open(os.path.join(directory, "header.json"), encoding="ascii") as fh:
         header = json.load(fh)
-    bounds = tuple(tuple(b) for b in header["bounds"])
-    grid = Grid(bounds, header["nx"], header["ny"], mask)
+    grid = Grid(tuple(map(tuple, header["bounds"])), header["nx"], header["ny"], mask)
     base = load_field(os.path.join(directory, "base_field.csv"), grid)
-
-    u0 = np.zeros(grid.node_shape + (2,))
-    with open(os.path.join(directory, "u0.csv"), encoding="ascii") as fh:
-        fh.readline()
-        for line in fh:
-            if line.strip():
-                i_s, j_s, g1, g2 = line.split(",")
-                u0[int(i_s), int(j_s)] = (float(g1), float(g2))
-
-    u1 = np.zeros(grid.cell_shape + (2, 2))
-    with open(os.path.join(directory, "u1.csv"), encoding="ascii") as fh:
-        fh.readline()
-        for line in fh:
-            if line.strip():
-                i_s, j_s, *entries = line.split(",")
-                u1[int(i_s), int(j_s)] = np.asarray(
-                    [float(e) for e in entries]).reshape(2, 2)
-
-    tau2 = int(header["tau2"])
-    v2 = np.zeros(grid.cell_shape + (tau2,))
-    with open(os.path.join(directory, "v2.csv"), encoding="ascii") as fh:
-        fh.readline()
-        for line in fh:
-            if line.strip():
-                i_s, j_s, *entries = line.split(",")
-                v2[int(i_s), int(j_s)] = [float(e) for e in entries]
-
-    return PolySubgradient(u0, u1, v2, base_point=base,
+    u0, u1, v2 = (_read_table(os.path.join(directory, name), head, shape)
+                  for name, head, shape in _bundle_tables(grid, int(header["tau2"])))
+    return PolySubgradient(u0, u1.reshape(grid.cell_shape + (2, 2)), v2, base_point=base,
                            base_energy=float(header["base_energy"]))

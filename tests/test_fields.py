@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from polyreg import (
+    CellMask,
     EnergyValue,
     Grid,
     InfiniteEnergyError,
@@ -25,6 +28,7 @@ from polyreg import (
     rotation_energy,
 )
 from polyreg.bregman import PolySubgradient, zero_subgradient
+from polyreg.registration import admissibility_gap
 
 
 def rotation_matrix(theta):
@@ -67,6 +71,34 @@ class TestGrid:
         assert g.distance_outside(np.array([0.5, 0.0])) == 0.0
         assert g.distance_outside(np.array([2.0, 0.0])) == pytest.approx(1.0)
         assert g.diameter == 2.0
+
+    @staticmethod
+    def data_mask_grid(n):
+        """Disk-shaped mask that has lost its provenance, as if loaded from CSV."""
+        base = Grid(((-1.0, 1.0), (-1.0, 1.0)), n, n)
+        return base.with_mask(CellMask(disk_mask(base, radius=0.9).active))
+
+    def test_data_mask_distance_equals_dense_formula(self, rng):
+        g = self.data_mask_grid(32)
+        pts = rng.uniform(-1.5, 1.5, (40, 30, 2))
+        centers = g.cell_centers[g.mask.active]
+        h1, h2 = g.spacing
+        flat = pts.reshape(-1, 2)
+        dx = np.maximum(np.abs(flat[:, None, 0] - centers[None, :, 0]) - 0.5 * h1, 0.0)
+        dy = np.maximum(np.abs(flat[:, None, 1] - centers[None, :, 1]) - 0.5 * h2, 0.0)
+        dense = np.hypot(dx, dy).min(axis=1).reshape(pts.shape[:-1])
+        assert np.array_equal(g.distance_outside(pts), dense)
+
+    def test_data_mask_distance_memory_bounded(self):
+        u = identity_field(self.data_mask_grid(128))
+        tracemalloc.start()
+        try:
+            gap = admissibility_gap(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap < 1e-12
+        assert peak < 64 * 2**20
 
 
 class TestDiscreteJacobian:

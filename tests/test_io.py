@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from polyreg import (
     Grid,
+    MatrixField,
     ScalarImage,
     detsq_energy,
     disk_mask,
@@ -12,6 +16,7 @@ from polyreg import (
     pq_energy,
     random_smooth_field,
 )
+from polyreg.bregman import PolySubgradient
 from polyreg.io import (
     load_field,
     load_image_csv,
@@ -55,6 +60,36 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="finite"):
             load_field(path, unit_grid)
 
+    def test_negative_index_rejected(self, tmp_path, unit_grid):
+        # -1 used to wrap around to node (8, 0) and pass the coverage check
+        path = tmp_path / "field.csv"
+        save_field(path, identity_field(unit_grid))
+        lines = path.read_text().splitlines()
+        assert lines[28].startswith("3,0,")
+        lines[28] = "-1" + lines[28][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 29: index (-1, 0)")):
+            load_field(path, unit_grid)
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (1, lambda row: "i,j,x,y,u2,u1", "expected header"),
+        (5, lambda row: row + ",0.0", "expected 6 columns, got 7"),
+        (5, lambda row: row.rsplit(",", 1)[0], "expected 6 columns, got 5"),
+        (5, lambda row: "0.5" + row[1:], "invalid literal for int"),
+        (5, lambda row: "9" + row[1:], "index (9, 3) outside 9 x 9"),
+        (5, lambda row: "0,2" + row[3:], "repeated index (0, 2)"),
+        (5, lambda row: row.rsplit(",", 1)[0] + ",inf", "non-finite value"),
+    ], ids=["header", "extra-column", "missing-column", "non-integer-index",
+            "index-out-of-range", "repeated-index", "non-finite"])
+    def test_corrupt_line_rejected(self, tmp_path, unit_grid, line, edit, message):
+        path = tmp_path / "field.csv"
+        save_field(path, identity_field(unit_grid))
+        lines = path.read_text().splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: {message}")):
+            load_field(path, unit_grid)
+
 
 class TestImageFormats:
     def test_csv_round_trip_exact(self, tmp_path, unit_grid, rng):
@@ -63,6 +98,15 @@ class TestImageFormats:
         save_image_csv(path, img)
         back = load_image_csv(path, unit_grid)
         assert np.array_equal(back.samples, img.samples)
+
+    def test_csv_missing_rows_rejected(self, tmp_path, unit_grid, rng):
+        # the missing nodes used to load as 0.0
+        path = tmp_path / "img.csv"
+        img = ScalarImage(unit_grid, rng.uniform(-3, 5, unit_grid.node_shape))
+        save_image_csv(path, img)
+        path.write_text("\n".join(path.read_text().splitlines()[:-3]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no row for index (8, 6)")):
+            load_image_csv(path, unit_grid)
 
     def test_pgm_round_trip_quantized(self, tmp_path, unit_grid, rng):
         img = ScalarImage(unit_grid, rng.uniform(-1, 2, unit_grid.node_shape))
@@ -98,6 +142,22 @@ class TestMaskCsv:
         assert np.array_equal(back.active, mask.active)
         assert back.kind == "cells"  # provenance is not serialized
 
+    @pytest.mark.parametrize("entry", ["2", "-1"])
+    def test_non_binary_entry_rejected(self, tmp_path, entry):
+        # such entries used to become active cells
+        path = tmp_path / "mask.csv"
+        path.write_text(f"0,1,1\n1,{entry},0\n")
+        message = f"{path}: line 2: mask entries must be 0 or 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_mask(path)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_text("0,1,1\n1,1,0\n1,1\n")
+        message = f"{path}: line 3: ragged row of 2 entries"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_mask(path)
+
 
 class TestCertificateBundle:
     def test_round_trip_preserves_action(self, tmp_path, unit_grid):
@@ -123,3 +183,162 @@ class TestCertificateBundle:
         assert header["tau2"] == 1
         assert header["protocol"]["trials"] == 7
         assert header["base_energy"] == pytest.approx(1.0)
+
+    @pytest.fixture
+    def bundle(self, tmp_path, unit_grid):
+        base = random_smooth_field(unit_grid, seed=23, amplitude=0.5)
+        w = poly_subgradient(pq_energy(4.0, 2.0), base)
+        save_subgradient(tmp_path / "cert", w)
+        return tmp_path / "cert"
+
+    def test_truncated_component_rejected(self, bundle):
+        # the missing cells used to load as zeros
+        path = bundle / "u1.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no row for index (7, 7)")):
+            load_subgradient(bundle)
+
+    def test_component_header_checked(self, bundle):
+        path = bundle / "u0.csv"
+        path.write_text(path.read_text().replace("i,j,g1,g2", "i,j,g2,g1", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: expected header")):
+            load_subgradient(bundle)
+
+    def test_slot_count_checked_against_header(self, bundle):
+        # v2.csv has one slot column; a header claiming two used to broadcast it
+        header = json.loads((bundle / "header.json").read_text())
+        header["tau2"] = 2
+        (bundle / "header.json").write_text(json.dumps(header))
+        message = f"{bundle / 'v2.csv'}: line 1: expected header 'i,j,v1,v2'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_subgradient(bundle)
+
+
+# Full text of each writer's output on a 3 x 4 grid with non-round values, so
+# that any change to the number format, row order, header or newline shows.
+GOLDEN_FIELD = (
+    'i,j,x,y,u1,u2\n'
+    '0,0,-1.0,0.2,-1.0,0.34285714285714286\n'
+    '0,1,-1.0,0.5666666666666667,-0.7142857142857143,0.9952380952380953\n'
+    '0,2,-1.0,0.9333333333333333,-0.4285714285714286,1.6476190476190475\n'
+    '0,3,-1.0,1.3,-0.1428571428571429,2.3\n'
+    '1,0,-0.15000000000000002,0.2,0.9928571428571428,1.4857142857142858\n'
+    '1,1,-0.15000000000000002,0.5666666666666667,1.2785714285714285,2.138095238095238\n'
+    '1,2,-0.15000000000000002,0.9333333333333333,1.564285714285714,2.7904761904761903\n'
+    '1,3,-0.15000000000000002,1.3,1.85,3.442857142857143\n'
+    '2,0,0.7,0.2,2.9857142857142858,2.6285714285714286\n'
+    '2,1,0.7,0.5666666666666667,3.2714285714285714,3.280952380952381\n'
+    '2,2,0.7,0.9333333333333333,3.557142857142857,3.9333333333333336\n'
+    '2,3,0.7,1.3,3.8428571428571425,4.585714285714285\n'
+)
+
+GOLDEN_IMAGE = (
+    'i,j,value\n'
+    '0,0,-1.1\n'
+    '0,1,-0.7666666666666668\n'
+    '0,2,-0.43333333333333346\n'
+    '0,3,-0.10000000000000009\n'
+    '1,0,0.23333333333333317\n'
+    '1,1,0.5666666666666667\n'
+    '1,2,0.8999999999999999\n'
+    '1,3,1.2333333333333334\n'
+    '2,0,1.5666666666666664\n'
+    '2,1,1.9\n'
+    '2,2,2.2333333333333334\n'
+    '2,3,2.5666666666666664\n'
+)
+
+GOLDEN_U0 = (
+    'i,j,g1,g2\n'
+    '0,0,0.0,0.1111111111111111\n'
+    '0,1,0.2222222222222222,0.3333333333333333\n'
+    '0,2,0.4444444444444444,0.5555555555555556\n'
+    '0,3,0.6666666666666666,0.7777777777777778\n'
+    '1,0,0.8888888888888888,1.0\n'
+    '1,1,1.1111111111111112,1.2222222222222223\n'
+    '1,2,1.3333333333333333,1.4444444444444444\n'
+    '1,3,1.5555555555555556,1.6666666666666667\n'
+    '2,0,1.7777777777777777,1.8888888888888888\n'
+    '2,1,2.0,2.111111111111111\n'
+    '2,2,2.2222222222222223,2.3333333333333335\n'
+    '2,3,2.4444444444444446,2.5555555555555554\n'
+)
+
+GOLDEN_U1 = (
+    'i,j,a11,a12,a21,a22\n'
+    '0,0,0.0,-0.09090909090909091,-0.18181818181818182,-0.2727272727272727\n'
+    '0,1,-0.36363636363636365,-0.45454545454545453,-0.5454545454545454,-0.6363636363636364\n'
+    '0,2,-0.7272727272727273,-0.8181818181818182,-0.9090909090909091,-1.0\n'
+    '1,0,-1.0909090909090908,-1.1818181818181819,-1.2727272727272727,-1.3636363636363635\n'
+    '1,1,-1.4545454545454546,-1.5454545454545454,-1.6363636363636365,-1.7272727272727273\n'
+    '1,2,-1.8181818181818181,-1.9090909090909092,-2.0,-2.090909090909091\n'
+)
+
+GOLDEN_V2 = (
+    'i,j,v1,v2\n'
+    '0,0,0.0,0.07692307692307693\n'
+    '0,1,0.15384615384615385,0.23076923076923078\n'
+    '0,2,0.3076923076923077,0.38461538461538464\n'
+    '1,0,0.46153846153846156,0.5384615384615384\n'
+    '1,1,0.6153846153846154,0.6923076923076923\n'
+    '1,2,0.7692307692307693,0.8461538461538461\n'
+)
+
+GOLDEN_HEADER = (
+    '{\n'
+    '  "base_energy": 0.30000000000000004,\n'
+    '  "bounds": [\n'
+    '    [\n'
+    '      -1.0,\n'
+    '      0.7\n'
+    '    ],\n'
+    '    [\n'
+    '      0.2,\n'
+    '      1.3\n'
+    '    ]\n'
+    '  ],\n'
+    '  "nx": 3,\n'
+    '  "ny": 4,\n'
+    '  "protocol": {\n'
+    '    "radius": 0.25,\n'
+    '    "trials": 7\n'
+    '  },\n'
+    '  "tau2": 2\n'
+    '}\n'
+)
+
+
+class TestGoldenBytes:
+    @pytest.fixture
+    def field(self):
+        grid = Grid(((-1.0, 0.7), (0.2, 1.3)), 3, 4)
+        return MatrixField(grid, grid.node_points + np.arange(24).reshape(3, 4, 2) / 7.0)
+
+    def test_field(self, tmp_path, field):
+        save_field(tmp_path / "field.csv", field)
+        assert (tmp_path / "field.csv").read_bytes() == GOLDEN_FIELD.encode("ascii")
+
+    def test_image(self, tmp_path, field):
+        img = ScalarImage(field.grid, np.arange(12).reshape(3, 4) / 3.0 - 1.1)
+        save_image_csv(tmp_path / "image.csv", img)
+        assert (tmp_path / "image.csv").read_bytes() == GOLDEN_IMAGE.encode("ascii")
+
+    def test_certificate_bundle(self, tmp_path, field):
+        w = PolySubgradient(
+            np.arange(24).reshape(3, 4, 2) / 9.0,
+            -np.arange(24).reshape(2, 3, 2, 2) / 11.0,
+            np.arange(12).reshape(2, 3, 2) / 13.0,
+            base_point=field,
+            base_energy=0.1 + 0.2,
+        )
+        save_subgradient(tmp_path / "cert", w, protocol={"trials": 7, "radius": 0.25})
+        expected = {
+            "header.json": GOLDEN_HEADER,
+            "u0.csv": GOLDEN_U0,
+            "u1.csv": GOLDEN_U1,
+            "v2.csv": GOLDEN_V2,
+            "base_field.csv": GOLDEN_FIELD,
+        }
+        assert sorted(p.name for p in (tmp_path / "cert").iterdir()) == sorted(expected)
+        for name, text in expected.items():
+            assert (tmp_path / "cert" / name).read_bytes() == text.encode("ascii"), name
