@@ -3,7 +3,8 @@
 The config describes the grid and domain mask, the regularization density,
 the synthetic reference image, the noise sweep and the solver settings.
 Unknown keys are rejected early, so typos fail loudly rather than silently
-falling back to defaults.
+falling back to defaults; out-of-range solver and sweep settings are rejected,
+naming the key, when the experiment is built.
 """
 
 from __future__ import annotations
@@ -111,7 +112,25 @@ def misfit_exponent(cfg) -> float:
     return float(cfg["integrand"]["q"])
 
 
+def _check_ranges(cfg) -> None:
+    """Reject solver and sweep settings outside their ranges, naming the key."""
+    sol, ecfg = cfg["solver"], cfg["experiment"]
+    fit_levels = int(ecfg["fit_levels"])
+    for key, value, rule, ok in (
+        ("solver.tol", sol["tol"], "> 0", float(sol["tol"]) > 0),
+        ("solver.max_iter", sol["max_iter"], ">= 1", int(sol["max_iter"]) >= 1),
+        ("solver.memory", sol["memory"], ">= 1", int(sol["memory"]) >= 1),
+        ("solver.starts", sol["starts"], ">= 1", int(sol["starts"]) >= 1),
+        ("experiment.fit_levels", fit_levels, ">= 3", fit_levels >= 3),
+        ("experiment.levels", ecfg["levels"], f">= experiment.fit_levels = {fit_levels}",
+         int(ecfg["levels"]) >= fit_levels),
+    ):
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {rule}, got {value!r}")
+
+
 def build_experiment(cfg) -> RateExperiment:
+    _check_ranges(cfg)
     grid = build_grid(cfg)
     integrand = build_integrand(cfg)
     reference = build_image(cfg, grid)

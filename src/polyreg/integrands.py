@@ -87,20 +87,22 @@ class Integrand:
             )
 
 
-def _singular_values_2x2(a):
-    """Both singular values of stacked 2 x 2 matrices, closed form.
+def _rotation_split(a):
+    """Rotation/reflection split of stacked 2 x 2 matrices, closed form.
 
-    Uses the rotation/reflection split of the entries; exact (to rounding)
-    even at repeated singular values, where LAPACK-based routines may lose
-    the symmetry.
+    With the half sum, half difference, half skew and half sym parts
+    ``hs, hd, hk, hy`` of the entries, ``a`` is a scaled rotation with
+    parameters ``(hs, hk)`` plus a scaled reflection with ``(hd, hy)``, and
+    its singular values are ``big + small`` and ``|big - small|`` for
+    ``big = hypot(hs, hk)`` and ``small = hypot(hd, hy)``.  Exact (to
+    rounding) even at repeated singular values, where LAPACK-based routines
+    may lose the symmetry.  Returns ``(hs, hd, hk, hy, big, small)``.
     """
-    half_sum = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
-    half_dif = 0.5 * (a[..., 0, 0] - a[..., 1, 1])
-    half_skw = 0.5 * (a[..., 1, 0] - a[..., 0, 1])
-    half_sym = 0.5 * (a[..., 1, 0] + a[..., 0, 1])
-    big = np.hypot(half_sum, half_skw)
-    small = np.hypot(half_dif, half_sym)
-    return big + small, np.abs(big - small)
+    hs = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+    hd = 0.5 * (a[..., 0, 0] - a[..., 1, 1])
+    hk = 0.5 * (a[..., 1, 0] - a[..., 0, 1])
+    hy = 0.5 * (a[..., 1, 0] + a[..., 0, 1])
+    return hs, hd, hk, hy, np.hypot(hs, hk), np.hypot(hd, hy)
 
 
 def _split_order1_det(xi, layout):
@@ -118,9 +120,14 @@ def rotation_energy(p) -> Integrand:
     variables) and equal to ``2 + p`` exactly when the block is a rotation
     and ``d = 1``.  Requires ``p > 2``.
 
-    The gradient of the singular-value term is assembled from a full SVD as
-    ``p * U diag(lam^(p-1)) V^T``, which is well defined at repeated
-    singular values for ``p > 2``.
+    The gradient of the singular-value term comes from the same closed-form
+    split as the value (see ``_rotation_split``): with ``S = lam1^p + lam2^p``,
+    ``lam1 = big + small`` and ``lam2 = |big - small|``, the chain rule runs
+    through ``d big = (hs dhs + hk dhk) / big`` and
+    ``d small = (hd dhd + hy dhy) / small``.  At ``big = 0`` (``small = 0``)
+    the factor ``dS/d big`` (``dS/d small``) is exactly 0 for ``p > 2``, so
+    that term is set to 0; the result equals ``p * U diag(lam^(p-1)) V^T``
+    from an SVD, which is well defined at repeated singular values.
     """
     p = float(p)
     if p <= 2:
@@ -129,16 +136,28 @@ def rotation_energy(p) -> Integrand:
 
     def value_fn(x, u, xi):
         a, d = _split_order1_det(xi, layout)
-        lam1, lam2 = _singular_values_2x2(a)
+        big, small = _rotation_split(a)[4:]
         with np.errstate(over="ignore"):
-            return lam1 ** p + lam2 ** p + p * np.exp(1.0 - d)
+            return (big + small) ** p + np.abs(big - small) ** p + p * np.exp(1.0 - d)
 
     def grad_fn(x, u, xi):
         a, d = _split_order1_det(xi, layout)
-        uu, lam, vt = np.linalg.svd(a)
-        schatten = p * np.einsum("...ik,...k,...kj->...ij", uu, lam ** (p - 1.0), vt)
+        hs, hd, hk, hy, big, small = _rotation_split(a)
+        gap = big - small
+        top = (big + small) ** (p - 1.0)
+        low = np.sign(gap) * np.abs(gap) ** (p - 1.0)
+        # dS/d big / big and dS/d small / small; 0 where big or small vanish
+        with np.errstate(divide="ignore", invalid="ignore"):
+            by_big = np.where(big > 0, p * (top + low) / big, 0.0)
+            by_small = np.where(small > 0, p * (top - low) / small, 0.0)
         g_xi = np.zeros_like(xi)
-        g_xi[..., :4] = schatten.reshape(xi.shape[:-1] + (4,))
+        # d(hs, hd, hk, hy) / d(a00, a01, a10, a11) is 1/2 times a sign pattern
+        gs, gd = 0.5 * by_big * hs, 0.5 * by_small * hd
+        gk, gy = 0.5 * by_big * hk, 0.5 * by_small * hy
+        g_xi[..., 0] = gs + gd
+        g_xi[..., 1] = gy - gk
+        g_xi[..., 2] = gk + gy
+        g_xi[..., 3] = gs - gd
         with np.errstate(over="ignore"):
             g_xi[..., 4] = -p * np.exp(1.0 - d)
         return np.zeros(xi.shape[:-1] + (2,)), g_xi

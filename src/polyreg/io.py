@@ -175,9 +175,42 @@ def save_subgradient(directory, w, protocol=None) -> None:
     save_field(os.path.join(directory, "base_field.csv"), w.base_point)
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # bool is not a number here
+
+
+# Required keys of a bundle's header.json: (key, check, what the value must be).
+_HEADER_KEYS = (
+    ("bounds", lambda v: type(v) is list and len(v) == 2 and all(
+        type(b) is list and len(b) == 2 and all(map(_is_number, b)) for b in v),
+     "two [lo, hi] pairs of numbers"),
+    ("nx", lambda v: type(v) is int, "an integer"),
+    ("ny", lambda v: type(v) is int, "an integer"),
+    ("tau2", lambda v: type(v) is int, "an integer"),
+    ("base_energy", _is_number, "a number"),
+)
+
+
+def _read_header(path) -> dict:
+    """A bundle's ``header.json``, rejected naming the file when it is not a
+    JSON object holding every key of ``_HEADER_KEYS`` with a value of its type."""
+    with open(path, encoding="ascii") as fh:
+        try:
+            header = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if type(header) is not dict:
+        raise ValueError(f"{path}: expected a JSON object")
+    for key, check, what in _HEADER_KEYS:
+        if key not in header:
+            raise ValueError(f"{path}: missing key {key!r}")
+        if not check(header[key]):
+            raise ValueError(f"{path}: key {key!r} must be {what}, got {header[key]!r}")
+    return header
+
+
 def load_subgradient(directory, mask=None) -> PolySubgradient:
-    with open(os.path.join(directory, "header.json"), encoding="ascii") as fh:
-        header = json.load(fh)
+    header = _read_header(os.path.join(directory, "header.json"))
     grid = Grid(tuple(map(tuple, header["bounds"])), header["nx"], header["ny"], mask)
     base = load_field(os.path.join(directory, "base_field.csv"), grid)
     u0, u1, v2 = (_read_table(os.path.join(directory, name), head, shape)

@@ -8,6 +8,13 @@ iterates never increase the objective.  Convergence is declared when the
 gradient sup norm drops below ``tol`` or the relative objective decrease
 stays below ``tol**2`` for five consecutive iterations.
 
+The first trial point of each line search is evaluated with value and
+gradient together; it is usually accepted, and its gradient then serves the
+next iteration, so an accepted unit step costs one evaluation.  Later, shorter
+trials are value-only, and when one of them is accepted the gradient there is
+evaluated once more.  Infinite energy at the first trial is a rejected trial,
+as it is for a value-only one.
+
 Everything is deterministic: no randomness enters a solve, and all
 reductions run in fixed order.
 """
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    InfiniteEnergyError,
     MatrixField,
     cell_center_values,
     energy,
@@ -110,7 +118,7 @@ class MinimizeResult:
     iterations: int
     converged: bool
     grad_sup: float
-    evaluations: int
+    evaluations: int  # objective calls, value-only or value+gradient alike
 
 
 def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
@@ -166,18 +174,19 @@ def minimize(problem, tol=1e-8, max_iter=500, memory=10) -> MinimizeResult:
         if not s_hist:
             d = d / max(1.0, g_sup)
 
-        step, f_new, ls_evals = _backtrack(value_at, x, f, g, d)
+        step, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
         evals += ls_evals
         if step is None and not np.array_equal(d, -g):
             d = -g
-            step, f_new, ls_evals = _backtrack(value_at, x, f, g, d)
+            step, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
             evals += ls_evals
         if step is None:
             break  # stalled: no decrease along the gradient either
 
         x_new = x + step * d
-        _, g_new = value_and_grad(x_new)
-        evals += 1
+        if g_new is None:
+            _, g_new = value_and_grad(x_new)
+            evals += 1
 
         s = x_new - x
         y = g_new - g
@@ -210,18 +219,31 @@ def minimize(problem, tol=1e-8, max_iter=500, memory=10) -> MinimizeResult:
     )
 
 
-def _backtrack(value_at, x, f, g, d):
-    """Armijo backtracking; returns (step, value, evaluations)."""
+def _backtrack(value_at, value_and_grad, x, f, g, d):
+    """Armijo backtracking; returns (step, value, gradient, evaluations).
+
+    The unit step is tried with ``value_and_grad`` and, when accepted, its
+    gradient is returned; shorter steps are tried with ``value_at`` and
+    return no gradient (None).  A unit step at infinite energy counts as
+    rejected.
+    """
     gtd = np.dot(g, d)
     step = 1.0
     evals = 0
     while step > 1e-20:
-        f_try = value_at(x + step * d)
+        g_try = None
+        if evals == 0:
+            try:
+                f_try, g_try = value_and_grad(x + step * d)
+            except InfiniteEnergyError:
+                f_try = np.inf  # rejected, as a value-only trial would be
+        else:
+            f_try = value_at(x + step * d)
         evals += 1
         if np.isfinite(f_try) and f_try <= f + _ARMIJO * step * gtd:
-            return step, f_try, evals
+            return step, f_try, g_try, evals
         step *= _SHRINK
-    return None, None, evals
+    return None, None, None, evals
 
 
 def solve_multi_start(problem, tol=1e-8, max_iter=500, memory=10, starts=3,

@@ -51,3 +51,10 @@ def central_difference(fn, x, direction, h=1e-5):
 def singular_values_reference(a):
     """Singular values straight from LAPACK, descending."""
     return np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
+
+
+def schatten_gradient_reference(a, p):
+    """Gradient of ``lam1^p + lam2^p`` over stacked matrices through a full
+    LAPACK SVD: ``p * U diag(lam^(p-1)) V^T``."""
+    uu, lam, vt = np.linalg.svd(np.asarray(a, dtype=float))
+    return p * np.einsum("...ik,...k,...kj->...ij", uu, lam ** (p - 1.0), vt)

@@ -250,7 +250,7 @@ def test_criterion_9_rate_experiment():
 def test_criterion_10_determinism(tmp_path):
     cfg = {
         "grid": {"nx": 20, "ny": 20},
-        "experiment": {"levels": 3, "delta0": 0.1, "seeds": [0, 1]},
+        "experiment": {"levels": 3, "fit_levels": 3, "delta0": 0.1, "seeds": [0, 1]},
         "solver": {"tol": 1e-6, "max_iter": 800, "starts": 2},
     }
     cfg_path = tmp_path / "config.json"

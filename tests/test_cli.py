@@ -11,7 +11,7 @@ def small_config(tmp_path):
     """Config scaled down for CLI tests: coarse grid, short ladder."""
     cfg = {
         "grid": {"nx": 20, "ny": 20},
-        "experiment": {"levels": 3, "delta0": 0.1, "seeds": [0]},
+        "experiment": {"levels": 3, "fit_levels": 3, "delta0": 0.1, "seeds": [0]},
         "solver": {"tol": 1e-6, "max_iter": 1500, "starts": 2},
         "verify": {"trials": 40, "radius": 0.4, "seed": 3},
     }
@@ -49,6 +49,29 @@ class TestConfig:
         assert exp.w.base_energy == pytest.approx(
             6.0 * exp.u_dagger.grid.domain_measure, rel=1e-12
         )
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "tol", 0.0),
+        ("solver", "tol", -3e-7),
+        ("solver", "tol", float("nan")),
+        ("solver", "max_iter", 0),
+        ("solver", "memory", 0),
+        ("solver", "starts", 0),
+        ("experiment", "fit_levels", 2),
+        ("experiment", "levels", 2),
+    ])
+    def test_out_of_range_value_rejected(self, small_config, section, key, value):
+        cfg = load_config(small_config)
+        cfg[section][key] = value
+        with pytest.raises(ValueError, match=rf"'{section}\.{key}'"):
+            build_experiment(cfg)
+
+    def test_fit_window_longer_than_ladder_rejected(self):
+        cfg = default_config()
+        cfg["experiment"]["levels"] = 3  # default fit_levels is 4
+        with pytest.raises(ValueError, match=r"'experiment\.levels' must be >= "
+                                             r"experiment\.fit_levels = 4, got 3"):
+            build_experiment(cfg)
 
     def test_csv_mask_config(self, tmp_path):
         import numpy as np

@@ -12,7 +12,7 @@ from polyreg import (
     rotation_energy,
 )
 
-from oracles import relative_error, singular_values_reference
+from oracles import relative_error, schatten_gradient_reference, singular_values_reference
 
 
 def rotation_matrix(theta):
@@ -107,6 +107,42 @@ class TestRotationEnergy:
             _, g = F.gradient(None, None, all_minors(r))
             df_da = pull_back(minors_gradient(r), g)
             assert np.max(np.abs(df_da)) < 1e-12
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_closed_form_gradient_matches_svd_oracle(self, rng, p):
+        F = rotation_energy(p)
+        a = rng.uniform(-3, 3, (2000, 2, 2))
+        xi = all_minors(a)
+        g_u, g = F.gradient(None, None, xi)
+        want = schatten_gradient_reference(a, p).reshape(-1, 4)
+        err = np.max(np.abs(g[:, :4] - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.max(err) <= 1e-12
+        assert np.array_equal(g[:, 4], -p * np.exp(1.0 - xi[:, 4]))
+        assert not np.any(g_u)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_closed_form_gradient_at_degenerate_points(self, p):
+        # zero matrix (big = small = 0), scaled rotations (small = 0),
+        # reflections (big = 0) and rank one (lam2 = 0, big = small)
+        F = rotation_energy(p)
+        theta = 0.7
+        c, s = np.cos(theta), np.sin(theta)
+        a = np.array([
+            np.zeros((2, 2)),
+            rotation_matrix(theta),
+            2.5 * rotation_matrix(-2.0),
+            np.diag([1.0, -1.0]),
+            3.0 * np.array([[c, s], [s, -c]]),
+            np.outer([1.0, 2.0], [3.0, -1.0]),
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+        ])
+        _, g = F.gradient(None, None, all_minors(a))
+        assert np.all(np.isfinite(g))
+        assert np.array_equal(g[0, :4], np.zeros(4))
+        want = schatten_gradient_reference(a, p).reshape(-1, 4)
+        scale = np.maximum(np.max(np.abs(want), axis=1), 1.0)
+        err = np.max(np.abs(g[:, :4] - want), axis=1) / scale
+        assert np.max(err) <= 1e-12
 
     def test_declared_coercivity_constant(self):
         assert rotation_energy(4.0).coercivity_constant == pytest.approx(0.5)

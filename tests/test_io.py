@@ -214,6 +214,38 @@ class TestCertificateBundle:
             load_subgradient(bundle)
 
 
+    @pytest.mark.parametrize("key", ["bounds", "nx", "ny", "tau2", "base_energy"])
+    def test_missing_header_key_rejected(self, bundle, key):
+        path = bundle / "header.json"
+        header = json.loads(path.read_text())
+        del header[key]
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing key {key!r}")):
+            load_subgradient(bundle)
+
+    @pytest.mark.parametrize("key, value", [
+        ("bounds", [[0.0, 1.0]]),
+        ("bounds", [[0.0, "1"], [0.0, 1.0]]),
+        ("nx", 9.0),
+        ("ny", "9"),
+        ("tau2", True),
+        ("base_energy", None),
+    ])
+    def test_mistyped_header_value_rejected(self, bundle, key, value):
+        path = bundle / "header.json"
+        header = json.loads(path.read_text())
+        header[key] = value
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: key {key!r} must be")):
+            load_subgradient(bundle)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{\"nx\": 9,"])
+    def test_header_not_an_object_rejected(self, bundle, text):
+        path = bundle / "header.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            load_subgradient(bundle)
+
 # Full text of each writer's output on a 3 x 4 grid with non-round values, so
 # that any change to the number format, row order, header or newline shows.
 GOLDEN_FIELD = (

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from polyreg import (
+    Grid,
+    InfiniteEnergyError,
     MatrixField,
     TikhonovProblem,
     add_noise,
     blob_image,
     data_term,
     detsq_energy,
+    disk_mask,
     energy,
     identity_field,
     minimize,
@@ -18,6 +21,39 @@ from polyreg import (
     solve_multi_start,
     warp,
 )
+
+
+def small_problem(seed=4):
+    """Noisy 16 x 16 disk problem started at the identity."""
+    base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 16, 16)
+    grid = base.with_mask(disk_mask(base, radius=1.0))
+    reference = blob_image(grid, random_blobs(7))
+    exact = warp(reference, rotation_field(np.pi / 6, grid))
+    sample = add_noise(exact, 0.05, 2.0, seed=seed)
+    return TikhonovProblem(rotation_energy(4.0), reference, sample, 2.0, 0.01,
+                           identity_field(grid))
+
+
+class CallLog:
+    """Wraps a problem's two objective methods and logs each call in order
+    as ``(kind, point)``, kind "value" or "value+grad"."""
+
+    def __init__(self, problem, monkeypatch):
+        self.calls = []
+        objective = problem.objective
+        objective_and_gradient = problem.objective_and_gradient
+
+        def logged_objective(u):
+            self.calls.append(("value", u.values.copy()))
+            return objective(u)
+
+        def logged_objective_and_gradient(u):
+            self.calls.append(("value+grad", u.values.copy()))
+            return objective_and_gradient(u)
+
+        monkeypatch.setattr(problem, "objective", logged_objective)
+        monkeypatch.setattr(problem, "objective_and_gradient",
+                            logged_objective_and_gradient)
 
 
 @pytest.fixture
@@ -164,3 +200,50 @@ class TestMultiStart:
         warm = solve_multi_start(problem, tol=1e-6, max_iter=200, starts=1, seed=1,
                                  warm_start=good.u_min)
         assert warm.objective <= good.objective + 1e-14
+
+
+class TestFirstTrialReuse:
+    def test_value_only_calls_follow_rejected_first_trials(self, monkeypatch):
+        # the witness check is made by the constructor, before the log starts
+        problem = small_problem()
+        log = CallLog(problem, monkeypatch)
+        result = minimize(problem, tol=1e-9, max_iter=100)
+        kinds = [kind for kind, _ in log.calls]
+        assert result.evaluations == len(log.calls)
+        assert kinds[0] == "value+grad"
+        assert "value" in kinds  # some first trials were rejected
+        # a value-only call right after a value+grad trial at t halves the
+        # step from an earlier gradient point x: it lies at (x + t) / 2, so
+        # that trial was a rejected first trial, not the current iterate
+        grad_points = []
+        for (kind, point), (prev_kind, prev) in zip(log.calls[1:], log.calls):
+            if prev_kind == "value+grad":
+                grad_points.append(prev)
+            if kind == "value" and prev_kind == "value+grad":
+                midpoints = [0.5 * (x + prev) for x in grad_points[:-1]]
+                assert any(np.allclose(point, m, rtol=0.0, atol=1e-12) for m in midpoints)
+        # every iteration makes at least its first trial with a gradient
+        assert kinds.count("value+grad") >= 1 + result.iterations
+        assert result.evaluations < 2 * result.iterations
+
+    def test_infinite_energy_at_first_trial_shrinks_step(self, monkeypatch):
+        problem = small_problem()
+        log = CallLog(problem, monkeypatch)
+        logged = problem.objective_and_gradient
+
+        def blows_up_once(u):
+            result = logged(u)
+            if len(log.calls) == 2:  # the first trial of the first line search
+                raise InfiniteEnergyError("energy is not finite; gradient undefined")
+            return result
+
+        monkeypatch.setattr(problem, "objective_and_gradient", blows_up_once)
+        result = minimize(problem, tol=1e-9, max_iter=20)
+        kinds = [kind for kind, _ in log.calls]
+        assert kinds[:3] == ["value+grad", "value+grad", "value"]
+        start, trial, shorter = (point for _, point in log.calls[:3])
+        assert np.allclose(shorter, 0.5 * (start + trial), rtol=0.0, atol=1e-12)
+        assert result.iterations == 20
+        assert result.evaluations == len(log.calls)
+        assert np.isfinite(result.objective)
+        assert result.objective < problem.objective(problem.initial)
