@@ -19,7 +19,8 @@ import numpy as np
 
 from . import io as pio
 from .bregman import poly_subgradient, verify_subgradient, zero_subgradient, bregman_poly
-from .config import build_experiment, build_grid, build_integrand, load_config
+from .config import (_check_verify_ranges, build_experiment, build_grid, build_integrand,
+                     load_config)
 from .fields import (
     Grid,
     energy,
@@ -159,6 +160,7 @@ def cmd_rates(args) -> int:
 
 def cmd_verify_subgradient(args) -> int:
     cfg = load_config(args.config)
+    _check_verify_ranges(cfg)
     grid = build_grid(cfg)
     integrand = build_integrand(cfg)
     vcfg = cfg["verify"]

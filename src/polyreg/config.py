@@ -4,7 +4,8 @@ The config describes the grid and domain mask, the regularization density,
 the synthetic reference image, the noise sweep and the solver settings.
 Unknown keys are rejected early, so typos fail loudly rather than silently
 falling back to defaults; out-of-range solver and sweep settings are rejected,
-naming the key, when the experiment is built.
+naming the key, when the experiment is built, and out-of-range ``verify``
+settings before the certificate protocol runs.
 """
 
 from __future__ import annotations
@@ -112,21 +113,43 @@ def misfit_exponent(cfg) -> float:
     return float(cfg["integrand"]["q"])
 
 
+def _finite_positive(value) -> bool:
+    return math.isfinite(float(value)) and float(value) > 0
+
+
+def _reject_out_of_range(checks) -> None:
+    """Raise on the first ``(key, value, rule, ok)`` check that fails, naming the key."""
+    for key, value, rule, ok in checks:
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {rule}, got {value!r}")
+
+
 def _check_ranges(cfg) -> None:
     """Reject solver and sweep settings outside their ranges, naming the key."""
     sol, ecfg = cfg["solver"], cfg["experiment"]
     fit_levels = int(ecfg["fit_levels"])
-    for key, value, rule, ok in (
+    _reject_out_of_range((
         ("solver.tol", sol["tol"], "> 0", float(sol["tol"]) > 0),
         ("solver.max_iter", sol["max_iter"], ">= 1", int(sol["max_iter"]) >= 1),
         ("solver.memory", sol["memory"], ">= 1", int(sol["memory"]) >= 1),
         ("solver.starts", sol["starts"], ">= 1", int(sol["starts"]) >= 1),
+        ("experiment.delta0", ecfg["delta0"], "finite and > 0",
+         _finite_positive(ecfg["delta0"])),
+        ("experiment.alpha0", ecfg["alpha0"], "finite and > 0",
+         _finite_positive(ecfg["alpha0"])),
         ("experiment.fit_levels", fit_levels, ">= 3", fit_levels >= 3),
         ("experiment.levels", ecfg["levels"], f">= experiment.fit_levels = {fit_levels}",
          int(ecfg["levels"]) >= fit_levels),
-    ):
-        if not ok:
-            raise ValueError(f"config key {key!r} must be {rule}, got {value!r}")
+    ))
+
+
+def _check_verify_ranges(cfg) -> None:
+    """Reject certificate protocol settings that would make the check vacuous."""
+    vcfg = cfg["verify"]
+    _reject_out_of_range((
+        ("verify.trials", vcfg["trials"], ">= 1", int(vcfg["trials"]) >= 1),
+        ("verify.radius", vcfg["radius"], "finite and > 0", _finite_positive(vcfg["radius"])),
+    ))
 
 
 def build_experiment(cfg) -> RateExperiment:

@@ -396,26 +396,41 @@ def field_from_function(grid, fn) -> MatrixField:
 def random_smooth_field(grid, seed=None, rng=None, amplitude=1.0, modes=3) -> MatrixField:
     """Deterministic random field built from a few low-order trig modes.
 
-    Coefficients are drawn from ``rng`` (or a generator seeded with
-    ``seed``); the result is scaled so its sup norm equals ``amplitude``.
-    Smooth by construction, hence resolution-independent in character.
+    Each component is the sum over ``kx, ky < modes`` of
+
+        c0 sin(pi (kx+1) s) sin(pi (ky+1) t) + c1 sin(pi (kx+1) s) cos(pi ky t)
+      + c2 cos(pi kx s) sin(pi (ky+1) t)     + c3 cos(pi kx s) cos(pi ky t)
+
+    with (s, t) the node position scaled to [0, 1]^2 and the four
+    coefficients drawn from ``rng`` (or a generator seeded with ``seed``);
+    the result is scaled so its sup norm equals ``amplitude``.  Smooth by
+    construction, hence resolution-independent in character.
+
+    The grid is a tensor product, so the sines and cosines are 1-d tables
+    over s and t, and each term is the outer product ``(c * a) (x) b``:
+    the same products, summed in the same order, as evaluating the formula
+    on the full grid, hence the same values bit for bit.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
     (a1, b1), (a2, b2) = grid.bounds
     pts = grid.node_points
-    s = (pts[..., 0] - a1) / (b1 - a1)
-    t = (pts[..., 1] - a2) / (b2 - a2)
+    k = np.arange(modes)[:, None]
+    s = (pts[:, 0, 0] - a1) / (b1 - a1)
+    t = (pts[0, :, 1] - a2) / (b2 - a2)
+    sin_s, cos_s = np.sin(np.pi * (k + 1) * s), np.cos(np.pi * k * s)
+    sin_t, cos_t = np.sin(np.pi * (k + 1) * t), np.cos(np.pi * k * t)
+    outer = np.multiply.outer
     values = np.zeros(grid.node_shape + (2,))
     for comp in range(2):
         acc = np.zeros(grid.node_shape)
         for kx in range(modes):
             for ky in range(modes):
                 c = rng.standard_normal(4)
-                acc += c[0] * np.sin(np.pi * (kx + 1) * s) * np.sin(np.pi * (ky + 1) * t)
-                acc += c[1] * np.sin(np.pi * (kx + 1) * s) * np.cos(np.pi * ky * t)
-                acc += c[2] * np.cos(np.pi * kx * s) * np.sin(np.pi * (ky + 1) * t)
-                acc += c[3] * np.cos(np.pi * kx * s) * np.cos(np.pi * ky * t)
+                acc += outer(c[0] * sin_s[kx], sin_t[ky])
+                acc += outer(c[1] * sin_s[kx], cos_t[ky])
+                acc += outer(c[2] * cos_s[kx], sin_t[ky])
+                acc += outer(c[3] * cos_s[kx], cos_t[ky])
         values[..., comp] = acc
     peak = np.max(np.abs(values))
     if peak > 0:

@@ -58,3 +58,29 @@ def schatten_gradient_reference(a, p):
     LAPACK SVD: ``p * U diag(lam^(p-1)) V^T``."""
     uu, lam, vt = np.linalg.svd(np.asarray(a, dtype=float))
     return p * np.einsum("...ik,...k,...kj->...ij", uu, lam ** (p - 1.0), vt)
+
+
+def random_smooth_field_reference(grid, seed=None, rng=None, amplitude=1.0, modes=3):
+    """Node values of ``fields.random_smooth_field`` by the full-grid formula:
+    every sine and cosine evaluated at every node, terms summed in draw order."""
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    (a1, b1), (a2, b2) = grid.bounds
+    pts = grid.node_points
+    s = (pts[..., 0] - a1) / (b1 - a1)
+    t = (pts[..., 1] - a2) / (b2 - a2)
+    values = np.zeros(grid.node_shape + (2,))
+    for comp in range(2):
+        acc = np.zeros(grid.node_shape)
+        for kx in range(modes):
+            for ky in range(modes):
+                c = rng.standard_normal(4)
+                acc += c[0] * np.sin(np.pi * (kx + 1) * s) * np.sin(np.pi * (ky + 1) * t)
+                acc += c[1] * np.sin(np.pi * (kx + 1) * s) * np.cos(np.pi * ky * t)
+                acc += c[2] * np.cos(np.pi * kx * s) * np.sin(np.pi * (ky + 1) * t)
+                acc += c[3] * np.cos(np.pi * kx * s) * np.cos(np.pi * ky * t)
+        values[..., comp] = acc
+    peak = np.max(np.abs(values))
+    if peak > 0:
+        values *= amplitude / peak
+    return values

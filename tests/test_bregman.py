@@ -8,6 +8,7 @@ from polyreg import (
     MinorsLayout,
     PolySubgradient,
     SourceConditionParams,
+    SubgradientReport,
     blob_image,
     bregman_classical,
     bregman_poly,
@@ -28,6 +29,8 @@ from polyreg import (
     zero_subgradient,
 )
 
+from oracles import random_smooth_field_reference
+
 
 def quadratic_gradient_density():
     """|A|^2 on the order-1 block: convex with a purely classical certificate."""
@@ -42,6 +45,52 @@ def quadratic_gradient_density():
         return np.zeros(xi.shape[:-1] + (2,)), g
 
     return Integrand(layout, "grad-sq", value_fn, grad_fn)
+
+
+def wall_density():
+    """det^2 where det > 0 and +inf elsewhere: convex, with effective domain det > 0."""
+
+    def grad_fn(x, u, xi):
+        g = np.zeros_like(xi)
+        g[..., 4] = 2.0 * xi[..., 4]
+        return np.zeros(xi.shape[:-1] + (2,)), g
+
+    return Integrand(
+        MinorsLayout(2, 2), "wall",
+        lambda x, u, xi: np.where(xi[..., 4] > 0, xi[..., 4] ** 2, np.inf), grad_fn,
+    )
+
+
+def verify_subgradient_reference(F, w, trials, seed, radius, tol=1e-8):
+    """The sampled certificate protocol with one ``bregman_poly`` call per trial
+    and the full-grid field formula.  Returns the report and the number of
+    trials skipped at infinite energy."""
+    u = w.base_point
+    worst, violations, skipped = np.inf, 0, 0
+    for t in range(trials):
+        trial_rng = np.random.default_rng([seed, t])
+        r = radius * 10.0 ** trial_rng.uniform(-3.0, 0.0)
+        if t % 8 == 7:
+            r = 10.0 * radius * trial_rng.uniform(0.5, 1.0)
+        phi = random_smooth_field_reference(u.grid, rng=trial_rng, amplitude=1.0)
+        try:
+            gap = bregman_poly(F, u.with_values(u.values + r * phi), u, w)
+        except InfiniteEnergyError:
+            skipped += 1
+            continue
+        worst = min(worst, gap)
+        violations += int(gap < -tol)
+    worst = float(worst) if np.isfinite(worst) else 0.0
+    return SubgradientReport(trials, violations, worst, tol), skipped
+
+
+def broken_detsq_certificate(grid):
+    """The det-square certificate at the identity with one higher-minor slot
+    shifted by 1: no longer a subgradient."""
+    w = poly_subgradient(detsq_energy(), identity_field(grid))
+    v2 = w.v2.copy()
+    v2[3, 4, 0] += 1.0
+    return PolySubgradient(w.u0, w.u1, v2, w.base_point, w.base_energy)
 
 
 def stretch_field(grid, sx, sy):
@@ -152,12 +201,7 @@ class TestBregmanPoly:
             )
 
     def test_infinite_energy_raises(self, unit_grid):
-        layout = MinorsLayout(2, 2)
-        F = Integrand(
-            layout, "wall",
-            lambda x, u, xi: np.where(xi[..., 4] > 0, xi[..., 4] ** 2, np.inf),
-            lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.zeros_like(xi)),
-        )
+        F = wall_density()
         u = identity_field(unit_grid)
         w = zero_subgradient(F, u)
         flipped = stretch_field(unit_grid, -1.0, 1.0)
@@ -213,10 +257,7 @@ class TestVerifySubgradient:
 
     def test_perturbed_certificate_fails(self, unit_grid):
         F = detsq_energy()
-        w = poly_subgradient(F, identity_field(unit_grid))
-        v2 = w.v2.copy()
-        v2[3, 4, 0] += 1.0
-        broken = PolySubgradient(w.u0, w.u1, v2, w.base_point, w.base_energy)
+        broken = broken_detsq_certificate(unit_grid)
         report = verify_subgradient(F, broken, trials=300, seed=7, radius=0.5)
         assert report.violations > 0
         assert report.worst_gap < -1e-8
@@ -233,6 +274,40 @@ class TestVerifySubgradient:
         a = verify_subgradient(F, w, trials=64, seed=9)
         b = verify_subgradient(F, w, trials=64, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan"), float("inf")])
+    def test_bad_radius_rejected(self, unit_grid, radius):
+        F = detsq_energy()
+        w = poly_subgradient(F, identity_field(unit_grid))
+        with pytest.raises(ValueError, match="radius"):
+            verify_subgradient(F, w, trials=8, seed=9, radius=radius)
+
+    @staticmethod
+    def assert_matches_reference(F, w, trials, seed, radius):
+        report = verify_subgradient(F, w, trials=trials, seed=seed, radius=radius)
+        ref, skipped = verify_subgradient_reference(F, w, trials, seed, radius)
+        assert (report.trials, report.violations) == (ref.trials, ref.violations)
+        assert report.worst_gap.hex() == ref.worst_gap.hex()
+        assert report.tolerance == ref.tolerance
+        return report, skipped
+
+    def test_valid_certificate_matches_per_trial_reference(self, disk_grid):
+        F = rotation_energy(4.0)
+        w = poly_subgradient(F, random_smooth_field(disk_grid, seed=62, amplitude=0.5))
+        report, skipped = self.assert_matches_reference(F, w, 64, 7, 0.5)
+        assert report.violations == 0 and skipped == 0
+
+    def test_broken_certificate_matches_per_trial_reference(self, unit_grid):
+        report, _ = self.assert_matches_reference(
+            detsq_energy(), broken_detsq_certificate(unit_grid), 64, 7, 0.5)
+        assert report.violations > 0
+
+    def test_skipped_trials_match_per_trial_reference(self, unit_grid):
+        F = wall_density()
+        w = poly_subgradient(F, identity_field(unit_grid))
+        report, skipped = self.assert_matches_reference(F, w, 64, 7, 5.0)
+        assert 0 < skipped < 64
+        assert report.violations == 0
 
 
 class TestSourceCondition:

@@ -59,6 +59,14 @@ class TestConfig:
         ("solver", "starts", 0),
         ("experiment", "fit_levels", 2),
         ("experiment", "levels", 2),
+        ("experiment", "delta0", 0.0),
+        ("experiment", "delta0", -0.1),
+        ("experiment", "delta0", float("nan")),
+        ("experiment", "delta0", float("inf")),
+        ("experiment", "alpha0", 0.0),
+        ("experiment", "alpha0", -0.05),
+        ("experiment", "alpha0", float("nan")),
+        ("experiment", "alpha0", float("inf")),
     ])
     def test_out_of_range_value_rejected(self, small_config, section, key, value):
         cfg = load_config(small_config)
@@ -149,3 +157,21 @@ class TestVerifySubgradient:
         assert (out_dir / "header.json").exists()
         header = json.loads((out_dir / "header.json").read_text())
         assert header["protocol"]["violations"] == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("trials", 0),
+        ("radius", 0.0),
+        ("radius", -0.5),
+        ("radius", float("nan")),
+    ])
+    def test_vacuous_protocol_rejected(self, small_config, tmp_path, capsys, key, value):
+        with open(small_config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["verify"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "cert"
+        with pytest.raises(ValueError, match=rf"'verify\.{key}'"):
+            main(["verify-subgradient", "--config", str(path), "--out", str(out_dir)])
+        assert capsys.readouterr().out == ""
+        assert not out_dir.exists()

@@ -30,6 +30,8 @@ from polyreg import (
 from polyreg.bregman import PolySubgradient, zero_subgradient
 from polyreg.registration import admissibility_gap
 
+from oracles import random_smooth_field_reference
+
 
 def rotation_matrix(theta):
     c, s = np.cos(theta), np.sin(theta)
@@ -348,3 +350,33 @@ class TestFieldBasics:
         vals = unit_grid.node_points[..., 0] * 2.0 + 1.0
         centers = cell_center_values(vals)
         assert np.allclose(centers, unit_grid.cell_centers[..., 0] * 2.0 + 1.0, atol=1e-14)
+
+
+class TestRandomSmoothField:
+    BOUNDS = (((-1.0, 1.0), (-1.0, 1.0)), ((-0.3, 2.7), (1.1, 1.9)))
+
+    @staticmethod
+    def grids(nx, ny):
+        for bounds in TestRandomSmoothField.BOUNDS:
+            bare = Grid(bounds, nx, ny)
+            yield bare
+            (a1, b1), (a2, b2) = bounds
+            center = (0.5 * (a1 + b1) + 0.1, 0.5 * (a2 + b2) - 0.05)
+            yield bare.with_mask(disk_mask(bare, center=center, radius=0.4))
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (17, 33), (64, 64), (129, 129)])
+    @pytest.mark.parametrize("modes", [1, 3, 4])
+    def test_equals_full_grid_formula(self, nx, ny, modes):
+        for k, grid in enumerate(self.grids(nx, ny)):
+            got = random_smooth_field(grid, seed=[nx, modes, k], amplitude=0.7, modes=modes)
+            ref = random_smooth_field_reference(grid, seed=[nx, modes, k], amplitude=0.7,
+                                                modes=modes)
+            assert np.array_equal(got.values, ref)
+
+    def test_passed_generator_left_in_reference_state(self):
+        grid = Grid(self.BOUNDS[1], 17, 33)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = random_smooth_field(grid, rng=rng, amplitude=2.0)
+        ref = random_smooth_field_reference(grid, rng=ref_rng, amplitude=2.0)
+        assert np.array_equal(got.values, ref)
+        assert rng.standard_normal() == ref_rng.standard_normal()
