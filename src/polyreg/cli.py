@@ -125,6 +125,7 @@ def cmd_register(args) -> int:
         "objective": result.objective,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "grad_sup": result.grad_sup,
         "energy": energy(result.u_min, exp.integrand).value,
         "d_poly": bregman_poly(exp.integrand, result.u_min, exp.u_dagger, exp.w),
@@ -134,7 +135,7 @@ def cmd_register(args) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"objective {_fmt(result.objective)} after {result.iterations} iterations "
-          f"(converged: {result.converged})")
+          f"(converged: {result.converged}, stopped on {result.stop_reason})")
     return 0 if result.converged else 1
 
 

@@ -38,7 +38,7 @@ def default_config() -> dict:
             "fit_levels": 4,
             "exact_row": True,
         },
-        "solver": {"tol": 3e-7, "max_iter": 4000, "memory": 12, "starts": 3},
+        "solver": {"tol": 1e-4, "max_iter": 4000, "memory": 12, "starts": 1},
         "source_condition": {
             "beta1": 0.5,
             "beta2": 1.0,
@@ -129,7 +129,7 @@ def _check_ranges(cfg) -> None:
     sol, ecfg = cfg["solver"], cfg["experiment"]
     fit_levels = int(ecfg["fit_levels"])
     _reject_out_of_range((
-        ("solver.tol", sol["tol"], "> 0", float(sol["tol"]) > 0),
+        ("solver.tol", sol["tol"], "in (0, 1)", 0 < float(sol["tol"]) < 1),
         ("solver.max_iter", sol["max_iter"], ">= 1", int(sol["max_iter"]) >= 1),
         ("solver.memory", sol["memory"], ">= 1", int(sol["memory"]) >= 1),
         ("solver.starts", sol["starts"], ">= 1", int(sol["starts"]) >= 1),
@@ -137,6 +137,8 @@ def _check_ranges(cfg) -> None:
          _finite_positive(ecfg["delta0"])),
         ("experiment.alpha0", ecfg["alpha0"], "finite and > 0",
          _finite_positive(ecfg["alpha0"])),
+        ("experiment.epsilon", ecfg["epsilon"], "in [0, 1)",
+         0 <= float(ecfg["epsilon"]) < 1),
         ("experiment.fit_levels", fit_levels, ">= 3", fit_levels >= 3),
         ("experiment.levels", ecfg["levels"], f">= experiment.fit_levels = {fit_levels}",
          int(ecfg["levels"]) >= fit_levels),

@@ -10,8 +10,9 @@ predicted linear rate, and steeper slopes with monotone distances are
 reported as superlinear rather than as failures.
 
 Levels run from the largest noise downward so each solve can warm-start
-from its predecessor.  With fixed seeds the sweep is fully deterministic
-and two runs produce byte-identical reports.
+from its predecessor; the first level starts from the identity, and the
+noise-free exact row warm-starts from the last level.  With fixed seeds the
+sweep is fully deterministic and two runs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -174,10 +175,10 @@ class RateExperiment:
     epsilon: float = 0.5
     seeds: tuple = (0,)
     source_params: object = None
-    solver_tol: float = 1e-8
-    solver_max_iter: int = 500
-    solver_memory: int = 10
-    solver_starts: int = 3
+    solver_tol: float = 1e-4
+    solver_max_iter: int = 4000
+    solver_memory: int = 12
+    solver_starts: int = 1
     fit_levels: int = 4
     exact_row: bool = True
 
@@ -211,8 +212,10 @@ def solve_level(exp, delta, seed, start_seed, warm_start=None):
 
     Draws the noisy data with ``seed``, picks the weight by the a-priori
     rule (``alpha = 0`` at ``delta = 0``: the exact, unregularized solve) and
-    runs the multi-start solver, whose perturbed start derives from
-    ``start_seed``.  Returns ``(sample, alpha, result)``.
+    solves from ``warm_start``, or from the identity when there is none.  With
+    ``exp.solver_starts`` above one, further starts are tried and the best
+    kept; the perturbed one derives from ``start_seed``.  Returns
+    ``(sample, alpha, result)``.
     """
     q = exp.forward.q
     sample = add_noise(exp.forward.exact_data, delta, q, seed)

@@ -4,9 +4,29 @@ The objective is the clamped-warp data misfit plus ``alpha`` times the
 regularization energy.  Minimization uses a limited-memory quasi-Newton
 method (two-loop recursion over secant pairs) with a backtracking line
 search enforcing the Armijo sufficient-decrease condition, so accepted
-iterates never increase the objective.  Convergence is declared when the
-gradient sup norm drops below ``tol`` or the relative objective decrease
-stays below ``tol**2`` for five consecutive iterations.
+iterates never increase the objective.
+
+A solve stops for one of four reasons (``MinimizeResult.stop_reason``),
+following the relative tests of Nocedal & Wright, *Numerical Optimization*,
+ch. 3 and 7:
+
+* ``gradient``: the gradient sup norm has fallen to ``tol`` times its value
+  at the solve's own start.  The nodal gradient carries the cell area and a
+  factor that shrinks with the noise level; both cancel in this ratio, so
+  the test fires at the same relative accuracy on every mesh.  The test also
+  fires when the predicted decrease ``-g.d`` of the next direction is below
+  rounding of the objective, ``eps * |f|``: no line search can then make
+  progress (an exact minimizer is one such start).
+* ``small-decrease``: the relative objective decrease, scaled by
+  ``max(1, |f|)``, stayed below ``_DECREASE_RTOL`` for five consecutive
+  iterations.  On the registration problems the gradient often stalls well
+  above ``tol`` times its start while the objective stops moving; this test
+  ends such a solve.
+* ``line-search-stall``: no step along the quasi-Newton direction or along
+  the negative gradient gave sufficient decrease.
+* ``budget``: ``max_iter`` iterations ran out first.
+
+The first two count as converged.
 
 The first trial point of each line search is evaluated with value and
 gradient together; it is usually accepted, and its gradient then serves the
@@ -41,7 +61,9 @@ from .registration import data_term, warp
 _ARMIJO = 1e-4
 _SHRINK = 0.5
 _DECREASE_WINDOW = 5
+_DECREASE_RTOL = 1e-12  # relative decrease that counts as no progress
 _START_PERTURBATION = 0.02  # sup norm of the bump on the third multi-start field
+_CONVERGED = ("gradient", "small-decrease")
 
 
 class TikhonovProblem:
@@ -116,9 +138,13 @@ class MinimizeResult:
     u_min: MatrixField
     objective: float
     iterations: int
-    converged: bool
     grad_sup: float
     evaluations: int  # objective calls, value-only or value+gradient alike
+    stop_reason: str  # gradient, small-decrease, line-search-stall or budget
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in _CONVERGED
 
 
 def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
@@ -136,12 +162,13 @@ def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
     return -q
 
 
-def minimize(problem, tol=1e-8, max_iter=500, memory=10) -> MinimizeResult:
-    """Quasi-Newton descent on the regularized objective.
+def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:
+    """Quasi-Newton descent on the regularized objective from ``problem.initial``.
 
-    Returns the best iterate found; ``converged`` is False when the
-    iteration budget runs out or the line search stalls before either
-    stopping test fires.
+    ``tol`` is relative: the solve stops on ``gradient`` once the gradient
+    sup norm is at most ``tol`` times its value at the start.  Returns the
+    last accepted iterate, which has the lowest objective seen, with the
+    reason the solve stopped (see the module docstring).
     """
     grid = problem.initial.grid
     shape = problem.initial.values.shape
@@ -157,15 +184,22 @@ def minimize(problem, tol=1e-8, max_iter=500, memory=10) -> MinimizeResult:
     f, g = value_and_grad(x)
     evals = 1
     g_sup = float(np.max(np.abs(g))) if g.size else 0.0
+    g_stop = tol * g_sup
+    rounding = np.finfo(float).eps
 
     s_hist, y_hist, rho_hist = [], [], []
     recent = deque(maxlen=_DECREASE_WINDOW)
     iterations = 0
-    converged = False
 
-    while iterations < max_iter:
-        if g_sup < tol:
-            converged = True
+    while True:
+        if g_sup <= g_stop:
+            reason = "gradient"
+            break
+        if len(recent) == _DECREASE_WINDOW and max(recent) < _DECREASE_RTOL:
+            reason = "small-decrease"
+            break
+        if iterations >= max_iter:
+            reason = "budget"
             break
 
         d = _lbfgs_direction(g, s_hist, y_hist, rho_hist)
@@ -173,6 +207,9 @@ def minimize(problem, tol=1e-8, max_iter=500, memory=10) -> MinimizeResult:
             d = -g
         if not s_hist:
             d = d / max(1.0, g_sup)
+        if -np.dot(g, d) <= rounding * abs(f):
+            reason = "gradient"  # predicted decrease below rounding of f
+            break
 
         step, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
         evals += ls_evals
@@ -181,7 +218,8 @@ def minimize(problem, tol=1e-8, max_iter=500, memory=10) -> MinimizeResult:
             step, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
             evals += ls_evals
         if step is None:
-            break  # stalled: no decrease along the gradient either
+            reason = "line-search-stall"  # no decrease along the gradient either
+            break
 
         x_new = x + step * d
         if g_new is None:
@@ -205,17 +243,13 @@ def minimize(problem, tol=1e-8, max_iter=500, memory=10) -> MinimizeResult:
         g_sup = float(np.max(np.abs(g)))
         iterations += 1
 
-        if len(recent) == _DECREASE_WINDOW and all(r < tol * tol for r in recent):
-            converged = True
-            break
-
     return MinimizeResult(
         u_min=MatrixField(grid, x.reshape(shape)),
         objective=float(f),
         iterations=iterations,
-        converged=converged,
         grad_sup=g_sup,
         evaluations=evals,
+        stop_reason=reason,
     )
 
 
@@ -246,15 +280,18 @@ def _backtrack(value_at, value_and_grad, x, f, g, d):
     return None, None, None, evals
 
 
-def solve_multi_start(problem, tol=1e-8, max_iter=500, memory=10, starts=3,
+def solve_multi_start(problem, tol=1e-4, max_iter=500, memory=10, starts=3,
                       seed=0, warm_start=None) -> MinimizeResult:
     """Run ``minimize`` from up to three starting fields and keep the best.
 
     Starts, in order: the warm start (when given), the identity field, and
     the identity plus a small seeded smooth perturbation.  Each start poses
     ``problem`` anew, so it must have a finite objective like any initial
-    field.  Ties in the final objective resolve in favor of the earlier
-    start, so results are deterministic.
+    field, and each solve measures its relative ``tol`` against the gradient
+    at its own start.  Ties in the final objective resolve in favor of the
+    earlier start, so results are deterministic.  With ``starts=1`` this is
+    one ``minimize`` call from the warm start, or from the identity when
+    there is none, as in the sweep's default configuration.
     """
     grid = problem.initial.grid
     candidates = []

@@ -54,6 +54,8 @@ class TestConfig:
         ("solver", "tol", 0.0),
         ("solver", "tol", -3e-7),
         ("solver", "tol", float("nan")),
+        ("solver", "tol", 1.0),
+        ("solver", "tol", 3.0),
         ("solver", "max_iter", 0),
         ("solver", "memory", 0),
         ("solver", "starts", 0),
@@ -67,6 +69,9 @@ class TestConfig:
         ("experiment", "alpha0", -0.05),
         ("experiment", "alpha0", float("nan")),
         ("experiment", "alpha0", float("inf")),
+        ("experiment", "epsilon", -0.1),
+        ("experiment", "epsilon", 1.0),
+        ("experiment", "epsilon", float("nan")),
     ])
     def test_out_of_range_value_rejected(self, small_config, section, key, value):
         cfg = load_config(small_config)
@@ -118,6 +123,7 @@ class TestRegister:
         assert (out_dir / "warped.pgm").exists()
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["converged"] is True
+        assert summary["stop_reason"] in ("gradient", "small-decrease")
         assert summary["d_poly"] >= 0.0
         assert summary["admissibility_gap"] < 0.05
 

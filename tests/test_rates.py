@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from polyreg import (
     warp,
     zero_subgradient,
 )
+from polyreg.config import build_experiment, load_config
 
 
 class TestChooseAlpha:
@@ -95,7 +99,7 @@ def small_experiment(grid, **overrides):
         integrand=F, forward=forward, u_dagger=u_dagger, w=w,
         deltas=geometric_levels(0.2, 1, 4), alpha0=0.05, epsilon=0.5,
         seeds=(0,), source_params=params,
-        solver_tol=1e-6, solver_max_iter=600, solver_memory=10, solver_starts=2,
+        solver_tol=1e-4, solver_max_iter=600, solver_memory=10, solver_starts=2,
         fit_levels=4, exact_row=True,
     )
     kwargs.update(overrides)
@@ -186,3 +190,25 @@ class TestRunRates:
                                 exp.w.base_point, exp.w.base_energy)
         with pytest.raises(ValueError):
             run_rates(exp)
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize("noise_seed", [0, 1])
+def test_default_solver_matches_reference_distances(noise_seed):
+    # The 32 x 32 sweep with the default solver settings must report the
+    # D_poly of the regularized minimizer: within 1 % of a tight-tolerance
+    # solve at every level, not a value set by where the solver stopped.
+    with open(REFERENCE, encoding="utf-8") as fh:
+        entries = json.load(fh)["entries"]
+    entry = next(e for e in entries
+                 if (e["command"], e["nx"], e["ny"], e["seed"]) == ("rates", 32, 32, noise_seed))
+    cfg = load_config()
+    cfg["grid"].update(nx=32, ny=32)
+    cfg["experiment"].update(seeds=[noise_seed], exact_row=False)
+    report = run_rates(build_experiment(cfg))
+    assert [r.delta for r in report.rows] == entry["deltas"]
+    for row, want in zip(report.rows, entry["d_poly"]):
+        assert row.converged
+        assert abs(row.d_poly - want) <= 0.01 * want, (row.delta, row.d_poly, want)

@@ -113,6 +113,7 @@ class TestMinimize:
         problem = TikhonovProblem(F, reference, sample, 2.0, 0.01, u_dagger)
         result = minimize(problem, tol=1e-8, max_iter=50)
         assert result.converged
+        assert result.stop_reason == "gradient"  # predicted decrease below rounding
         assert result.iterations == 0
         assert result.objective == pytest.approx(
             0.01 * energy(u_dagger, F).value, rel=1e-12
@@ -163,7 +164,48 @@ class TestMinimize:
                                   identity_field(disk_grid))
         result = minimize(problem, tol=1e-14, max_iter=3)
         assert not result.converged
+        assert result.stop_reason == "budget"
         assert result.iterations == 3
+
+    def test_relative_gradient_stop(self, disk_grid, setup):
+        F, reference, u_dagger, exact = setup
+        sample = add_noise(exact, 0.1, 2.0, seed=7)
+        problem = TikhonovProblem(F, reference, sample, 2.0, 0.01,
+                                  identity_field(disk_grid))
+        _, g0 = problem.objective_and_gradient(problem.initial)
+        result = minimize(problem, tol=0.1, max_iter=500)
+        assert result.converged
+        assert result.stop_reason == "gradient"
+        assert 0 < result.iterations < 500
+        assert result.grad_sup <= 0.1 * np.max(np.abs(g0))
+
+    def test_small_decrease_stop(self):
+        # the gradient stalls far above 1e-14 of its start, so the
+        # decrease window ends the solve
+        result = minimize(small_problem(seed=0), tol=1e-14, max_iter=5000)
+        assert result.converged
+        assert result.stop_reason == "small-decrease"
+        assert result.iterations < 5000
+
+    def test_line_search_stall(self, monkeypatch):
+        # every trial point has infinite energy: no step decreases the objective
+        problem = small_problem()
+        start = problem.objective_and_gradient(problem.initial)
+        served = []
+
+        def start_only(u):
+            if served:
+                raise InfiniteEnergyError("energy is not finite; gradient undefined")
+            served.append(u)
+            return start
+
+        monkeypatch.setattr(problem, "objective", lambda u: np.inf)
+        monkeypatch.setattr(problem, "objective_and_gradient", start_only)
+        result = minimize(problem, tol=1e-9, max_iter=50)
+        assert not result.converged
+        assert result.stop_reason == "line-search-stall"
+        assert result.iterations == 0
+        assert np.array_equal(result.u_min.values, problem.initial.values)
 
     def test_deterministic(self, disk_grid, setup):
         F, reference, u_dagger, exact = setup
