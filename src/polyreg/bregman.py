@@ -26,6 +26,7 @@ perturbations with deterministic per-trial seeds and reports violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .fields import (
     InfiniteEnergyError,
     MatrixField,
     _density_pass,
+    cell_center_values,
     energy,
     pairing,
     random_smooth_field,
@@ -70,6 +72,19 @@ class PolySubgradient:
     @property
     def is_classical(self) -> bool:
         return not np.any(self.v2)
+
+    @cached_property
+    def active_values(self):
+        """``u0`` at the active cell centers, ``u1`` flattened to 4 entries
+        and ``v2``, each gathered over the active cells of the base grid:
+        the fixed operands of every :func:`pairing` with this certificate."""
+        grid = self.base_point.grid
+        idx = grid.active_index
+        return (
+            cell_center_values(self.u0).reshape(-1, 2)[idx],
+            self.u1.reshape(-1, 4)[idx],
+            self.v2.reshape(-1, self.v2.shape[-1])[idx],
+        )
 
     def __call__(self, u) -> float:
         return pairing(self, u)
@@ -111,18 +126,19 @@ def poly_subgradient(F, u) -> PolySubgradient:
     is averaged onto the nodes.  Requires finite energy and finite gradient
     fields; either failure raises.
     """
-    act, _, ev, g_u, g_xi = _density_pass(u, F, gradient=True)
+    _, ev, g_u, g_xi = _density_pass(u, F, gradient=True)
     grid = u.grid
+    idx = grid.active_index
     layout = F.layout
     n2 = layout.N * layout.n
     u1 = np.zeros(grid.cell_shape + (2, 2))
-    u1[act] = g_xi[:, :n2].reshape(-1, 2, 2)
+    u1.reshape(-1, n2)[idx] = g_xi[:, :n2]
     v2 = np.zeros(grid.cell_shape + (layout.tau2,))
-    v2[act] = g_xi[:, n2:]
+    v2.reshape(-1, layout.tau2)[idx] = g_xi[:, n2:]
 
     gu_cells = np.zeros(grid.cell_shape + (2,))
-    gu_cells[act] = g_u
-    counts = scatter_to_corners(act.astype(float), grid.node_shape)
+    gu_cells.reshape(-1, 2)[idx] = g_u
+    counts = scatter_to_corners(grid.active_cells.astype(float), grid.node_shape)
     summed = scatter_to_corners(gu_cells, grid.node_shape)
     u0 = np.where(counts[..., None] > 0, summed / np.maximum(counts, 1.0)[..., None], 0.0)
     return PolySubgradient(u0, u1, v2, base_point=u, base_energy=ev.value)

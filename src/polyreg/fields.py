@@ -4,13 +4,24 @@ A field u lives on the nodes of a rectangular grid; its discrete Jacobian is
 a 2 x 2 matrix per cell, computed from the bilinear (per-cell) interpolant of
 the nodal values, which makes it exact for affine fields.  Integral energies
 
-    R(u) = sum over active cells of  |cell| * F(x_c, u_c, all_minors(J_c))
+    R(u) = sum over active cells of  |cell| * F(x_c, u_c, xi_c)
 
 use one-point midpoint quadrature per cell: x_c is the cell center, u_c the
-mean of the four corner values, J_c the cell Jacobian.  ``energy_with_gradient``
-also returns the exact gradient of this discrete sum with respect to the
-nodal values, assembled by pushing integrand gradients through the minors
-chain rule and the transpose of the difference stencil.
+mean of the four corner values, and xi_c the minors slots of the cell
+Jacobian J_c: its four entries J00, J01, J10, J11 (row-major, as
+:func:`polyreg.minors.all_minors` orders them) and det J_c.
+
+One fused kernel serves every energy, gradient and pairing.  The grid caches
+the flat index of its active cells and the four corner nodes of each; the
+kernel gathers each field component at those corners and writes the centre
+value and the five slots of every active cell straight from the two
+difference stencils, with no Jacobian stack and no boolean gathers.  The
+slots equal ``all_minors`` of the cell Jacobian bit for bit (same operations
+in the same order), so ``all_minors`` remains the reference calculus.
+``energy_with_gradient`` also returns the exact gradient of the discrete sum
+with respect to the nodal values: each cell's slot gradient is pulled back
+through the cofactor of J entry by entry and scattered to the corner nodes by
+the transpose of the difference stencil.
 
 Non-rectangular domains are handled by a cell mask; inactive cells contribute
 nothing to energies, gradients or pairings.  Summation always runs over the
@@ -24,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .minors import MinorsLayout, all_minors, higher_minors
+from .minors import MinorsLayout
 
 
 # Entries of each (points x cells) temporary in Grid.distance_outside: 4 MB of floats.
@@ -141,6 +152,24 @@ class Grid:
             return np.ones(self.cell_shape, dtype=bool)
         return self.mask.active
 
+    @cached_property
+    def active_index(self) -> np.ndarray:
+        """Flat (row-major) indices of the active cells, in the order of a
+        boolean gather with ``active_cells``."""
+        return _read_only(np.flatnonzero(self.active_cells))
+
+    @cached_property
+    def active_centers(self) -> np.ndarray:
+        """Centers of the active cells, shape (n_active, 2)."""
+        return _read_only(self.cell_centers.reshape(-1, 2)[self.active_index])
+
+    @cached_property
+    def active_corners(self) -> np.ndarray:
+        """Flat node indices of the corners of each active cell, shape
+        (4, n_active), corners in the order (i, j), (i+1, j), (i, j+1),
+        (i+1, j+1)."""
+        return _read_only(_corner_nodes(self, self.active_index))
+
     @property
     def domain_measure(self) -> float:
         """Quadrature measure of the (masked) domain."""
@@ -203,6 +232,18 @@ class Grid:
         return out.reshape(pts.shape[:-1])
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _corner_nodes(grid, cells):
+    """Flat node indices of the four corners of the cells with flat indices
+    ``cells``, shape (4, len(cells)), ordered as in ``Grid.active_corners``."""
+    low = cells + cells // (grid.ny - 1)
+    return np.stack([low, low + grid.ny, low + 1, low + grid.ny + 1])
+
+
 def cell_center_values(node_values) -> np.ndarray:
     """Mean of the four corner values per cell (bilinear value at the center)."""
     v = np.asarray(node_values, dtype=float)
@@ -254,13 +295,34 @@ def discrete_jacobian(u) -> np.ndarray:
     Entry [..., a, b] is the derivative of component a along axis b, taken
     as the mean of the two forward differences across the cell; this is the
     gradient of the bilinear interpolant at the cell center, so affine
-    fields are reproduced exactly.
+    fields are reproduced exactly.  The entries are the first four slots of
+    the cell kernel over every cell.
     """
-    v = u.values
+    grid = u.grid
+    corners = _corner_nodes(grid, np.arange(grid.cell_shape[0] * grid.cell_shape[1]))
+    xi = _cell_slots(u, corners)[1]
+    return xi[:, :4].reshape(grid.cell_shape + (2, 2))
+
+
+def _cell_slots(u, corners):
+    """The cell kernel: centre values and 2 x 2 minors slots of ``u`` on the
+    cells whose corner nodes are ``corners`` (see ``Grid.active_corners``).
+
+    Returns ``(uc, xi)`` of shapes (k, 2) and (k, 5): ``uc`` is the mean of
+    the four corner values, and ``xi`` holds J00, J01, J10, J11 and
+    J00 * J11 - J01 * J10, where J[a, b] is the derivative of component a
+    along axis b, the mean of the two forward differences across the cell.
+    """
     h1, h2 = u.grid.spacing
-    d1 = (v[1:, :-1] - v[:-1, :-1] + v[1:, 1:] - v[:-1, 1:]) / (2.0 * h1)
-    d2 = (v[:-1, 1:] - v[:-1, :-1] + v[1:, 1:] - v[1:, :-1]) / (2.0 * h2)
-    return np.stack([d1, d2], axis=-1)
+    uc = np.empty((corners.shape[1], 2))
+    xi = np.empty((corners.shape[1], 5))
+    for a in range(2):
+        c00, c10, c01, c11 = u.values[..., a].ravel()[corners]
+        uc[:, a] = 0.25 * (c00 + c10 + c01 + c11)
+        xi[:, 2 * a] = (c10 - c00 + c11 - c01) / (2.0 * h1)
+        xi[:, 2 * a + 1] = (c01 - c00 + c11 - c10) / (2.0 * h2)
+    xi[:, 4] = xi[:, 0] * xi[:, 3] - xi[:, 1] * xi[:, 2]
+    return uc, xi
 
 
 @dataclass(frozen=True)
@@ -275,47 +337,37 @@ class EnergyValue:
     densities: np.ndarray
 
 
-def _active_cell_data(u):
-    grid = u.grid
-    act = grid.active_cells
-    return (
-        act,
-        grid.cell_centers[act],
-        cell_center_values(u.values)[act],
-        u.jacobians[act],
-    )
-
-
 def _density_pass(u, F, gradient):
     """Densities of ``F`` along ``u`` and, with ``gradient``, their slot gradients.
 
     The one pass over the active cells behind ``energy``, ``energy_with_gradient``
     and the certificates of :mod:`polyreg.bregman`.  Returns
-    ``(act, jc, ev, g_u, g_xi)``; the two gradients are None without
-    ``gradient``.  A gradient requires finite energy and is checked finite.
+    ``(xi, ev, g_u, g_xi)`` with ``xi`` the (n_active, 5) slots of
+    ``_cell_slots``; the two gradients are None without ``gradient``.  A
+    gradient requires finite energy and is checked finite.
     """
     _check_layout(F)
     grid = u.grid
-    act, xc, uc, jc = _active_cell_data(u)
-    xi = all_minors(jc)
+    xc = grid.active_centers
+    uc, xi = _cell_slots(u, grid.active_corners)
     with np.errstate(over="ignore"):
         dens = np.asarray(F.value(xc, uc, xi), dtype=float)
     densities = np.zeros(grid.cell_shape)
-    densities[act] = dens
+    densities.reshape(-1)[grid.active_index] = dens
     ev = EnergyValue(value=float(grid.cell_area * np.sum(dens)), densities=densities)
     if not gradient:
-        return act, jc, ev, None, None
+        return xi, ev, None, None
     if not np.isfinite(ev.value):
         raise InfiniteEnergyError("energy is not finite; gradient undefined")
     g_u, g_xi = F.gradient(xc, uc, xi)
     if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
         raise UnboundedGradientError("integrand gradient has non-finite entries")
-    return act, jc, ev, g_u, g_xi
+    return xi, ev, g_u, g_xi
 
 
 def energy(u, F) -> EnergyValue:
     """Midpoint-rule energy of ``u`` under integrand ``F`` over active cells."""
-    return _density_pass(u, F, gradient=False)[2]
+    return _density_pass(u, F, gradient=False)[1]
 
 
 def energy_with_gradient(u, F):
@@ -324,21 +376,27 @@ def energy_with_gradient(u, F):
     The gradient is shaped like ``u.values``.  Per active cell, the slot
     gradient ``(g_A, g_det)`` of ``F`` maps to the matrix gradient
     ``g_A + g_det * cof(J)``, with ``cof(J) = [[J11, -J10], [-J01, J00]]`` the
-    derivative of det J.  The transposed difference stencil distributes it
-    onto the four corner nodes; the direct dependence on u (integrands with
-    a u argument) is averaged onto the corners.
+    derivative of det J, entry by entry on the slots of ``_cell_slots``.
+    The transposed difference stencil distributes it onto the four corner
+    nodes; the direct dependence on u (integrands with a u argument) is
+    averaged onto the corners.
     """
-    act, jc, ev, g_u, g_xi = _density_pass(u, F, gradient=True)
+    xi, ev, g_u, g_xi = _density_pass(u, F, gradient=True)
     grid = u.grid
-    cof = np.stack([jc[:, 1, 1], -jc[:, 1, 0], -jc[:, 0, 1], jc[:, 0, 0]], axis=-1)
-    df_dA = (g_xi[:, :4] + g_xi[:, 4:] * cof).reshape(-1, 2, 2)
-
+    idx = grid.active_index
     area = grid.cell_area
     h1, h2 = grid.spacing
-    gx = np.zeros(grid.cell_shape + (2,))
-    gy = np.zeros(grid.cell_shape + (2,))
-    gx[act] = area * df_dA[..., :, 0] / (2.0 * h1)
-    gy[act] = area * df_dA[..., :, 1] / (2.0 * h2)
+    g_det = g_xi[:, 4]
+    # gx[k, a] and gy[k, a]: entries (a, 0) and (a, 1) of cell k's matrix
+    # gradient, times the weight area / (2 h) of the stencil along that axis
+    gx = np.zeros((grid.cell_shape[0] * grid.cell_shape[1], 2))
+    gy = np.zeros_like(gx)
+    gx[idx, 0] = area * (g_xi[:, 0] + g_det * xi[:, 3]) / (2.0 * h1)
+    gy[idx, 0] = area * (g_xi[:, 1] - g_det * xi[:, 2]) / (2.0 * h2)
+    gx[idx, 1] = area * (g_xi[:, 2] - g_det * xi[:, 1]) / (2.0 * h1)
+    gy[idx, 1] = area * (g_xi[:, 3] + g_det * xi[:, 0]) / (2.0 * h2)
+    gx = gx.reshape(grid.cell_shape + (2,))
+    gy = gy.reshape(grid.cell_shape + (2,))
 
     grad = np.zeros_like(u.values)
     grad[:-1, :-1] += -gx - gy
@@ -348,7 +406,7 @@ def energy_with_gradient(u, F):
 
     if np.any(g_u):
         gu_cells = np.zeros(grid.cell_shape + (2,))
-        gu_cells[act] = (area / 4.0) * g_u
+        gu_cells.reshape(-1, 2)[idx] = (area / 4.0) * g_u
         grad += scatter_to_corners(gu_cells, grid.node_shape)
     return ev, grad
 
@@ -358,24 +416,27 @@ def pairing(w, u) -> float:
 
     Quadrature over active cells of
 
-        u0_c . u_c  +  u1_c : J_c  +  v2_c . higher_minors(J_c)
+        u0_c . u_c  +  u1_c : J_c  +  v2_c . det(J_c)
 
     where u0 is sampled at cell centers (mean of its four corner values)
     and u_c likewise.  Linear in u through the first two terms; the last is
-    polynomial through the higher minors of the Jacobian.
+    polynomial through the determinant, the one higher minor of a 2 x 2
+    Jacobian.  ``w.active_values`` supplies u0_c, u1_c and v2_c over the
+    active cells of ``w``'s base grid, which must have the mask of ``u``'s.
     """
     grid = u.grid
     if w.u0.shape != u.values.shape:
         raise ValueError("node covector shape does not match the field")
     if w.u1.shape[:2] != grid.cell_shape or w.v2.shape[:2] != grid.cell_shape:
         raise ValueError("cell covector shapes do not match the grid")
-    act, _, uc, jc = _active_cell_data(u)
-    u0c = cell_center_values(w.u0)[act]
+    base = w.base_point.grid
+    if base is not grid and not np.array_equal(base.active_cells, grid.active_cells):
+        raise ValueError("covector and field have different cell masks")
+    u0c, u1c, v2c = w.active_values
+    uc, xi = _cell_slots(u, grid.active_corners)
     total = np.sum(u0c * uc)
-    total += np.sum(w.u1[act] * jc)
-    t2 = higher_minors(jc)
-    if t2.shape[-1]:
-        total += np.sum(w.v2[act] * t2)
+    total += np.sum(u1c * xi[:, :4])
+    total += np.sum(v2c * xi[:, 4:])
     return float(grid.cell_area * total)
 
 

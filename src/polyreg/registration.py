@@ -163,14 +163,14 @@ def data_term(warped, target, q) -> float:
         raise ValueError(f"misfit exponent must be >= 1, got {q}")
     _check_same_geometry(warped, target)
     grid = warped.grid
-    diff = cell_center_values(warped.samples - target.samples)[grid.active_cells]
+    diff = cell_center_values(warped.samples - target.samples).reshape(-1)[grid.active_index]
     return float(grid.cell_area * np.sum(np.abs(diff) ** q))
 
 
 def lq_norm(image, q) -> float:
     """Quadrature norm of an image against zero."""
     grid = image.grid
-    vals = cell_center_values(image.samples)[grid.active_cells]
+    vals = cell_center_values(image.samples).reshape(-1)[grid.active_index]
     return float((grid.cell_area * np.sum(np.abs(vals) ** q)) ** (1.0 / q))
 
 

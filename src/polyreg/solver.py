@@ -112,16 +112,16 @@ class TikhonovProblem:
 
     def objective_and_gradient(self, u):
         grid = u.grid
-        act = grid.active_cells
+        idx = grid.active_index
         warped, img_grad = self.reference.sample_with_gradient(u.values)
-        diff_c = cell_center_values(warped - self.data.image.samples)
-        misfit = grid.cell_area * np.sum(np.abs(diff_c[act]) ** self.q)
+        diff_c = cell_center_values(warped - self.data.image.samples).reshape(-1)[idx]
+        misfit = grid.cell_area * np.sum(np.abs(diff_c) ** self.q)
 
         # d|d|^q/dd = q |d|^(q-1) sign(d); each cell spreads 1/4 to its corners.
         slope = np.zeros(grid.cell_shape)
-        slope[act] = (
+        slope.reshape(-1)[idx] = (
             grid.cell_area * self.q / 4.0
-            * np.sign(diff_c[act]) * np.abs(diff_c[act]) ** (self.q - 1.0)
+            * np.sign(diff_c) * np.abs(diff_c) ** (self.q - 1.0)
         )
         grad = scatter_to_corners(slope, grid.node_shape)[..., None] * img_grad
 

@@ -217,6 +217,24 @@ class TestMinimize:
         assert np.array_equal(a.u_min.values, b.u_min.values)
         assert a.objective == b.objective
 
+    def test_trajectory_matches_the_replaced_assembly(self, monkeypatch):
+        # The cell kernel is bit-identical to the assembly it replaced, so a
+        # solve through either takes the same steps.  A kernel change that
+        # only moves rounding fails here, whatever the host.
+        import oracles
+        from polyreg import fields, solver
+
+        kernel = minimize(small_problem(), max_iter=400)
+        for module in (fields, solver):
+            monkeypatch.setattr(module, "energy", oracles.assembly_energy)
+            monkeypatch.setattr(module, "energy_with_gradient",
+                                oracles.assembly_energy_with_gradient)
+        assembly = minimize(small_problem(), max_iter=400)
+        assert kernel.iterations == assembly.iterations > 50
+        assert kernel.evaluations == assembly.evaluations
+        assert kernel.objective.hex() == assembly.objective.hex()
+        assert np.array_equal(kernel.u_min.values, assembly.u_min.values)
+
 
 class TestMultiStart:
     def test_best_objective_wins(self, disk_grid, setup):
