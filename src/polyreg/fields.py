@@ -216,20 +216,41 @@ class Grid:
         box_dist = np.hypot(dx, dy)
         if self.mask is None or self.mask.kind == "box":
             return box_dist
-        # Generic mask: distance to the union of active closed cells, one block
-        # of points at a time.  Each point's row is reduced whole, so the result
-        # does not depend on the block size.
-        centers = self.cell_centers[self.mask.active]
-        h1, h2 = self.spacing
+        # Generic mask: distance to the union of active closed cells.  Every
+        # distance is >= 0, so a point at distance 0.0 from one of the <= 4
+        # active cells that can hold it (found from its coordinates) has the
+        # minimum over all cells, bit for bit; only the other points search
+        # every active cell.
+        active = self.mask.active
         flat = pts.reshape(-1, 2)
-        out = np.empty(len(flat))
+        nodes = self.node_points
+        i = np.searchsorted(nodes[:, 0, 0], flat[:, 0])
+        j = np.searchsorted(nodes[0, :, 1], flat[:, 1])
+        touching = np.zeros(len(flat), dtype=bool)
+        for di in (1, 0):
+            for dj in (1, 0):
+                ci = np.clip(i - di, 0, self.nx - 2)
+                cj = np.clip(j - dj, 0, self.ny - 2)
+                near = self._cell_distance(flat, self.cell_centers[ci, cj])
+                touching |= active[ci, cj] & (near == 0.0)
+        out = np.zeros(len(flat))
+        rest = np.flatnonzero(~touching)
+        # One block of points at a time; each point's row is reduced whole, so
+        # the result does not depend on the block size.
+        centers = self.cell_centers[active]
         step = max(1, _DISTANCE_BLOCK // max(len(centers), 1))
-        for s in range(0, len(flat), step):
-            block = flat[s:s + step]
-            dx = np.maximum(np.abs(block[:, None, 0] - centers[None, :, 0]) - 0.5 * h1, 0.0)
-            dy = np.maximum(np.abs(block[:, None, 1] - centers[None, :, 1]) - 0.5 * h2, 0.0)
-            out[s:s + step] = np.hypot(dx, dy).min(axis=1)
+        for s in range(0, len(rest), step):
+            block = rest[s:s + step]
+            out[block] = self._cell_distance(flat[block, None], centers[None]).min(axis=1)
         return out.reshape(pts.shape[:-1])
+
+    def _cell_distance(self, points, centers):
+        """Distance from ``points`` to the closed cells at ``centers`` (both
+        (..., 2), broadcast together)."""
+        h1, h2 = self.spacing
+        dx = np.maximum(np.abs(points[..., 0] - centers[..., 0]) - 0.5 * h1, 0.0)
+        dy = np.maximum(np.abs(points[..., 1] - centers[..., 1]) - 0.5 * h2, 0.0)
+        return np.hypot(dx, dy)
 
 
 def _read_only(a):

@@ -36,7 +36,15 @@ evaluated once more.  Infinite energy at the first trial is a rejected trial,
 as it is for a value-only one.
 
 Everything is deterministic: no randomness enters a solve, and all
-reductions run in fixed order.
+reductions run in fixed order.  The solver's inner products run in fixed
+``_DOT_BLOCK``-entry slices, summed left to right, each slice one ``np.dot``.
+OpenBLAS splits only longer products (over 10,000 entries) across its
+threads, and such a split changes both the cost and the rounding with the
+thread count; so with OpenBLAS every slice runs on the calling thread and a
+solve's result does not depend on the BLAS thread count or the host's cores.
+A BLAS that threads shorter dot products would not keep that promise.  Up to
+``_DOT_BLOCK`` unknowns (a 64 x 64 grid) every inner product is one plain
+``np.dot`` of the whole arrays.
 """
 
 from __future__ import annotations
@@ -64,6 +72,21 @@ _DECREASE_WINDOW = 5
 _DECREASE_RTOL = 1e-12  # relative decrease that counts as no progress
 _START_PERTURBATION = 0.02  # sup norm of the bump on the third multi-start field
 _CONVERGED = ("gradient", "small-decrease")
+# Entries per inner-product slice.  It assumes that the BLAS runs a ddot of
+# at most 10,000 entries on one thread, as OpenBLAS does (checked with
+# OpenBLAS 0.3.31); a BLAS that threads shorter ones makes solves above
+# 8192 unknowns depend on its thread count again.
+_DOT_BLOCK = 8192
+
+
+def _blocked_dot(a, b):
+    """``a . b`` for 1-d arrays, as ``np.dot`` over ``_DOT_BLOCK``-entry
+    slices summed strictly left to right; equal to ``np.dot(a, b)`` when
+    the arrays fit in one slice."""
+    total = np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK])
+    for i in range(_DOT_BLOCK, a.size, _DOT_BLOCK):
+        total += np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK])
+    return total
 
 
 class TikhonovProblem:
@@ -151,13 +174,13 @@ def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
     q = g.copy()
     alphas = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        a = rho * np.dot(s, q)
+        a = rho * _blocked_dot(s, q)
         alphas.append(a)
         q -= a * y
     if s_hist:
-        q *= np.dot(s_hist[-1], y_hist[-1]) / np.dot(y_hist[-1], y_hist[-1])
+        q *= _blocked_dot(s_hist[-1], y_hist[-1]) / _blocked_dot(y_hist[-1], y_hist[-1])
     for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        b = rho * np.dot(y, q)
+        b = rho * _blocked_dot(y, q)
         q += (a - b) * s
     return -q
 
@@ -203,33 +226,33 @@ def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:
             break
 
         d = _lbfgs_direction(g, s_hist, y_hist, rho_hist)
-        if np.dot(d, g) >= 0.0:
+        if _blocked_dot(d, g) >= 0.0:
             d = -g
         if not s_hist:
             d = d / max(1.0, g_sup)
-        if -np.dot(g, d) <= rounding * abs(f):
+        if -_blocked_dot(g, d) <= rounding * abs(f):
             reason = "gradient"  # predicted decrease below rounding of f
             break
 
-        step, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
+        x_new, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
         evals += ls_evals
-        if step is None and not np.array_equal(d, -g):
+        if x_new is None and not np.array_equal(d, -g):
             d = -g
-            step, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
+            x_new, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
             evals += ls_evals
-        if step is None:
+        if x_new is None:
             reason = "line-search-stall"  # no decrease along the gradient either
             break
 
-        x_new = x + step * d
         if g_new is None:
             _, g_new = value_and_grad(x_new)
             evals += 1
 
         s = x_new - x
         y = g_new - g
-        sy = np.dot(s, y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        sy = _blocked_dot(s, y)
+        # sqrt(v . v) is bit-identical to np.linalg.norm of a 1-d float array.
+        if sy > 1e-12 * np.sqrt(_blocked_dot(s, s)) * np.sqrt(_blocked_dot(y, y)):
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
@@ -254,28 +277,30 @@ def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:
 
 
 def _backtrack(value_at, value_and_grad, x, f, g, d):
-    """Armijo backtracking; returns (step, value, gradient, evaluations).
+    """Armijo backtracking; returns (point, value, gradient, evaluations).
 
-    The unit step is tried with ``value_and_grad`` and, when accepted, its
-    gradient is returned; shorter steps are tried with ``value_at`` and
-    return no gradient (None).  A unit step at infinite energy counts as
-    rejected.
+    The point is the accepted trial ``x + step * d``, or None when no step
+    gave sufficient decrease.  The unit step is tried with ``value_and_grad``
+    and, when accepted, its gradient is returned; shorter steps are tried
+    with ``value_at`` and return no gradient (None).  A unit step at infinite
+    energy counts as rejected.
     """
-    gtd = np.dot(g, d)
+    gtd = _blocked_dot(g, d)
     step = 1.0
     evals = 0
     while step > 1e-20:
         g_try = None
+        x_try = x + step * d
         if evals == 0:
             try:
-                f_try, g_try = value_and_grad(x + step * d)
+                f_try, g_try = value_and_grad(x_try)
             except InfiniteEnergyError:
                 f_try = np.inf  # rejected, as a value-only trial would be
         else:
-            f_try = value_at(x + step * d)
+            f_try = value_at(x_try)
         evals += 1
         if np.isfinite(f_try) and f_try <= f + _ARMIJO * step * gtd:
-            return step, f_try, g_try, evals
+            return x_try, f_try, g_try, evals
         step *= _SHRINK
     return None, None, None, evals
 

@@ -83,23 +83,36 @@ class TestGrid:
     def test_data_mask_distance_equals_dense_formula(self, rng):
         g = self.data_mask_grid(32)
         pts = rng.uniform(-1.5, 1.5, (40, 30, 2))
-        centers = g.cell_centers[g.mask.active]
-        h1, h2 = g.spacing
-        flat = pts.reshape(-1, 2)
-        dx = np.maximum(np.abs(flat[:, None, 0] - centers[None, :, 0]) - 0.5 * h1, 0.0)
-        dy = np.maximum(np.abs(flat[:, None, 1] - centers[None, :, 1]) - 0.5 * h2, 0.0)
-        dense = np.hypot(dx, dy).min(axis=1).reshape(pts.shape[:-1])
-        assert np.array_equal(g.distance_outside(pts), dense)
+        nodes = g.node_points
+        # Nodes, cell centres and edge midpoints sit on the cell-lookup
+        # boundaries; outer nodes and non-finite points leave the box.
+        edges = np.stack(np.broadcast_arrays(nodes[:, :1, 0], g.cell_centers[:1, :, 1]), -1)
+        special = np.array([[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0],
+                            [0.0, np.inf], [np.inf, -np.inf], [-1.0, -1.0], [1.0, 1.0]])
+        for p in (pts, nodes, g.cell_centers, edges, special):
+            centers = g.cell_centers[g.mask.active]
+            h1, h2 = g.spacing
+            flat = p.reshape(-1, 2)
+            with np.errstate(invalid="ignore"):
+                dx = np.maximum(np.abs(flat[:, None, 0] - centers[None, :, 0]) - 0.5 * h1, 0.0)
+                dy = np.maximum(np.abs(flat[:, None, 1] - centers[None, :, 1]) - 0.5 * h2, 0.0)
+                dense = np.hypot(dx, dy).min(axis=1).reshape(p.shape[:-1])
+                assert np.array_equal(g.distance_outside(p), dense, equal_nan=True)
 
     def test_data_mask_distance_memory_bounded(self):
+        # The stretched field moves about half the domain nodes out of the
+        # mask, so thousands of points search every active cell.
         u = identity_field(self.data_mask_grid(128))
+        stretched = MatrixField(u.grid, 1.5 * u.values)
         tracemalloc.start()
         try:
             gap = admissibility_gap(u)
+            stretched_gap = admissibility_gap(stretched)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert gap < 1e-12
+        assert 0.4 < stretched_gap < 0.5
         assert peak < 64 * 2**20
 
 

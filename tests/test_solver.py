@@ -1,3 +1,10 @@
+import functools
+import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,9 +30,9 @@ from polyreg import (
 )
 
 
-def small_problem(seed=4):
-    """Noisy 16 x 16 disk problem started at the identity."""
-    base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 16, 16)
+def small_problem(seed=4, n=16):
+    """Noisy n x n disk problem started at the identity."""
+    base = Grid(((-1.0, 1.0), (-1.0, 1.0)), n, n)
     grid = base.with_mask(disk_mask(base, radius=1.0))
     reference = blob_image(grid, random_blobs(7))
     exact = warp(reference, rotation_field(np.pi / 6, grid))
@@ -234,6 +241,51 @@ class TestMinimize:
         assert kernel.evaluations == assembly.evaluations
         assert kernel.objective.hex() == assembly.objective.hex()
         assert np.array_equal(kernel.u_min.values, assembly.u_min.values)
+
+
+# Prints a short 72 x 72 solve: its iterations, objective bits and iterate hash.
+_SOLVE_72 = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_solver import small_problem
+from polyreg import minimize
+result = minimize(small_problem(n=72), max_iter=15)
+print(result.iterations, result.objective.hex(),
+      hashlib.sha256(result.u_min.values.tobytes()).hexdigest())
+"""
+
+
+class TestInnerProducts:
+    def test_solve_does_not_depend_on_blas_threads(self):
+        # 72^2 nodes carry 10,368 unknowns, more than the 10,000 entries above
+        # which OpenBLAS splits one dot product across its threads.
+        import polyreg
+
+        src = str(Path(polyreg.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", _SOLVE_72, tests], env=env,
+                                 capture_output=True, text=True, timeout=600)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0].split()[0] == "15"
+        assert outputs[0] == outputs[1]
+
+    def test_dot_is_np_dot_up_to_one_block_then_blocks_left_to_right(self):
+        from polyreg.solver import _DOT_BLOCK, _blocked_dot
+
+        assert _DOT_BLOCK == 8192  # 2 * 64^2: no solve up to 64 x 64 changes
+        a, b = np.random.default_rng(5).standard_normal((2, 4 * _DOT_BLOCK + 3))
+        for n in range(_DOT_BLOCK + 1):
+            assert _blocked_dot(a[:n], b[:n]).hex() == np.dot(a[:n], b[:n]).hex()
+        for n in (_DOT_BLOCK + 1, 2 * _DOT_BLOCK, 2 * _DOT_BLOCK + 1, 33282, a.size):
+            blocks = [np.dot(a[k:min(k + _DOT_BLOCK, n)], b[k:min(k + _DOT_BLOCK, n)])
+                      for k in range(0, n, _DOT_BLOCK)]
+            want = functools.reduce(operator.add, blocks)
+            assert _blocked_dot(a[:n], b[:n]).hex() == want.hex()
 
 
 class TestMultiStart:
