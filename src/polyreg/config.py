@@ -125,9 +125,10 @@ def _reject_out_of_range(checks) -> None:
 
 
 def _check_ranges(cfg) -> None:
-    """Reject solver and sweep settings outside their ranges, naming the key."""
+    """Reject solver, sweep and seed settings outside their ranges, naming the key."""
     sol, ecfg = cfg["solver"], cfg["experiment"]
     fit_levels = int(ecfg["fit_levels"])
+    image_seed = cfg["image"]["seed"]
     _reject_out_of_range((
         ("solver.tol", sol["tol"], "in (0, 1)", 0 < float(sol["tol"]) < 1),
         ("solver.max_iter", sol["max_iter"], ">= 1", int(sol["max_iter"]) >= 1),
@@ -142,6 +143,9 @@ def _check_ranges(cfg) -> None:
         ("experiment.fit_levels", fit_levels, ">= 3", fit_levels >= 3),
         ("experiment.levels", ecfg["levels"], f">= experiment.fit_levels = {fit_levels}",
          int(ecfg["levels"]) >= fit_levels),
+        ("experiment.seeds", ecfg["seeds"], "a nonempty list of seeds >= 0",
+         len(ecfg["seeds"]) >= 1 and all(int(s) >= 0 for s in ecfg["seeds"])),
+        ("image.seed", image_seed, ">= 0", image_seed is None or int(image_seed) >= 0),
     ))
 
 
@@ -151,6 +155,7 @@ def _check_verify_ranges(cfg) -> None:
     _reject_out_of_range((
         ("verify.trials", vcfg["trials"], ">= 1", int(vcfg["trials"]) >= 1),
         ("verify.radius", vcfg["radius"], "finite and > 0", _finite_positive(vcfg["radius"])),
+        ("verify.seed", vcfg["seed"], ">= 0", int(vcfg["seed"]) >= 0),
     ))
 
 

@@ -362,27 +362,30 @@ def _density_pass(u, F, gradient):
     """Densities of ``F`` along ``u`` and, with ``gradient``, their slot gradients.
 
     The one pass over the active cells behind ``energy``, ``energy_with_gradient``
-    and the certificates of :mod:`polyreg.bregman`.  Returns
-    ``(xi, ev, g_u, g_xi)`` with ``xi`` the (n_active, 5) slots of
+    and the certificates of :mod:`polyreg.bregman`, with one call of ``F``.
+    Returns ``(xi, ev, g_u, g_xi)`` with ``xi`` the (n_active, 5) slots of
     ``_cell_slots``; the two gradients are None without ``gradient``.  A
-    gradient requires finite energy and is checked finite.
+    gradient requires finite energy and is checked finite, in that order.
     """
-    _check_layout(F)
+    if F.layout != MinorsLayout(2, 2):
+        raise ValueError("grid calculus supports 2 x 2 gradient layouts only")
     grid = u.grid
     xc = grid.active_centers
     uc, xi = _cell_slots(u, grid.active_corners)
     with np.errstate(over="ignore"):
-        dens = np.asarray(F.value(xc, uc, xi), dtype=float)
+        if gradient:
+            dens, g_u, g_xi = F.gradient(xc, uc, xi)
+        else:
+            dens, g_u, g_xi = F.value(xc, uc, xi), None, None
+    dens = np.asarray(dens, dtype=float)
     densities = np.zeros(grid.cell_shape)
     densities.reshape(-1)[grid.active_index] = dens
     ev = EnergyValue(value=float(grid.cell_area * np.sum(dens)), densities=densities)
-    if not gradient:
-        return xi, ev, None, None
-    if not np.isfinite(ev.value):
-        raise InfiniteEnergyError("energy is not finite; gradient undefined")
-    g_u, g_xi = F.gradient(xc, uc, xi)
-    if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
-        raise UnboundedGradientError("integrand gradient has non-finite entries")
+    if gradient:
+        if not np.isfinite(ev.value):
+            raise InfiniteEnergyError("energy is not finite; gradient undefined")
+        if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
+            raise UnboundedGradientError("integrand gradient has non-finite entries")
     return xi, ev, g_u, g_xi
 
 
@@ -459,11 +462,6 @@ def pairing(w, u) -> float:
     total += np.sum(u1c * xi[:, :4])
     total += np.sum(v2c * xi[:, 4:])
     return float(grid.cell_area * total)
-
-
-def _check_layout(F):
-    if F.layout != MinorsLayout(2, 2):
-        raise ValueError("grid calculus supports 2 x 2 gradient layouts only")
 
 
 def identity_field(grid) -> MatrixField:

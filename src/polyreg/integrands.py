@@ -14,6 +14,8 @@ Three built-in densities are provided:
 * ``pq_energy(p, q)``      ``|A|^p / p + |d|^q / q`` (Frobenius norm).
 * ``detsq_energy()``       the square of the determinant slot.
 
+Each density is one function ``density(x, u, xi, gradient)`` returning the
+density, or with ``gradient`` the density and both gradients from one pass.
 All built-ins are autonomous (they ignore ``x`` and ``u``); the interface
 still carries both arguments so spatially varying densities fit the same
 contract.  ``value`` and ``gradient`` are vectorized over leading axes, and
@@ -39,13 +41,12 @@ class Integrand:
         Matrix dimensions the density is defined for.
     name : str
         Identifier used in configs and reports.
-    value_fn : callable
-        ``value_fn(x, u, xi) -> density``; must be nonnegative wherever
-        finite and may return ``inf`` outside the effective domain.
-        ``xi`` has shape ``(..., tau)`` and the result shape ``(...)``.
-    grad_fn : callable
-        ``grad_fn(x, u, xi) -> (g_u, g_xi)`` with shapes ``(..., N)`` and
-        ``(..., tau)``; defined wherever ``value_fn`` is finite.
+    density : callable
+        ``density(x, u, xi, gradient)``: for ``xi`` of shape ``(..., tau)``
+        the density, shape ``(...)``, nonnegative wherever finite and ``inf``
+        outside the effective domain; with ``gradient`` true, ``(density,
+        g_u, g_xi)`` from one pass, the gradients of shapes ``(..., N)`` and
+        ``(..., tau)`` and defined wherever the density is finite.
     params : dict, optional
         Dimensionless parameters (exponents etc.) recorded as metadata.
     coercivity_constant : float, optional
@@ -53,38 +54,35 @@ class Integrand:
         if one is known.
     """
 
-    def __init__(self, layout, name, value_fn, grad_fn, params=None,
-                 coercivity_constant=None):
+    def __init__(self, layout, name, density, params=None, coercivity_constant=None):
         self.layout = layout
         self.name = str(name)
         self.params = dict(params or {})
         self.coercivity_constant = coercivity_constant
-        self._value_fn = value_fn
-        self._grad_fn = grad_fn
+        self._density = density
 
     def __repr__(self):
         return f"Integrand({self.name!r}, params={self.params})"
 
     def value(self, x, u, xi):
-        xi = np.asarray(xi, dtype=float)
-        self._check_slots(xi)
-        return self._value_fn(x, u, xi)
+        return self._density(x, u, self._slots(xi), False)
 
     def gradient(self, x, u, xi):
-        xi = np.asarray(xi, dtype=float)
-        self._check_slots(xi)
-        return self._grad_fn(x, u, xi)
+        """``(density, g_u, g_xi)`` at the slots ``xi``, in one pass."""
+        return self._density(x, u, self._slots(xi), True)
 
     def value_at_matrix(self, a):
         """Composed matrix-space density, ``value`` after the minors map."""
         return self.value(None, None, all_minors(a))
 
-    def _check_slots(self, xi):
+    def _slots(self, xi):
+        xi = np.asarray(xi, dtype=float)
         if xi.shape[-1:] != (self.layout.tau,):
             raise ValueError(
                 f"slot vector has trailing size {xi.shape[-1:]}, "
                 f"expected {self.layout.tau}"
             )
+        return xi
 
 
 def _rotation_split(a):
@@ -134,17 +132,16 @@ def rotation_energy(p) -> Integrand:
         raise ValueError(f"exponent must exceed 2, got p={p}")
     layout = MinorsLayout(2, 2)
 
-    def value_fn(x, u, xi):
-        a, d = _split_order1_det(xi, layout)
-        big, small = _rotation_split(a)[4:]
-        with np.errstate(over="ignore"):
-            return (big + small) ** p + np.abs(big - small) ** p + p * np.exp(1.0 - d)
-
-    def grad_fn(x, u, xi):
+    def density(x, u, xi, gradient):
         a, d = _split_order1_det(xi, layout)
         hs, hd, hk, hy, big, small = _rotation_split(a)
-        gap = big - small
-        top = (big + small) ** (p - 1.0)
+        lam1, gap = big + small, big - small
+        with np.errstate(over="ignore"):
+            wall = np.exp(1.0 - d)
+            value = lam1 ** p + np.abs(gap) ** p + p * wall
+        if not gradient:
+            return value
+        top = lam1 ** (p - 1.0)
         low = np.sign(gap) * np.abs(gap) ** (p - 1.0)
         # dS/d big / big and dS/d small / small; 0 where big or small vanish
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,12 +155,11 @@ def rotation_energy(p) -> Integrand:
         g_xi[..., 1] = gy - gk
         g_xi[..., 2] = gk + gy
         g_xi[..., 3] = gs - gd
-        with np.errstate(over="ignore"):
-            g_xi[..., 4] = -p * np.exp(1.0 - d)
-        return np.zeros(xi.shape[:-1] + (2,)), g_xi
+        g_xi[..., 4] = -p * wall
+        return value, np.zeros(xi.shape[:-1] + (2,)), g_xi
 
     return Integrand(
-        layout, "rotation", value_fn, grad_fn,
+        layout, "rotation", density,
         params={"p": p},
         coercivity_constant=2.0 ** (1.0 - p / 2.0),
     )
@@ -183,22 +179,20 @@ def pq_energy(p, q, n=2) -> Integrand:
     layout = MinorsLayout(n, n)
     n2 = n * n
 
-    def value_fn(x, u, xi):
+    def density(x, u, xi, gradient):
         a, d = _split_order1_det(xi, layout)
         fro2 = np.sum(a * a, axis=(-2, -1))
-        return fro2 ** (p / 2.0) / p + np.abs(d) ** q / q
-
-    def grad_fn(x, u, xi):
-        a, d = _split_order1_det(xi, layout)
-        fro2 = np.sum(a * a, axis=(-2, -1))
+        value = fro2 ** (p / 2.0) / p + np.abs(d) ** q / q
+        if not gradient:
+            return value
         g_xi = np.zeros_like(xi)
         scale = fro2 ** ((p - 2.0) / 2.0)
         g_xi[..., :n2] = (scale[..., None, None] * a).reshape(xi.shape[:-1] + (n2,))
         g_xi[..., -1] = np.sign(d) * np.abs(d) ** (q - 1.0)
-        return np.zeros(xi.shape[:-1] + (n,)), g_xi
+        return value, np.zeros(xi.shape[:-1] + (n,)), g_xi
 
     return Integrand(
-        layout, "pq", value_fn, grad_fn,
+        layout, "pq", density,
         params={"p": p, "q": q, "n": n},
         coercivity_constant=1.0 / p,
     )
@@ -206,17 +200,16 @@ def pq_energy(p, q, n=2) -> Integrand:
 
 def detsq_energy() -> Integrand:
     """Square of the determinant slot for 2 x 2 gradients."""
-    layout = MinorsLayout(2, 2)
 
-    def value_fn(x, u, xi):
-        return xi[..., 4] ** 2
-
-    def grad_fn(x, u, xi):
+    def density(x, u, xi, gradient):
+        value = xi[..., 4] ** 2
+        if not gradient:
+            return value
         g_xi = np.zeros_like(xi)
         g_xi[..., 4] = 2.0 * xi[..., 4]
-        return np.zeros(xi.shape[:-1] + (2,)), g_xi
+        return value, np.zeros(xi.shape[:-1] + (2,)), g_xi
 
-    return Integrand(layout, "detsq", value_fn, grad_fn, params={})
+    return Integrand(MinorsLayout(2, 2), "detsq", density, params={})
 
 
 @dataclass(frozen=True)

@@ -65,21 +65,8 @@ class ScalarImage:
         i0 = t.astype(int)
         return i0, np.minimum(i0 + 1, count - 1), t - i0, inside
 
-    def _locate(self, points):
-        pts = np.asarray(points, dtype=float)
-        i0, i1, f1, in1 = self._axis_coords(
-            pts[..., 0], self.grid.bounds[0][0], self.grid.spacing[0], self.grid.nx)
-        j0, j1, f2, in2 = self._axis_coords(
-            pts[..., 1], self.grid.bounds[1][0], self.grid.spacing[1], self.grid.ny)
-        return i0, i1, j0, j1, f1, f2, in1, in2
-
     def sample(self, points) -> np.ndarray:
-        i0, i1, j0, j1, f1, f2, _, _ = self._locate(points)
-        s = self.samples
-        # nested linear interpolation: exact on node queries and constants
-        v0 = s[i0, j0] + f1 * (s[i1, j0] - s[i0, j0])
-        v1 = s[i0, j1] + f1 * (s[i1, j1] - s[i0, j1])
-        return v0 + f2 * (v1 - v0)
+        return self._interpolate(points, gradient=False)
 
     def sample_with_gradient(self, points):
         """Values and spatial gradient of the clamped interpolant.
@@ -88,11 +75,21 @@ class ScalarImage:
         it vanishes in coordinates that were clamped; on the far boundary it
         is the one-sided derivative.
         """
-        i0, i1, j0, j1, f1, f2, in1, in2 = self._locate(points)
+        return self._interpolate(points, gradient=True)
+
+    def _interpolate(self, points, gradient):
+        pts = np.asarray(points, dtype=float)
+        i0, i1, f1, in1 = self._axis_coords(
+            pts[..., 0], self.grid.bounds[0][0], self.grid.spacing[0], self.grid.nx)
+        j0, j1, f2, in2 = self._axis_coords(
+            pts[..., 1], self.grid.bounds[1][0], self.grid.spacing[1], self.grid.ny)
         s = self.samples
+        # nested linear interpolation: exact on node queries and constants
         v0 = s[i0, j0] + f1 * (s[i1, j0] - s[i0, j0])
         v1 = s[i0, j1] + f1 * (s[i1, j1] - s[i0, j1])
         vals = v0 + f2 * (v1 - v0)
+        if not gradient:
+            return vals
         # derivative stencil anchored one cell in from the far boundary
         gi = np.minimum(i0, self.grid.nx - 2)
         gj = np.minimum(j0, self.grid.ny - 2)

@@ -11,6 +11,11 @@ Jacobian stack from full-grid difference stencils, boolean gathers with the
 cell mask, the general ``all_minors`` and a (cells, 2, 2) cofactor pull-back
 scattered back through the mask.  The kernel performs the same floating-point
 operations in the same order, so the two agree bit for bit.
+
+The ``*_value_reference`` and ``*_gradient_reference`` functions are the
+built-in densities as separate value and gradient formulas, the form they had
+before each became one function computing both; the one-pass densities equal
+them bit for bit.
 """
 
 import itertools
@@ -131,7 +136,7 @@ def _assembly_pass(u, F, gradient):
         return act, jc, ev, None, None
     if not np.isfinite(ev.value):
         raise InfiniteEnergyError("energy is not finite; gradient undefined")
-    g_u, g_xi = F.gradient(xc, uc, xi)
+    _, g_u, g_xi = F.gradient(xc, uc, xi)
     if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
         raise UnboundedGradientError("integrand gradient has non-finite entries")
     return act, jc, ev, g_u, g_xi
@@ -179,3 +184,79 @@ def assembly_pairing(w, u):
     total += np.sum(w.u1[act] * jc)
     total += np.sum(w.v2[act] * higher_minors(jc))
     return float(u.grid.cell_area * total)
+
+
+def density_from(value_fn, grad_fn):
+    """One ``density(x, u, xi, gradient)`` callable for ``Integrand`` from a
+    value function and a gradient function returning ``(g_u, g_xi)``."""
+
+    def density(x, u, xi, gradient):
+        value = value_fn(x, u, xi)
+        return (value, *grad_fn(x, u, xi)) if gradient else value
+
+    return density
+
+
+# ``xi`` has slots (a00, a01, a10, a11, ..., d); every gradient reference
+# returns (g_u, g_xi).
+
+def _rotation_split_reference(xi):
+    a00, a01, a10, a11 = xi[..., 0], xi[..., 1], xi[..., 2], xi[..., 3]
+    hs = 0.5 * (a00 + a11)
+    hd = 0.5 * (a00 - a11)
+    hk = 0.5 * (a10 - a01)
+    hy = 0.5 * (a10 + a01)
+    return hs, hd, hk, hy, np.hypot(hs, hk), np.hypot(hd, hy)
+
+
+def rotation_value_reference(xi, p):
+    big, small = _rotation_split_reference(xi)[4:]
+    with np.errstate(over="ignore"):
+        return (big + small) ** p + np.abs(big - small) ** p + p * np.exp(1.0 - xi[..., 4])
+
+
+def rotation_gradient_reference(xi, p):
+    hs, hd, hk, hy, big, small = _rotation_split_reference(xi)
+    gap = big - small
+    top = (big + small) ** (p - 1.0)
+    low = np.sign(gap) * np.abs(gap) ** (p - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_big = np.where(big > 0, p * (top + low) / big, 0.0)
+        by_small = np.where(small > 0, p * (top - low) / small, 0.0)
+    g_xi = np.zeros_like(xi)
+    gs, gd = 0.5 * by_big * hs, 0.5 * by_small * hd
+    gk, gy = 0.5 * by_big * hk, 0.5 * by_small * hy
+    g_xi[..., 0] = gs + gd
+    g_xi[..., 1] = gy - gk
+    g_xi[..., 2] = gk + gy
+    g_xi[..., 3] = gs - gd
+    with np.errstate(over="ignore"):
+        g_xi[..., 4] = -p * np.exp(1.0 - xi[..., 4])
+    return np.zeros(xi.shape[:-1] + (2,)), g_xi
+
+
+def pq_value_reference(xi, p, q, n):
+    a = xi[..., :n * n].reshape(xi.shape[:-1] + (n, n))
+    fro2 = np.sum(a * a, axis=(-2, -1))
+    return fro2 ** (p / 2.0) / p + np.abs(xi[..., -1]) ** q / q
+
+
+def pq_gradient_reference(xi, p, q, n):
+    a = xi[..., :n * n].reshape(xi.shape[:-1] + (n, n))
+    fro2 = np.sum(a * a, axis=(-2, -1))
+    g_xi = np.zeros_like(xi)
+    scale = fro2 ** ((p - 2.0) / 2.0)
+    g_xi[..., :n * n] = (scale[..., None, None] * a).reshape(xi.shape[:-1] + (n * n,))
+    d = xi[..., -1]
+    g_xi[..., -1] = np.sign(d) * np.abs(d) ** (q - 1.0)
+    return np.zeros(xi.shape[:-1] + (n,)), g_xi
+
+
+def detsq_value_reference(xi):
+    return xi[..., 4] ** 2
+
+
+def detsq_gradient_reference(xi):
+    g_xi = np.zeros_like(xi)
+    g_xi[..., 4] = 2.0 * xi[..., 4]
+    return np.zeros(xi.shape[:-1] + (2,)), g_xi

@@ -15,7 +15,7 @@ import polyreg as pr
 from polyreg.cli import main as cli_main
 from polyreg.config import build_experiment, load_config
 
-from oracles import brute_force_minors, relative_error
+from oracles import brute_force_minors, density_from, relative_error
 
 
 def announce(num, text):
@@ -87,9 +87,10 @@ def test_criterion_3_convexity_certificates():
 
     layout = pr.MinorsLayout(2, 2)
     control = pr.Integrand(
-        layout, "planted-nonconvex",
-        lambda x, u, xi: -xi[..., 4] ** 2,
-        lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.zeros_like(xi)),
+        layout, "planted-nonconvex", density_from(
+            lambda x, u, xi: -xi[..., 4] ** 2,
+            lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.zeros_like(xi)),
+        ),
     )
     bad = pr.check_convexity(control, samples=10_000, seed=41, tol=1e-10)
     assert bad.violations > 0

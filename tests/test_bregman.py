@@ -29,7 +29,7 @@ from polyreg import (
     zero_subgradient,
 )
 
-from oracles import random_smooth_field_reference
+from oracles import density_from, random_smooth_field_reference
 
 
 def quadratic_gradient_density():
@@ -44,7 +44,7 @@ def quadratic_gradient_density():
         g[..., :4] = 2.0 * xi[..., :4]
         return np.zeros(xi.shape[:-1] + (2,)), g
 
-    return Integrand(layout, "grad-sq", value_fn, grad_fn)
+    return Integrand(layout, "grad-sq", density_from(value_fn, grad_fn))
 
 
 def wall_density():
@@ -56,8 +56,9 @@ def wall_density():
         return np.zeros(xi.shape[:-1] + (2,)), g
 
     return Integrand(
-        MinorsLayout(2, 2), "wall",
-        lambda x, u, xi: np.where(xi[..., 4] > 0, xi[..., 4] ** 2, np.inf), grad_fn,
+        MinorsLayout(2, 2), "wall", density_from(
+            lambda x, u, xi: np.where(xi[..., 4] > 0, xi[..., 4] ** 2, np.inf), grad_fn,
+        ),
     )
 
 
@@ -141,7 +142,7 @@ class TestPolySubgradient:
             g[..., 4] = np.inf
             return np.zeros(xi.shape[:-1] + (2,)), g
 
-        F = Integrand(layout, "steep", lambda x, u, xi: xi[..., 4] ** 2, bad_grad)
+        F = Integrand(layout, "steep", density_from(lambda x, u, xi: xi[..., 4] ** 2, bad_grad))
         with pytest.raises(UnboundedGradientError):
             poly_subgradient(F, identity_field(unit_grid))
 

@@ -32,6 +32,7 @@ from oracles import (
     assembly_energy,
     assembly_energy_with_gradient,
     assembly_pairing,
+    density_from,
     jacobian_stack,
 )
 
@@ -146,9 +147,10 @@ def test_pairing_accepts_an_equal_mask_on_another_grid():
 def wall_energy():
     """Density with an infinite wall at det <= 0 and a zero gradient."""
     return Integrand(
-        MinorsLayout(2, 2), "wall",
-        lambda x, u, xi: np.where(xi[..., 4] > 0, xi[..., 4], np.inf),
-        lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.zeros_like(xi)),
+        MinorsLayout(2, 2), "wall", density_from(
+            lambda x, u, xi: np.where(xi[..., 4] > 0, xi[..., 4], np.inf),
+            lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.zeros_like(xi)),
+        ),
     )
 
 
@@ -166,9 +168,10 @@ def test_wall_density_raises_like_the_assembly(mask):
 @pytest.mark.parametrize("mask", MASKS)
 def test_unbounded_gradient_raises_like_the_assembly(mask):
     F = Integrand(
-        MinorsLayout(2, 2), "spike",
-        lambda x, u, xi: xi[..., 4] ** 2,
-        lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.full(xi.shape, np.inf)),
+        MinorsLayout(2, 2), "spike", density_from(
+            lambda x, u, xi: xi[..., 4] ** 2,
+            lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.full(xi.shape, np.inf)),
+        ),
     )
     u = make_field("random", make_grid(mask))
     for assemble in (energy_with_gradient, assembly_energy_with_gradient):
@@ -181,11 +184,12 @@ def test_position_and_value_arguments_equal_the_assembly(mask):
     # a density that reads x and u: the kernel's cell centers and centre values
     # are the assembly's, and the direct u gradient is scattered the same way
     F = Integrand(
-        MinorsLayout(2, 2), "spatial",
-        lambda x, u, xi: xi[..., 4] ** 2 * (1.0 + x[..., 0] ** 2) + np.sum(u * u, axis=-1),
-        lambda x, u, xi: (2.0 * u, np.concatenate(
-            [np.zeros(xi.shape[:-1] + (4,)),
-             (2.0 * xi[..., 4] * (1.0 + x[..., 0] ** 2))[..., None]], axis=-1)),
+        MinorsLayout(2, 2), "spatial", density_from(
+            lambda x, u, xi: xi[..., 4] ** 2 * (1.0 + x[..., 0] ** 2) + np.sum(u * u, axis=-1),
+            lambda x, u, xi: (2.0 * u, np.concatenate(
+                [np.zeros(xi.shape[:-1] + (4,)),
+                 (2.0 * xi[..., 4] * (1.0 + x[..., 0] ** 2))[..., None]], axis=-1)),
+        ),
     )
     u = make_field("random", make_grid(mask))
     ev, grad = energy_with_gradient(u, F)

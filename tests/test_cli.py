@@ -72,6 +72,9 @@ class TestConfig:
         ("experiment", "epsilon", -0.1),
         ("experiment", "epsilon", 1.0),
         ("experiment", "epsilon", float("nan")),
+        ("experiment", "seeds", []),
+        ("experiment", "seeds", [0, -1]),
+        ("image", "seed", -1),
     ])
     def test_out_of_range_value_rejected(self, small_config, section, key, value):
         cfg = load_config(small_config)
@@ -169,6 +172,7 @@ class TestVerifySubgradient:
         ("radius", 0.0),
         ("radius", -0.5),
         ("radius", float("nan")),
+        ("seed", -1),
     ])
     def test_vacuous_protocol_rejected(self, small_config, tmp_path, capsys, key, value):
         with open(small_config, encoding="utf-8") as fh:

@@ -30,7 +30,7 @@ from polyreg import (
 from polyreg.bregman import PolySubgradient, zero_subgradient
 from polyreg.registration import admissibility_gap
 
-from oracles import random_smooth_field_reference
+from oracles import density_from, random_smooth_field_reference
 
 
 def rotation_matrix(theta):
@@ -183,9 +183,10 @@ class TestEnergy:
     def test_infinite_density_propagates(self, unit_grid):
         layout = MinorsLayout(2, 2)
         F = Integrand(
-            layout, "wall",
-            lambda x, u, xi: np.where(xi[..., 4] > 0, xi[..., 4], np.inf),
-            lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.zeros_like(xi)),
+            layout, "wall", density_from(
+                lambda x, u, xi: np.where(xi[..., 4] > 0, xi[..., 4], np.inf),
+                lambda x, u, xi: (np.zeros(xi.shape[:-1] + (2,)), np.zeros_like(xi)),
+            ),
         )
         u = field_from_function(unit_grid, lambda p: -p)  # det = 1 > 0, fine
         assert np.isfinite(energy(u, F).value)
@@ -231,7 +232,7 @@ def minors_assembled_gradient(u, F):
     grid = u.grid
     act = grid.active_cells
     jc = u.jacobians[act]
-    _, g_xi = F.gradient(None, None, all_minors(jc))
+    _, _, g_xi = F.gradient(None, None, all_minors(jc))
     df_dA = pull_back(minors_gradient(jc), g_xi)
     h1, h2 = grid.spacing
     gx = np.zeros(grid.cell_shape + (2,))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,18 @@ from polyreg import (
     rotation_energy,
 )
 
-from oracles import relative_error, schatten_gradient_reference, singular_values_reference
+from oracles import (
+    density_from,
+    detsq_gradient_reference,
+    detsq_value_reference,
+    pq_gradient_reference,
+    pq_value_reference,
+    relative_error,
+    rotation_gradient_reference,
+    rotation_value_reference,
+    schatten_gradient_reference,
+    singular_values_reference,
+)
 
 
 def rotation_matrix(theta):
@@ -32,7 +45,7 @@ def nonconvex_control():
         g[..., 4] = -2.0 * xi[..., 4]
         return np.zeros(xi.shape[:-1] + (2,)), g
 
-    return Integrand(layout, "nonconvex-control", value_fn, grad_fn)
+    return Integrand(layout, "nonconvex-control", density_from(value_fn, grad_fn))
 
 
 class TestRotationEnergy:
@@ -91,7 +104,7 @@ class TestRotationEnergy:
         h = 1e-5
         for _ in range(100):
             xi = rng.uniform(-2, 2, 5)
-            _, g = F.gradient(None, None, xi)
+            _, _, g = F.gradient(None, None, xi)
             direction = rng.uniform(-1, 1, 5)
             fd = (F.value(None, None, xi + h * direction)
                   - F.value(None, None, xi - h * direction)) / (2 * h)
@@ -104,7 +117,7 @@ class TestRotationEnergy:
         F = rotation_energy(4.0)
         for theta in rng.uniform(-np.pi, np.pi, 20):
             r = rotation_matrix(theta)
-            _, g = F.gradient(None, None, all_minors(r))
+            _, _, g = F.gradient(None, None, all_minors(r))
             df_da = pull_back(minors_gradient(r), g)
             assert np.max(np.abs(df_da)) < 1e-12
 
@@ -113,7 +126,7 @@ class TestRotationEnergy:
         F = rotation_energy(p)
         a = rng.uniform(-3, 3, (2000, 2, 2))
         xi = all_minors(a)
-        g_u, g = F.gradient(None, None, xi)
+        _, g_u, g = F.gradient(None, None, xi)
         want = schatten_gradient_reference(a, p).reshape(-1, 4)
         err = np.max(np.abs(g[:, :4] - want), axis=1) / np.max(np.abs(want), axis=1)
         assert np.max(err) <= 1e-12
@@ -136,7 +149,7 @@ class TestRotationEnergy:
             np.outer([1.0, 2.0], [3.0, -1.0]),
             np.array([[0.0, 1.0], [0.0, 0.0]]),
         ])
-        _, g = F.gradient(None, None, all_minors(a))
+        _, _, g = F.gradient(None, None, all_minors(a))
         assert np.all(np.isfinite(g))
         assert np.array_equal(g[0, :4], np.zeros(4))
         want = schatten_gradient_reference(a, p).reshape(-1, 4)
@@ -163,12 +176,12 @@ class TestPqEnergy:
     def test_zero_value_and_gradient(self):
         F = pq_energy(4.0, 2.0)
         assert F.value(None, None, np.zeros(5)) == 0.0
-        gu, gxi = F.gradient(None, None, np.zeros(5))
+        _, gu, gxi = F.gradient(None, None, np.zeros(5))
         assert np.all(gu == 0.0) and np.all(gxi == 0.0)
 
     def test_gradient_formula_at_identity(self):
         F = pq_energy(4.0, 2.0)
-        _, g = F.gradient(None, None, all_minors(np.eye(2)))
+        _, _, g = F.gradient(None, None, all_minors(np.eye(2)))
         # |I|^(p-2) I has Frobenius-norm-squared 2, so the diagonal is 2
         assert np.allclose(g[:4], [2.0, 0.0, 0.0, 2.0])
         assert g[4] == 1.0
@@ -178,7 +191,7 @@ class TestPqEnergy:
         h = 1e-5
         for _ in range(100):
             xi = rng.uniform(-2, 2, 5)
-            _, g = F.gradient(None, None, xi)
+            _, _, g = F.gradient(None, None, xi)
             direction = rng.uniform(-1, 1, 5)
             fd = (F.value(None, None, xi + h * direction)
                   - F.value(None, None, xi - h * direction)) / (2 * h)
@@ -192,7 +205,7 @@ class TestPqEnergy:
         fro = np.sqrt(np.sum(a * a))
         det = xi[-1]
         assert F.value(None, None, xi) == pytest.approx(fro**4 / 4 + det**2 / 2, rel=1e-12)
-        _, g = F.gradient(None, None, xi)
+        _, _, g = F.gradient(None, None, xi)
         assert np.all(g[9:18] == 0.0)
 
 
@@ -203,7 +216,7 @@ class TestDetsqEnergy:
         for d, want_val, want_grad in [(1.0, 1.0, 2.0), (0.0, 0.0, 0.0), (-3.0, 9.0, -6.0)]:
             xi[4] = d
             assert F.value(None, None, xi) == want_val
-            _, g = F.gradient(None, None, xi)
+            _, _, g = F.gradient(None, None, xi)
             assert g[4] == want_grad
             assert np.all(g[:4] == 0.0)
 
@@ -256,7 +269,7 @@ class TestSubgradientInequality:
             eta = rng.uniform(-2, 2, (500, 5))
             f_zeta = F.value(None, None, zeta)
             f_eta = F.value(None, None, eta)
-            _, g = F.gradient(None, None, zeta)
+            _, _, g = F.gradient(None, None, zeta)
             lower = f_zeta + np.sum(g * (eta - zeta), axis=-1)
             assert np.min(f_eta - lower) > -1e-10, F.name
 
@@ -278,3 +291,45 @@ class TestInterface:
         F = pq_energy(4.0, 2.0)
         a = rng.uniform(-1, 1, (7, 2, 2))
         assert np.array_equal(F.value_at_matrix(a), F.value(None, None, all_minors(a)))
+
+
+def _edge_slots():
+    """2 x 2 slots where the rotation split or the barrier degenerates."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    return np.array([
+        [c, -s, s, c, 1.0],               # pure rotation: small = 0
+        [c, s, s, -c, -1.0],              # pure reflection: big = 0
+        [1.0, 0.0, 0.0, 0.0, 0.0],        # big == small
+        [0.0, 0.0, 0.0, 0.0, 0.0],        # big == small == 0
+        [0.3, -0.2, 0.5, 1.1, -1000.0],   # exp(1 - d) overflows
+    ])
+
+
+@pytest.mark.parametrize("F, value_ref, grad_ref", [
+    (rotation_energy(2.5), functools.partial(rotation_value_reference, p=2.5),
+     functools.partial(rotation_gradient_reference, p=2.5)),
+    (rotation_energy(4.0), functools.partial(rotation_value_reference, p=4.0),
+     functools.partial(rotation_gradient_reference, p=4.0)),
+    (pq_energy(4.0, 2.0), functools.partial(pq_value_reference, p=4.0, q=2.0, n=2),
+     functools.partial(pq_gradient_reference, p=4.0, q=2.0, n=2)),
+    (pq_energy(3.0, 1.5), functools.partial(pq_value_reference, p=3.0, q=1.5, n=2),
+     functools.partial(pq_gradient_reference, p=3.0, q=1.5, n=2)),
+    (pq_energy(4.0, 2.0, n=3), functools.partial(pq_value_reference, p=4.0, q=2.0, n=3),
+     functools.partial(pq_gradient_reference, p=4.0, q=2.0, n=3)),
+    (detsq_energy(), detsq_value_reference, detsq_gradient_reference),
+], ids=["rotation-2.5", "rotation-4", "pq-4-2", "pq-3-1.5", "pq-3x3", "detsq"])
+def test_one_pass_density_equals_two_function_reference(F, value_ref, grad_ref):
+    # each built-in computes value and gradient in one function; both must
+    # equal the separate value and gradient formulas bit for bit
+    rng = np.random.default_rng(5)
+    batches = [rng.uniform(-3.0, 3.0, (500, F.layout.tau))]
+    if F.layout.tau == 5:
+        batches.append(_edge_slots())
+    for xi in batches:
+        value = F.value(None, None, xi)
+        dens, g_u, g_xi = F.gradient(None, None, xi)
+        want_u, want_xi = grad_ref(xi)
+        assert np.array_equal(value, value_ref(xi))
+        assert np.array_equal(dens, value)
+        assert np.array_equal(g_u, want_u)
+        assert np.array_equal(g_xi, want_xi)

@@ -111,6 +111,15 @@ class TestProblem:
         with pytest.raises(ValueError):
             TikhonovProblem(F, reference, sample, 2.0, -0.1, identity_field(disk_grid))
 
+    def test_data_on_another_grid_or_mask_rejected(self, disk_grid, setup):
+        F, reference, u_dagger, exact = setup
+        sample = add_noise(exact, 0.05, 2.0, seed=1)
+        unmasked = Grid(disk_grid.bounds, disk_grid.nx, disk_grid.ny)
+        finer = Grid(disk_grid.bounds, disk_grid.nx + 1, disk_grid.ny)
+        for grid in (unmasked, finer.with_mask(disk_mask(finer, radius=1.0))):
+            with pytest.raises(ValueError, match="different grids or masks"):
+                TikhonovProblem(F, reference, sample, 2.0, 0.01, identity_field(grid))
+
 
 class TestMinimize:
     def test_converges_immediately_at_exact_minimizer(self, disk_grid, setup):
