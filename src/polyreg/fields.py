@@ -13,7 +13,7 @@ Jacobian J_c: its four entries J00, J01, J10, J11 (row-major, as
 
 One fused kernel serves every energy, gradient and pairing.  The grid caches
 the flat index of its active cells and the four corner nodes of each; the
-kernel gathers each field component at those corners and writes the centre
+kernel gathers the field at those corners in one take and writes the centre
 value and the five slots of every active cell straight from the two
 difference stencils, with no Jacobian stack and no boolean gathers.  The
 slots equal ``all_minors`` of the cell Jacobian bit for bit (same operations
@@ -22,6 +22,10 @@ in the same order), so ``all_minors`` remains the reference calculus.
 with respect to the nodal values: each cell's slot gradient is pulled back
 through the cofactor of J entry by entry and scattered to the corner nodes by
 the transpose of the difference stencil.
+
+Kernel and pull-back compute into a few buffers allocated per call and
+updated in place, with the operations and operands of the plain expressions.
+No buffer outlives its call, so every function here stays pure.
 
 Non-rectangular domains are handled by a cell mask; inactive cells contribute
 nothing to energies, gradients or pairings.  Summation always runs over the
@@ -335,14 +339,28 @@ def _cell_slots(u, corners):
     along axis b, the mean of the two forward differences across the cell.
     """
     h1, h2 = u.grid.spacing
-    uc = np.empty((corners.shape[1], 2))
-    xi = np.empty((corners.shape[1], 5))
+    n = corners.shape[1]
+    corner_values = u.values.reshape(-1, 2).take(corners, axis=0)
+    uc = np.empty((n, 2))
+    xi = np.empty((n, 5))
+    t = np.empty(n)
     for a in range(2):
-        c00, c10, c01, c11 = u.values[..., a].ravel()[corners]
-        uc[:, a] = 0.25 * (c00 + c10 + c01 + c11)
-        xi[:, 2 * a] = (c10 - c00 + c11 - c01) / (2.0 * h1)
-        xi[:, 2 * a + 1] = (c01 - c00 + c11 - c10) / (2.0 * h2)
-    xi[:, 4] = xi[:, 0] * xi[:, 3] - xi[:, 1] * xi[:, 2]
+        c00, c10, c01, c11 = corner_values[..., a]
+        np.add(c00, c10, out=t)
+        t += c01
+        t += c11
+        np.multiply(0.25, t, out=uc[:, a])
+        np.subtract(c10, c00, out=t)
+        t += c11
+        t -= c01
+        np.divide(t, 2.0 * h1, out=xi[:, 2 * a])
+        np.subtract(c01, c00, out=t)
+        t += c11
+        t -= c10
+        np.divide(t, 2.0 * h2, out=xi[:, 2 * a + 1])
+    np.multiply(xi[:, 0], xi[:, 3], out=xi[:, 4])
+    np.multiply(xi[:, 1], xi[:, 2], out=t)
+    xi[:, 4] -= t
     return uc, xi
 
 
@@ -412,21 +430,34 @@ def energy_with_gradient(u, F):
     h1, h2 = grid.spacing
     g_det = g_xi[:, 4]
     # gx[k, a] and gy[k, a]: entries (a, 0) and (a, 1) of cell k's matrix
-    # gradient, times the weight area / (2 h) of the stencil along that axis
+    # gradient, times the weight area / (2 h) of the stencil along that axis;
+    # each is g_A + sign * g_det * (cofactor slot), computed in one buffer
     gx = np.zeros((grid.cell_shape[0] * grid.cell_shape[1], 2))
     gy = np.zeros_like(gx)
-    gx[idx, 0] = area * (g_xi[:, 0] + g_det * xi[:, 3]) / (2.0 * h1)
-    gy[idx, 0] = area * (g_xi[:, 1] - g_det * xi[:, 2]) / (2.0 * h2)
-    gx[idx, 1] = area * (g_xi[:, 2] - g_det * xi[:, 1]) / (2.0 * h1)
-    gy[idx, 1] = area * (g_xi[:, 3] + g_det * xi[:, 0]) / (2.0 * h2)
+    t = np.empty(len(idx))
+    for out, entry, sign, slot, h in ((gx[:, 0], 0, 1, 3, h1), (gy[:, 0], 1, -1, 2, h2),
+                                      (gx[:, 1], 2, -1, 1, h1), (gy[:, 1], 3, 1, 0, h2)):
+        np.multiply(g_det, xi[:, slot], out=t)
+        if sign > 0:
+            t += g_xi[:, entry]
+        else:
+            np.subtract(g_xi[:, entry], t, out=t)
+        t *= area
+        t /= 2.0 * h
+        out[idx] = t
     gx = gx.reshape(grid.cell_shape + (2,))
     gy = gy.reshape(grid.cell_shape + (2,))
 
+    # Corner weights (-1, -1), (1, -1), (-1, 1), (1, 1) on (gx, gy), added in
+    # that order; subtracting gx + gy equals adding -gx - gy bit for bit.
     grad = np.zeros_like(u.values)
-    grad[:-1, :-1] += -gx - gy
-    grad[1:, :-1] += gx - gy
-    grad[:-1, 1:] += -gx + gy
-    grad[1:, 1:] += gx + gy
+    t = np.add(gx, gy)
+    grad[:-1, :-1] -= t
+    np.subtract(gx, gy, out=t)
+    grad[1:, :-1] += t
+    grad[:-1, 1:] -= t
+    np.add(gx, gy, out=t)
+    grad[1:, 1:] += t
 
     if np.any(g_u):
         gu_cells = np.zeros(grid.cell_shape + (2,))

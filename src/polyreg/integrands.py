@@ -96,10 +96,12 @@ def _rotation_split(a):
     rounding) even at repeated singular values, where LAPACK-based routines
     may lose the symmetry.  Returns ``(hs, hd, hk, hy, big, small)``.
     """
-    hs = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
-    hd = 0.5 * (a[..., 0, 0] - a[..., 1, 1])
-    hk = 0.5 * (a[..., 1, 0] - a[..., 0, 1])
-    hy = 0.5 * (a[..., 1, 0] + a[..., 0, 1])
+    hs = a[..., 0, 0] + a[..., 1, 1]
+    hd = a[..., 0, 0] - a[..., 1, 1]
+    hk = a[..., 1, 0] - a[..., 0, 1]
+    hy = a[..., 1, 0] + a[..., 0, 1]
+    for h in (hs, hd, hk, hy):
+        h *= 0.5
     return hs, hd, hk, hy, np.hypot(hs, hk), np.hypot(hd, hy)
 
 
@@ -125,7 +127,9 @@ def rotation_energy(p) -> Integrand:
     ``d small = (hd dhd + hy dhy) / small``.  At ``big = 0`` (``small = 0``)
     the factor ``dS/d big`` (``dS/d small``) is exactly 0 for ``p > 2``, so
     that term is set to 0; the result equals ``p * U diag(lam^(p-1)) V^T``
-    from an SVD, which is well defined at repeated singular values.
+    from an SVD, which is well defined at repeated singular values.  The
+    density computes in place on buffers of the call, reusing the split's
+    ``hs, hd, hk, hy`` as the gradient factors.
     """
     p = float(p)
     if p <= 2:
@@ -133,30 +137,55 @@ def rotation_energy(p) -> Integrand:
     layout = MinorsLayout(2, 2)
 
     def density(x, u, xi, gradient):
-        a, d = _split_order1_det(xi, layout)
+        # One row of slots per matrix, so every step below can run in place.
+        shape = xi.shape[:-1]
+        a, d = _split_order1_det(xi.reshape(-1, layout.tau), layout)
         hs, hd, hk, hy, big, small = _rotation_split(a)
-        lam1, gap = big + small, big - small
+        lam1 = big + small
+        gap = big - small
         with np.errstate(over="ignore"):
-            wall = np.exp(1.0 - d)
-            value = lam1 ** p + np.abs(gap) ** p + p * wall
+            wall = np.subtract(1.0, d)
+            np.exp(wall, out=wall)
+            value = lam1 ** p
+            t = np.abs(gap)
+            t **= p
+            value += t
+            np.multiply(p, wall, out=t)
+            value += t
         if not gradient:
-            return value
-        top = lam1 ** (p - 1.0)
-        low = np.sign(gap) * np.abs(gap) ** (p - 1.0)
+            return value.reshape(shape)[()]
+        # top = lam1^(p-1) and low = sign(gap) |gap|^(p-1)
+        top = lam1
+        top **= p - 1.0
+        low = np.abs(gap, out=t)
+        low **= p - 1.0
+        low *= np.sign(gap, out=gap)
         # dS/d big / big and dS/d small / small; 0 where big or small vanish
         with np.errstate(divide="ignore", invalid="ignore"):
-            by_big = np.where(big > 0, p * (top + low) / big, 0.0)
-            by_small = np.where(small > 0, p * (top - low) / small, 0.0)
-        g_xi = np.zeros_like(xi)
+            by_big = np.add(top, low, out=gap)
+            by_big *= p
+            by_big /= big
+            by_small = np.subtract(top, low, out=top)
+            by_small *= p
+            by_small /= small
+        np.copyto(by_big, 0.0, where=~(big > 0))
+        np.copyto(by_small, 0.0, where=~(small > 0))
+        del big, small, low, t  # room for g_xi
         # d(hs, hd, hk, hy) / d(a00, a01, a10, a11) is 1/2 times a sign pattern
-        gs, gd = 0.5 * by_big * hs, 0.5 * by_small * hd
-        gk, gy = 0.5 * by_big * hk, 0.5 * by_small * hy
-        g_xi[..., 0] = gs + gd
-        g_xi[..., 1] = gy - gk
-        g_xi[..., 2] = gk + gy
-        g_xi[..., 3] = gs - gd
-        g_xi[..., 4] = -p * wall
-        return value, np.zeros(xi.shape[:-1] + (2,)), g_xi
+        by_big *= 0.5
+        by_small *= 0.5
+        hs *= by_big
+        hk *= by_big
+        hd *= by_small
+        hy *= by_small
+        g_xi = np.empty((len(value), layout.tau))
+        np.add(hs, hd, out=g_xi[:, 0])
+        np.subtract(hy, hk, out=g_xi[:, 1])
+        np.add(hk, hy, out=g_xi[:, 2])
+        np.subtract(hs, hd, out=g_xi[:, 3])
+        np.multiply(-p, wall, out=g_xi[:, 4])
+        return (value.reshape(shape)[()], np.zeros(shape + (2,)),
+                g_xi.reshape(xi.shape))
 
     return Integrand(
         layout, "rotation", density,

@@ -7,6 +7,12 @@ arbitrary solver iterates; the hard constraint that the deformation keep the
 domain inside itself is enforced separately through ``warp(..., strict=True)``
 on final, reported solutions.
 
+Interpolation reads the four samples of one stencil cell by flat index,
+shared by the value and the gradient, and computes in place into buffers of
+the call; on a far edge the value's stencil collapses onto that edge, and
+only then are its corners picked apart.  The result is the nested bilinear
+formula bit for bit.
+
 Images are plain nodal sample arrays; synthetic test images are sums of a
 few Gaussian bumps so that warping stays well resolved on modest grids.
 Noise is rescaled after drawing so that its quadrature norm matches the
@@ -56,14 +62,23 @@ class ScalarImage:
     @staticmethod
     def _axis_coords(coords, origin, spacing, count):
         # Grid coordinates with near-integer values snapped, so node queries
-        # hit nodes exactly despite the (x - a) / h round trip.
-        t = (coords - origin) / spacing
+        # hit nodes exactly despite the (x - a) / h round trip.  Returns the
+        # lower node index, the fraction past it and whether the coordinate
+        # lay inside before clamping.
+        t = coords - origin
+        t /= spacing
         nearest = np.rint(t)
-        t = np.where(np.abs(t - nearest) <= 1e-12 * np.maximum(1.0, np.abs(t)), nearest, t)
+        off = np.subtract(t, nearest)
+        np.abs(off, out=off)
+        scale = np.abs(t)
+        np.maximum(1.0, scale, out=scale)
+        scale *= 1e-12
+        np.copyto(t, nearest, where=off <= scale)
         inside = (t >= 0.0) & (t <= count - 1.0)
-        t = np.clip(t, 0.0, count - 1.0)
+        np.clip(t, 0.0, count - 1.0, out=t)
         i0 = t.astype(int)
-        return i0, np.minimum(i0 + 1, count - 1), t - i0, inside
+        t -= i0
+        return i0, t, inside
 
     def sample(self, points) -> np.ndarray:
         return self._interpolate(points, gradient=False)
@@ -78,29 +93,65 @@ class ScalarImage:
         return self._interpolate(points, gradient=True)
 
     def _interpolate(self, points, gradient):
+        # The stencil cell is anchored one cell in from the far boundary.  On
+        # a far edge the value reads that edge's samples twice, as the plain
+        # formula's clamped upper index does.
         pts = np.asarray(points, dtype=float)
-        i0, i1, f1, in1 = self._axis_coords(
-            pts[..., 0], self.grid.bounds[0][0], self.grid.spacing[0], self.grid.nx)
-        j0, j1, f2, in2 = self._axis_coords(
-            pts[..., 1], self.grid.bounds[1][0], self.grid.spacing[1], self.grid.ny)
-        s = self.samples
+        shape = pts.shape[:-1]
+        pts = pts.reshape(-1, 2)
+        nx, ny = self.grid.nx, self.grid.ny
+        (a1, _), (a2, _) = self.grid.bounds
+        h1, h2 = self.grid.spacing
+        i0, f1, in1 = self._axis_coords(pts[:, 0], a1, h1, nx)
+        j0, f2, in2 = self._axis_coords(pts[:, 1], a2, h2, ny)
+        on_i, on_j = i0 == nx - 1, j0 == ny - 1
+        k = np.minimum(i0, nx - 2)
+        k *= ny
+        k += np.minimum(j0, ny - 2)
+        flat = self.samples.ravel()
+        s00, s10 = flat.take(k), flat[ny:].take(k)
+        s01, s11 = flat[1:].take(k), flat[ny + 1:].take(k)
+        c00, c10, c01 = s00, s10, s01
+        if on_i.any() or on_j.any():
+            c10 = np.where(on_j, s11, s10)
+            c01 = np.where(on_i, s11, s01)
+            c00 = np.where(on_i, c10, np.where(on_j, s01, s00))
         # nested linear interpolation: exact on node queries and constants
-        v0 = s[i0, j0] + f1 * (s[i1, j0] - s[i0, j0])
-        v1 = s[i0, j1] + f1 * (s[i1, j1] - s[i0, j1])
-        vals = v0 + f2 * (v1 - v0)
+        vals = c10 - c00
+        vals *= f1
+        vals += c00
+        v1 = s11 - c01
+        v1 *= f1
+        v1 += c01
+        v1 -= vals
+        v1 *= f2
+        vals += v1
+        vals = vals.reshape(shape)[()]  # a scalar for a single point
         if not gradient:
             return vals
-        # derivative stencil anchored one cell in from the far boundary
-        gi = np.minimum(i0, self.grid.nx - 2)
-        gj = np.minimum(j0, self.grid.ny - 2)
-        g1 = f1 + (i0 - gi)
-        g2 = f2 + (j0 - gj)
-        s00, s10 = s[gi, gj], s[gi + 1, gj]
-        s01, s11 = s[gi, gj + 1], s[gi + 1, gj + 1]
-        h1, h2 = self.grid.spacing
-        gx = (((1 - g2) * (s10 - s00) + g2 * (s11 - s01)) / h1) * in1
-        gy = (((1 - g1) * (s01 - s00) + g1 * (s11 - s10)) / h2) * in2
-        return vals, np.stack([gx, gy], axis=-1)
+        # the derivative stencil's fractions: 1 on a far edge
+        f1 += on_i
+        f2 += on_j
+        grad = np.empty(pts.shape)
+        w = np.subtract(1, f2)
+        g = s10 - s00
+        g *= w
+        t = s11 - s01
+        t *= f2
+        g += t
+        g /= h1
+        g *= in1
+        grad[:, 0] = g
+        np.subtract(1, f1, out=w)
+        np.subtract(s01, s00, out=g)
+        g *= w
+        np.subtract(s11, s10, out=t)
+        t *= f1
+        g += t
+        g /= h2
+        g *= in2
+        grad[:, 1] = g
+        return vals, grad.reshape(shape + (2,))
 
     def min_max(self):
         return float(np.min(self.samples)), float(np.max(self.samples))

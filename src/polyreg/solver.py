@@ -35,6 +35,9 @@ trials are value-only, and when one of them is accepted the gradient there is
 evaluated once more.  Infinite energy at the first trial is a rejected trial,
 as it is for a value-only one.
 
+The two-loop recursion updates one direction array in place through one
+scratch array, with the operations of the plain formula.
+
 Everything is deterministic: no randomness enters a solve, and all
 reductions run in fixed order.  The solver's inner products run in fixed
 ``_DOT_BLOCK``-entry slices, summed left to right, each slice one ``np.dot``.
@@ -133,9 +136,17 @@ class TikhonovProblem:
 
     def _evaluate(self, u, gradient):
         """Objective at ``u``, with ``gradient`` also its nodal gradient; the misfit
-        is ``data_term(warp(reference, u), data.image, q)`` on the initial grid."""
+        is ``data_term(warp(reference, u), data.image, q)`` on the initial grid.
+
+        With the gradient, the energy pass runs first, before any misfit array
+        exists: at 128² its peak then fits in the heap space the previous call
+        freed, where after the warp it grew the heap for glibc to trim again.
+        The terms are summed misfit first either way.
+        """
         grid = u.grid
         idx = grid.active_index
+        if gradient and self.alpha > 0:
+            ev, energy_grad = energy_with_gradient(u, self.integrand)
         if gradient:
             warped, img_grad = self.reference.sample_with_gradient(u.values)
         else:
@@ -152,13 +163,12 @@ class TikhonovProblem:
             grid.cell_area * self.q / 4.0
             * np.sign(diff_c) * np.abs(diff_c) ** (self.q - 1.0)
         )
-        grad = scatter_to_corners(slope, grid.node_shape)[..., None] * img_grad
-        # The energy pass runs while the misfit arrays are alive: freeing them first let
-        # glibc trim the heap in between, doubling the page faults of a 128² solve.
+        grad = img_grad
+        grad *= scatter_to_corners(slope, grid.node_shape)[..., None]
         if self.alpha > 0:
-            ev, energy_grad = energy_with_gradient(u, self.integrand)
             value += self.alpha * ev.value
-            grad = grad + self.alpha * energy_grad
+            energy_grad *= self.alpha
+            grad += energy_grad
         return value, grad
 
 
@@ -178,17 +188,18 @@ class MinimizeResult:
 
 def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
     q = g.copy()
+    step = np.empty_like(g)  # each update's a * y or (a - b) * s
     alphas = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
         a = rho * _blocked_dot(s, q)
         alphas.append(a)
-        q -= a * y
+        q -= np.multiply(a, y, out=step)
     if s_hist:
         q *= _blocked_dot(s_hist[-1], y_hist[-1]) / _blocked_dot(y_hist[-1], y_hist[-1])
     for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
         b = rho * _blocked_dot(y, q)
-        q += (a - b) * s
-    return -q
+        q += np.multiply(a - b, s, out=step)
+    return np.negative(q, out=q)
 
 
 def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:
@@ -322,15 +333,18 @@ def solve_multi_start(problem, tol=1e-4, max_iter=500, memory=10, starts=3,
     at its own start.  Ties in the final objective resolve in favor of the
     earlier start, so results are deterministic.  With ``starts=1`` this is
     one ``minimize`` call from the warm start, or from the identity when
-    there is none, as in the sweep's default configuration.
+    there is none, as in the sweep's default configuration.  Only the kept
+    starts are built; the perturbed one draws from its own seeded generator,
+    so skipping it moves no other draw.
     """
     grid = problem.initial.grid
     candidates = []
     if warm_start is not None:
         candidates.append(warm_start)
     candidates.append(identity_field(grid))
-    bump = random_smooth_field(grid, seed=[int(seed), 977], amplitude=_START_PERTURBATION)
-    candidates.append(MatrixField(grid, grid.node_points + bump.values))
+    if len(candidates) < starts:
+        bump = random_smooth_field(grid, seed=[int(seed), 977], amplitude=_START_PERTURBATION)
+        candidates.append(MatrixField(grid, grid.node_points + bump.values))
     candidates = candidates[:max(1, starts)]
 
     best = None

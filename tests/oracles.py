@@ -12,6 +12,12 @@ cell mask, the general ``all_minors`` and a (cells, 2, 2) cofactor pull-back
 scattered back through the mask.  The kernel performs the same floating-point
 operations in the same order, so the two agree bit for bit.
 
+``interpolate_reference`` is the bilinear warp as eight two-index gathers,
+the form ``ScalarImage`` had before it read one stencil cell by flat index;
+``sample`` and ``sample_with_gradient`` equal it bit for bit.
+``lbfgs_direction_reference`` is the L-BFGS two-loop recursion with a fresh
+array for every update, as it was before it updated in place.
+
 The ``*_value_reference`` and ``*_gradient_reference`` functions are the
 built-in densities as separate value and gradient formulas, the form they had
 before each became one function computing both; the one-pass densities equal
@@ -184,6 +190,62 @@ def assembly_pairing(w, u):
     total += np.sum(w.u1[act] * jc)
     total += np.sum(w.v2[act] * higher_minors(jc))
     return float(u.grid.cell_area * total)
+
+
+def _axis_coords_reference(coords, origin, spacing, count):
+    t = (coords - origin) / spacing
+    nearest = np.rint(t)
+    t = np.where(np.abs(t - nearest) <= 1e-12 * np.maximum(1.0, np.abs(t)), nearest, t)
+    inside = (t >= 0.0) & (t <= count - 1.0)
+    t = np.clip(t, 0.0, count - 1.0)
+    i0 = t.astype(int)
+    return i0, np.minimum(i0 + 1, count - 1), t - i0, inside
+
+
+def interpolate_reference(image, points, gradient):
+    """``image.sample(points)``, or with ``gradient`` ``sample_with_gradient``,
+    from two-index gathers at the clamped lower and upper nodes."""
+    grid = image.grid
+    pts = np.asarray(points, dtype=float)
+    i0, i1, f1, in1 = _axis_coords_reference(
+        pts[..., 0], grid.bounds[0][0], grid.spacing[0], grid.nx)
+    j0, j1, f2, in2 = _axis_coords_reference(
+        pts[..., 1], grid.bounds[1][0], grid.spacing[1], grid.ny)
+    s = image.samples
+    v0 = s[i0, j0] + f1 * (s[i1, j0] - s[i0, j0])
+    v1 = s[i0, j1] + f1 * (s[i1, j1] - s[i0, j1])
+    vals = v0 + f2 * (v1 - v0)
+    if not gradient:
+        return vals
+    gi = np.minimum(i0, grid.nx - 2)
+    gj = np.minimum(j0, grid.ny - 2)
+    g1 = f1 + (i0 - gi)
+    g2 = f2 + (j0 - gj)
+    s00, s10 = s[gi, gj], s[gi + 1, gj]
+    s01, s11 = s[gi, gj + 1], s[gi + 1, gj + 1]
+    h1, h2 = grid.spacing
+    gx = (((1 - g2) * (s10 - s00) + g2 * (s11 - s01)) / h1) * in1
+    gy = (((1 - g1) * (s01 - s00) + g1 * (s11 - s10)) / h2) * in2
+    return vals, np.stack([gx, gy], axis=-1)
+
+
+def lbfgs_direction_reference(g, s_hist, y_hist, rho_hist):
+    """``solver._lbfgs_direction`` with a new array for each ``a * y``,
+    ``(a - b) * s`` and the final negation."""
+    from polyreg.solver import _blocked_dot
+
+    q = g.copy()
+    alphas = []
+    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        a = rho * _blocked_dot(s, q)
+        alphas.append(a)
+        q -= a * y
+    if s_hist:
+        q *= _blocked_dot(s_hist[-1], y_hist[-1]) / _blocked_dot(y_hist[-1], y_hist[-1])
+    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        b = rho * _blocked_dot(y, q)
+        q += (a - b) * s
+    return -q
 
 
 def density_from(value_fn, grad_fn):

@@ -66,6 +66,71 @@ class TestScalarImage:
         assert grads[1, 1] == 0.0
 
 
+def _equal_bytes(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestWarpMatchesTwoIndexGathers:
+    """``sample`` and ``sample_with_gradient`` read one stencil cell by flat
+    index; they equal the eight two-index gathers of the plain formula byte
+    for byte, on every kind of point and point-array shape."""
+
+    GRID = Grid(((-1.0, 1.0), (-0.5, 2.0)), 7, 5)
+
+    @classmethod
+    def _points(cls, rng):
+        g = cls.GRID
+        (a1, b1), (a2, b2) = g.bounds
+        nodes = g.node_points
+        return {
+            "nodes": nodes.reshape(-1, 2),
+            "interior": rng.uniform([a1, a2], [b1, b2], (200, 2)),
+            "clamped": rng.uniform([a1 - 2, a2 - 2], [b1 + 2, b2 + 2], (200, 2)),
+            "far edge i": np.stack([np.full(9, b1), np.linspace(a2, b2, 9)], axis=-1),
+            "far edge j": np.stack([np.linspace(a1, b1, 9), np.full(9, b2)], axis=-1),
+            "far corner": np.array([[b1, b2], [b1 + 1.0, b2 + 1.0], [b1, b2 + 3.0]]),
+            "beyond far edges": np.array([[b1 + 0.3, 0.1], [0.2, b2 + 0.7], [b1 + 5, a2],
+                                          [a1, b2 + 5], [a1 - 1, b2 + 1], [b1 + 1, a2 - 1]]),
+            "snapped": (nodes * (1.0 + 1e-14)).reshape(-1, 2),
+            "single point": np.array([0.3, 0.7]),
+            "single far corner": np.array([b1, b2]),
+            "grid shaped": nodes + rng.uniform(-0.2, 0.2, nodes.shape),
+        }
+
+    @pytest.mark.parametrize("kind", [
+        "nodes", "interior", "clamped", "far edge i", "far edge j", "far corner",
+        "beyond far edges", "snapped", "single point", "single far corner", "grid shaped"])
+    def test_sample_and_gradient(self, kind, rng):
+        import oracles
+
+        img = ScalarImage(self.GRID, rng.standard_normal(self.GRID.node_shape))
+        pts = self._points(rng)[kind]
+        _equal_bytes(img.sample(pts), oracles.interpolate_reference(img, pts, False))
+        vals, grads = img.sample_with_gradient(pts)
+        want_vals, want_grads = oracles.interpolate_reference(img, pts, True)
+        _equal_bytes(vals, want_vals)
+        _equal_bytes(grads, want_grads)
+
+    def test_snapped_points_hit_nodes(self, rng):
+        img = ScalarImage(self.GRID, rng.standard_normal(self.GRID.node_shape))
+        nodes = self.GRID.node_points
+        assert np.array_equal(img.sample(nodes * (1.0 + 1e-14)), img.samples)
+
+    def test_two_node_axes(self, rng):
+        import oracles
+
+        grid = Grid(((0.0, 1.0), (0.0, 3.0)), 2, 2)
+        img = ScalarImage(grid, rng.standard_normal((2, 2)))
+        pts = rng.uniform(-0.5, 3.5, (4, 5, 2))
+        pts[0] = [1.0, 3.0]
+        vals, grads = img.sample_with_gradient(pts)
+        want_vals, want_grads = oracles.interpolate_reference(img, pts, True)
+        _equal_bytes(vals, want_vals)
+        _equal_bytes(grads, want_grads)
+
+
 class TestWarp:
     def test_identity_is_node_exact(self, disk_grid, rng):
         img = ScalarImage(disk_grid, rng.uniform(0, 1, disk_grid.node_shape))

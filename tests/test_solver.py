@@ -251,6 +251,97 @@ class TestMinimize:
         assert kernel.objective.hex() == assembly.objective.hex()
         assert np.array_equal(kernel.u_min.values, assembly.u_min.values)
 
+    def test_trajectory_matches_the_replaced_hot_path(self, monkeypatch):
+        # Every layer of one evaluation and of one step through its old,
+        # allocating form: the two-index warp, the assembly, the separate
+        # rotation value and gradient formulas and the copying two-loop.
+        # The in-place forms perform the same operations in the same order.
+        import oracles
+        from polyreg import fields, solver
+        from polyreg.integrands import Integrand
+        from polyreg.minors import MinorsLayout
+        from polyreg.registration import ScalarImage
+
+        fast = minimize(small_problem(), max_iter=400)
+        for module in (fields, solver):
+            monkeypatch.setattr(module, "energy", oracles.assembly_energy)
+            monkeypatch.setattr(module, "energy_with_gradient",
+                                oracles.assembly_energy_with_gradient)
+        monkeypatch.setattr(ScalarImage, "_interpolate", oracles.interpolate_reference)
+        monkeypatch.setattr(solver, "_lbfgs_direction", oracles.lbfgs_direction_reference)
+        problem = small_problem()
+        problem.integrand = Integrand(MinorsLayout(2, 2), "rotation", oracles.density_from(
+            lambda x, u, xi: oracles.rotation_value_reference(xi, 4.0),
+            lambda x, u, xi: oracles.rotation_gradient_reference(xi, 4.0)))
+        old = minimize(problem, max_iter=400)
+        assert fast.iterations == old.iterations > 50
+        assert fast.evaluations == old.evaluations
+        assert fast.objective.hex() == old.objective.hex()
+        assert np.array_equal(fast.u_min.values, old.u_min.values)
+
+
+def _posed(n, masked, seed=4):
+    """A fresh n x n problem, on the unit disk or (unmasked) the whole box."""
+    base = Grid(((-1.0, 1.0), (-1.0, 1.0)), n, n)
+    grid = base.with_mask(disk_mask(base, radius=1.0)) if masked else base
+    reference = blob_image(grid, random_blobs(7))
+    sample = add_noise(blob_image(grid, random_blobs(8)), 0.05, 2.0, seed=seed)
+    return TikhonovProblem(rotation_energy(4.0), reference, sample, 2.0, 0.01,
+                           identity_field(grid))
+
+
+def _field(problem, seed):
+    grid = problem.initial.grid
+    bump = random_smooth_field(grid, seed=seed, amplitude=0.05)
+    return MatrixField(grid, grid.node_points + bump.values)
+
+
+class TestNoStateSurvivesACall:
+    """The objective's buffers live for one call: interleaved calls on other
+    grids, masks or fields give the bytes of a call on a fresh problem."""
+
+    @staticmethod
+    def _fresh(n, masked, seed, gradient):
+        problem = _posed(n, masked)
+        u = _field(problem, seed)
+        return problem.objective_and_gradient(u) if gradient else problem.objective(u)
+
+    @staticmethod
+    def _same(got, want):
+        if isinstance(want, tuple):
+            assert got[0].hex() == want[0].hex()
+            assert got[1].shape == want[1].shape
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got.hex() == want.hex()
+
+    def test_two_problems_on_different_grids_and_masks(self):
+        disk, box = _posed(20, True), _posed(24, False)
+        calls = [(disk, 20, True, 1), (box, 24, False, 2), (disk, 20, True, 3),
+                 (box, 24, False, 1), (disk, 20, True, 1)]
+        for gradient in (True, False, True):
+            for problem, n, masked, seed in calls:
+                u = _field(problem, seed)
+                got = (problem.objective_and_gradient(u) if gradient
+                       else problem.objective(u))
+                self._same(got, self._fresh(n, masked, seed, gradient))
+
+    def test_two_fields_of_one_problem(self):
+        problem = _posed(20, True)
+        u, v = _field(problem, 5), _field(problem, 6)
+        for _ in range(2):
+            for seed, w in ((5, u), (6, v)):
+                self._same(problem.objective_and_gradient(w), self._fresh(20, True, seed, True))
+                self._same(problem.objective(w), self._fresh(20, True, seed, False))
+
+    def test_a_returned_gradient_is_not_reused(self):
+        problem = _posed(20, True)
+        u, v = _field(problem, 5), _field(problem, 6)
+        _, first = problem.objective_and_gradient(u)
+        kept = first.copy()
+        problem.objective_and_gradient(v)
+        assert first.tobytes() == kept.tobytes()
+
 
 # Prints a short 72 x 72 solve: its iterations, objective bits and iterate hash.
 _SOLVE_72 = """
@@ -321,6 +412,27 @@ class TestMultiStart:
         warm = solve_multi_start(problem, tol=1e-6, max_iter=200, starts=1, seed=1,
                                  warm_start=good.u_min)
         assert warm.objective <= good.objective + 1e-14
+
+
+    def test_only_the_kept_starts_are_built(self, monkeypatch):
+        from polyreg import solver
+
+        problem = small_problem()
+        built = []
+        real = solver.random_smooth_field
+
+        def counted(*args, **kwargs):
+            built.append(kwargs.get("seed"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "random_smooth_field", counted)
+        warm = problem.initial
+        for starts, warm_start, perturbed in ((1, None, 0), (1, warm, 0), (2, None, 1),
+                                              (2, warm, 0), (3, warm, 1)):
+            built.clear()
+            solve_multi_start(problem, max_iter=2, starts=starts, seed=5,
+                              warm_start=warm_start)
+            assert built == [[5, 977]] * perturbed
 
 
 class TestFirstTrialReuse:
