@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import operator
 import os
 import subprocess
@@ -281,10 +283,11 @@ class TestMinimize:
 
 
 def _posed(n, masked, seed=4):
-    """A fresh n x n problem, on the unit disk or (unmasked) the whole box."""
+    """A fresh n x n problem, on the unit disk or (unmasked) the whole box;
+    the two kinds also differ in their reference image."""
     base = Grid(((-1.0, 1.0), (-1.0, 1.0)), n, n)
     grid = base.with_mask(disk_mask(base, radius=1.0)) if masked else base
-    reference = blob_image(grid, random_blobs(7))
+    reference = blob_image(grid, random_blobs(7 if masked else 9))
     sample = add_noise(blob_image(grid, random_blobs(8)), 0.05, 2.0, seed=seed)
     return TikhonovProblem(rotation_energy(4.0), reference, sample, 2.0, 0.01,
                            identity_field(grid))
@@ -296,43 +299,73 @@ def _field(problem, seed):
     return MatrixField(grid, grid.node_points + bump.values)
 
 
+# Prints, for one kind of problem, the objective bits, gradient hash and
+# value-only objective bits at each field seed, every call made on a newly
+# built problem in this new interpreter.
+_FRESH_CALLS = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from test_solver import _field, _posed
+n, masked = int(sys.argv[2]), sys.argv[3] == "disk"
+out = {}
+for seed in sys.argv[4:]:
+    problem = _posed(n, masked)
+    u = _field(problem, int(seed))
+    value, grad = problem.objective_and_gradient(u)
+    out[seed] = [value.hex(), hashlib.sha256(grad.tobytes()).hexdigest(),
+                 _posed(n, masked).objective(u).hex()]
+print(json.dumps(out))
+"""
+
+
+def _run_python(script, *args, **env):
+    """Standard output of ``script`` in a new interpreter that imports this
+    polyreg and these tests, with ``args`` and the variables ``env`` added."""
+    import polyreg
+
+    src = str(Path(polyreg.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script, tests, *map(str, args)],
+                         env=dict(os.environ, PYTHONPATH=path, **env),
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 class TestNoStateSurvivesACall:
-    """The objective's buffers live for one call: interleaved calls on other
-    grids, masks or fields give the bytes of a call on a fresh problem."""
+    """The objective's buffers live for one call: calls interleaved across
+    grids, masks, images and fields give the bytes of the same call on a
+    newly built problem in a new interpreter, where no earlier call ran."""
 
     @staticmethod
-    def _fresh(n, masked, seed, gradient):
-        problem = _posed(n, masked)
+    def _fresh(n, masked, seeds):
+        return json.loads(_run_python(_FRESH_CALLS, n, "disk" if masked else "box", *seeds))
+
+    @staticmethod
+    def _check(problem, seed, want):
         u = _field(problem, seed)
-        return problem.objective_and_gradient(u) if gradient else problem.objective(u)
+        value, grad = problem.objective_and_gradient(u)
+        assert [value.hex(), hashlib.sha256(grad.tobytes()).hexdigest()] == want[:2]
+        assert problem.objective(u).hex() == want[2]
 
-    @staticmethod
-    def _same(got, want):
-        if isinstance(want, tuple):
-            assert got[0].hex() == want[0].hex()
-            assert got[1].shape == want[1].shape
-            assert got[1].tobytes() == want[1].tobytes()
-        else:
-            assert got.hex() == want.hex()
-
-    def test_two_problems_on_different_grids_and_masks(self):
-        disk, box = _posed(20, True), _posed(24, False)
-        calls = [(disk, 20, True, 1), (box, 24, False, 2), (disk, 20, True, 3),
-                 (box, 24, False, 1), (disk, 20, True, 1)]
-        for gradient in (True, False, True):
-            for problem, n, masked, seed in calls:
-                u = _field(problem, seed)
-                got = (problem.objective_and_gradient(u) if gradient
-                       else problem.objective(u))
-                self._same(got, self._fresh(n, masked, seed, gradient))
+    def test_problems_on_different_grids_and_masks(self):
+        # the 20^2 box shares the disk's node shape, not its cells or images
+        kinds = {"disk": (20, True), "box": (24, False), "small box": (20, False)}
+        problems = {k: _posed(*kind) for k, kind in kinds.items()}
+        fresh = {k: self._fresh(*kind, [1, 2, 3]) for k, kind in kinds.items()}
+        order = ["disk", "box", "disk", "small box", "box", "disk", "small box"]
+        for turn in range(2):
+            for i, kind in enumerate(order):
+                seed = 1 + (i + turn) % 3
+                self._check(problems[kind], seed, fresh[kind][str(seed)])
 
     def test_two_fields_of_one_problem(self):
         problem = _posed(20, True)
-        u, v = _field(problem, 5), _field(problem, 6)
+        fresh = self._fresh(20, True, [5, 6])
         for _ in range(2):
-            for seed, w in ((5, u), (6, v)):
-                self._same(problem.objective_and_gradient(w), self._fresh(20, True, seed, True))
-                self._same(problem.objective(w), self._fresh(20, True, seed, False))
+            for seed in (5, 6):
+                self._check(problem, seed, fresh[str(seed)])
 
     def test_a_returned_gradient_is_not_reused(self):
         problem = _posed(20, True)
@@ -359,18 +392,8 @@ class TestInnerProducts:
     def test_solve_does_not_depend_on_blas_threads(self):
         # 72^2 nodes carry 10,368 unknowns, more than the 10,000 entries above
         # which OpenBLAS splits one dot product across its threads.
-        import polyreg
-
-        src = str(Path(polyreg.__file__).resolve().parents[1])
-        tests = str(Path(__file__).resolve().parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            run = subprocess.run([sys.executable, "-c", _SOLVE_72, tests], env=env,
-                                 capture_output=True, text=True, timeout=600)
-            assert run.returncode == 0, run.stderr
-            outputs.append(run.stdout)
+        outputs = [_run_python(_SOLVE_72, OPENBLAS_NUM_THREADS=threads)
+                   for threads in ("1", "2")]
         assert outputs[0].split()[0] == "15"
         assert outputs[0] == outputs[1]
 
