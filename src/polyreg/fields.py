@@ -432,16 +432,15 @@ def energy_with_gradient(u, F):
     # gx[k, a] and gy[k, a]: entries (a, 0) and (a, 1) of cell k's matrix
     # gradient, times the weight area / (2 h) of the stencil along that axis;
     # each is g_A + sign * g_det * (cofactor slot), computed in one buffer
+    # (negating exactly, then adding, equals subtracting bit for bit)
     gx = np.zeros((grid.cell_shape[0] * grid.cell_shape[1], 2))
     gy = np.zeros_like(gx)
     t = np.empty(len(idx))
     for out, entry, sign, slot, h in ((gx[:, 0], 0, 1, 3, h1), (gy[:, 0], 1, -1, 2, h2),
                                       (gx[:, 1], 2, -1, 1, h1), (gy[:, 1], 3, 1, 0, h2)):
         np.multiply(g_det, xi[:, slot], out=t)
-        if sign > 0:
-            t += g_xi[:, entry]
-        else:
-            np.subtract(g_xi[:, entry], t, out=t)
+        t *= sign
+        t += g_xi[:, entry]
         t *= area
         t /= 2.0 * h
         out[idx] = t

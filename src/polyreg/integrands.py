@@ -96,12 +96,10 @@ def _rotation_split(a):
     rounding) even at repeated singular values, where LAPACK-based routines
     may lose the symmetry.  Returns ``(hs, hd, hk, hy, big, small)``.
     """
-    hs = a[..., 0, 0] + a[..., 1, 1]
-    hd = a[..., 0, 0] - a[..., 1, 1]
-    hk = a[..., 1, 0] - a[..., 0, 1]
-    hy = a[..., 1, 0] + a[..., 0, 1]
-    for h in (hs, hd, hk, hy):
-        h *= 0.5
+    hs = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+    hd = 0.5 * (a[..., 0, 0] - a[..., 1, 1])
+    hk = 0.5 * (a[..., 1, 0] - a[..., 0, 1])
+    hy = 0.5 * (a[..., 1, 0] + a[..., 0, 1])
     return hs, hd, hk, hy, np.hypot(hs, hk), np.hypot(hd, hy)
 
 

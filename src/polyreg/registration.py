@@ -9,9 +9,10 @@ on final, reported solutions.
 
 Interpolation reads the four samples of one stencil cell by flat index,
 shared by the value and the gradient, and computes in place into buffers of
-the call; on a far edge the value's stencil collapses onto that edge, and
-only then are its corners picked apart.  The result is the nested bilinear
-formula bit for bit.
+the call; the value's corners are picked so that on a far edge its stencil
+collapses onto that edge.  The result is the nested bilinear formula bit for
+bit.  A NaN coordinate raises ``IndexError``, as the two-index gathers of
+that formula do.
 
 Images are plain nodal sample arrays; synthetic test images are sums of a
 few Gaussian bumps so that warping stays well resolved on modest grids.
@@ -65,20 +66,13 @@ class ScalarImage:
         # hit nodes exactly despite the (x - a) / h round trip.  Returns the
         # lower node index, the fraction past it and whether the coordinate
         # lay inside before clamping.
-        t = coords - origin
-        t /= spacing
+        t = (coords - origin) / spacing
         nearest = np.rint(t)
-        off = np.subtract(t, nearest)
-        np.abs(off, out=off)
-        scale = np.abs(t)
-        np.maximum(1.0, scale, out=scale)
-        scale *= 1e-12
-        np.copyto(t, nearest, where=off <= scale)
+        t = np.where(np.abs(t - nearest) <= 1e-12 * np.maximum(1.0, np.abs(t)), nearest, t)
         inside = (t >= 0.0) & (t <= count - 1.0)
-        np.clip(t, 0.0, count - 1.0, out=t)
+        t = np.clip(t, 0.0, count - 1.0)
         i0 = t.astype(int)
-        t -= i0
-        return i0, t, inside
+        return i0, t - i0, inside
 
     def sample(self, points) -> np.ndarray:
         return self._interpolate(points, gradient=False)
@@ -99,6 +93,9 @@ class ScalarImage:
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1]
         pts = pts.reshape(-1, 2)
+        if np.isnan(pts).any():
+            # a NaN cast to an index would wrap into the flat sample array
+            raise IndexError("cannot sample an image at NaN coordinates")
         nx, ny = self.grid.nx, self.grid.ny
         (a1, _), (a2, _) = self.grid.bounds
         h1, h2 = self.grid.spacing
@@ -111,11 +108,9 @@ class ScalarImage:
         flat = self.samples.ravel()
         s00, s10 = flat.take(k), flat[ny:].take(k)
         s01, s11 = flat[1:].take(k), flat[ny + 1:].take(k)
-        c00, c10, c01 = s00, s10, s01
-        if on_i.any() or on_j.any():
-            c10 = np.where(on_j, s11, s10)
-            c01 = np.where(on_i, s11, s01)
-            c00 = np.where(on_i, c10, np.where(on_j, s01, s00))
+        c10 = np.where(on_j, s11, s10)
+        c01 = np.where(on_i, s11, s01)
+        c00 = np.where(on_i, c10, np.where(on_j, s01, s00))
         # nested linear interpolation: exact on node queries and constants
         vals = c10 - c00
         vals *= f1

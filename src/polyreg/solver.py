@@ -35,9 +35,6 @@ trials are value-only, and when one of them is accepted the gradient there is
 evaluated once more.  Infinite energy at the first trial is a rejected trial,
 as it is for a value-only one.
 
-The two-loop recursion updates one direction array in place through one
-scratch array, with the operations of the plain formula.
-
 Everything is deterministic: no randomness enters a solve, and all
 reductions run in fixed order.  The solver's inner products run in fixed
 ``_DOT_BLOCK``-entry slices, summed left to right, each slice one ``np.dot``.
@@ -188,18 +185,17 @@ class MinimizeResult:
 
 def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
     q = g.copy()
-    step = np.empty_like(g)  # each update's a * y or (a - b) * s
     alphas = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
         a = rho * _blocked_dot(s, q)
         alphas.append(a)
-        q -= np.multiply(a, y, out=step)
+        q -= a * y
     if s_hist:
         q *= _blocked_dot(s_hist[-1], y_hist[-1]) / _blocked_dot(y_hist[-1], y_hist[-1])
     for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
         b = rho * _blocked_dot(y, q)
-        q += np.multiply(a - b, s, out=step)
-    return np.negative(q, out=q)
+        q += (a - b) * s
+    return -q
 
 
 def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:

@@ -15,8 +15,6 @@ operations in the same order, so the two agree bit for bit.
 ``interpolate_reference`` is the bilinear warp as eight two-index gathers,
 the form ``ScalarImage`` had before it read one stencil cell by flat index;
 ``sample`` and ``sample_with_gradient`` equal it bit for bit.
-``lbfgs_direction_reference`` is the L-BFGS two-loop recursion with a fresh
-array for every update, as it was before it updated in place.
 
 The ``*_value_reference`` and ``*_gradient_reference`` functions are the
 built-in densities as separate value and gradient formulas, the form they had
@@ -227,25 +225,6 @@ def interpolate_reference(image, points, gradient):
     gx = (((1 - g2) * (s10 - s00) + g2 * (s11 - s01)) / h1) * in1
     gy = (((1 - g1) * (s01 - s00) + g1 * (s11 - s10)) / h2) * in2
     return vals, np.stack([gx, gy], axis=-1)
-
-
-def lbfgs_direction_reference(g, s_hist, y_hist, rho_hist):
-    """``solver._lbfgs_direction`` with a new array for each ``a * y``,
-    ``(a - b) * s`` and the final negation."""
-    from polyreg.solver import _blocked_dot
-
-    q = g.copy()
-    alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        a = rho * _blocked_dot(s, q)
-        alphas.append(a)
-        q -= a * y
-    if s_hist:
-        q *= _blocked_dot(s_hist[-1], y_hist[-1]) / _blocked_dot(y_hist[-1], y_hist[-1])
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-        b = rho * _blocked_dot(y, q)
-        q += (a - b) * s
-    return -q
 
 
 def density_from(value_fn, grad_fn):

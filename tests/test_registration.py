@@ -113,6 +113,24 @@ class TestWarpMatchesTwoIndexGathers:
         _equal_bytes(vals, want_vals)
         _equal_bytes(grads, want_grads)
 
+    @pytest.mark.parametrize("pts", [
+        [np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan],
+        [[0.1, 0.2], [np.nan, 0.5], [0.3, 0.4]]])
+    def test_nan_coordinates_raise_as_the_gathers_do(self, pts, rng):
+        import oracles
+
+        # ny = 6 is even: a NaN cast to an index, times ny, wraps to 0
+        grid = Grid(((-1.0, 1.0), (-0.5, 2.0)), 7, 6)
+        img = ScalarImage(grid, rng.standard_normal(grid.node_shape))
+        pts = np.array(pts)
+        for gradient in (False, True):
+            with np.errstate(invalid="ignore"), pytest.raises(IndexError):
+                oracles.interpolate_reference(img, pts, gradient)
+        with pytest.raises(IndexError):
+            img.sample(pts)
+        with pytest.raises(IndexError):
+            img.sample_with_gradient(pts)
+
     def test_snapped_points_hit_nodes(self, rng):
         img = ScalarImage(self.GRID, rng.standard_normal(self.GRID.node_shape))
         nodes = self.GRID.node_points

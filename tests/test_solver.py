@@ -254,10 +254,10 @@ class TestMinimize:
         assert np.array_equal(kernel.u_min.values, assembly.u_min.values)
 
     def test_trajectory_matches_the_replaced_hot_path(self, monkeypatch):
-        # Every layer of one evaluation and of one step through its old,
-        # allocating form: the two-index warp, the assembly, the separate
-        # rotation value and gradient formulas and the copying two-loop.
-        # The in-place forms perform the same operations in the same order.
+        # Every layer of one evaluation through its old, allocating form: the
+        # two-index warp, the assembly and the separate rotation value and
+        # gradient formulas.  The in-place forms perform the same operations
+        # in the same order.
         import oracles
         from polyreg import fields, solver
         from polyreg.integrands import Integrand
@@ -270,7 +270,6 @@ class TestMinimize:
             monkeypatch.setattr(module, "energy_with_gradient",
                                 oracles.assembly_energy_with_gradient)
         monkeypatch.setattr(ScalarImage, "_interpolate", oracles.interpolate_reference)
-        monkeypatch.setattr(solver, "_lbfgs_direction", oracles.lbfgs_direction_reference)
         problem = small_problem()
         problem.integrand = Integrand(MinorsLayout(2, 2), "rotation", oracles.density_from(
             lambda x, u, xi: oracles.rotation_value_reference(xi, 4.0),
