@@ -28,7 +28,6 @@ from .integrands import (
 )
 from .fields import (
     CellMask,
-    EnergyValue,
     Grid,
     InfiniteEnergyError,
     MatrixField,

@@ -126,7 +126,7 @@ def poly_subgradient(F, u) -> PolySubgradient:
     is averaged onto the nodes.  Requires finite energy and finite gradient
     fields; either failure raises.
     """
-    _, ev, g_u, g_xi = _density_pass(u, F, gradient=True)
+    _, _, base_energy, g_u, g_xi = _density_pass(u, F, gradient=True)
     grid = u.grid
     idx = grid.active_index
     layout = F.layout
@@ -141,14 +141,14 @@ def poly_subgradient(F, u) -> PolySubgradient:
     counts = scatter_to_corners(grid.active_cells.astype(float), grid.node_shape)
     summed = scatter_to_corners(gu_cells, grid.node_shape)
     u0 = np.where(counts[..., None] > 0, summed / np.maximum(counts, 1.0)[..., None], 0.0)
-    return PolySubgradient(u0, u1, v2, base_point=u, base_energy=ev.value)
+    return PolySubgradient(u0, u1, v2, base_point=u, base_energy=base_energy)
 
 
 def zero_subgradient(F, u) -> PolySubgradient:
     """The zero functional as a certificate, valid wherever ``u`` is a global
     minimizer of the energy."""
-    ev = energy(u, F)
-    if not np.isfinite(ev.value):
+    base_energy = energy(u, F)
+    if not np.isfinite(base_energy):
         raise InfiniteEnergyError("cannot certify at infinite energy")
     grid = u.grid
     return PolySubgradient(
@@ -156,14 +156,14 @@ def zero_subgradient(F, u) -> PolySubgradient:
         u1=np.zeros(grid.cell_shape + (2, 2)),
         v2=np.zeros(grid.cell_shape + (F.layout.tau2,)),
         base_point=u,
-        base_energy=ev.value,
+        base_energy=base_energy,
     )
 
 
 def bregman_poly(F, v, u, w) -> float:
     """Generalized Bregman distance R(v) - R(u) - w(v) + w(u)."""
-    rv = energy(v, F).value
-    ru = energy(u, F).value
+    rv = energy(v, F)
+    ru = energy(u, F)
     if not (np.isfinite(rv) and np.isfinite(ru)):
         raise InfiniteEnergyError("Bregman distance undefined at infinite energy")
     return rv - ru - pairing(w, v) + pairing(w, u)
@@ -213,7 +213,7 @@ def verify_subgradient(F, w, trials, seed, radius=0.5, tol=1e-8) -> SubgradientR
     if trials == 0:
         return SubgradientReport(0, 0, 0.0, tol)
     u = w.base_point
-    ru = energy(u, F).value
+    ru = energy(u, F)
     wu = pairing(w, u)
     worst = np.inf
     violations = 0
@@ -224,7 +224,7 @@ def verify_subgradient(F, w, trials, seed, radius=0.5, tol=1e-8) -> SubgradientR
             r = 10.0 * radius * trial_rng.uniform(0.5, 1.0)
         phi = random_smooth_field(u.grid, rng=trial_rng, amplitude=1.0)
         v = u.with_values(u.values + r * phi.values)
-        rv = energy(v, F).value
+        rv = energy(v, F)
         if not (np.isfinite(rv) and np.isfinite(ru)):
             continue
         gap = rv - ru - pairing(w, v) + wu

@@ -18,8 +18,9 @@ value and the five slots of every active cell straight from the two
 difference stencils, with no Jacobian stack and no boolean gathers.  The
 slots equal ``all_minors`` of the cell Jacobian bit for bit (same operations
 in the same order), so ``all_minors`` remains the reference calculus.
-``energy_with_gradient`` also returns the exact gradient of the discrete sum
-with respect to the nodal values: each cell's slot gradient is pulled back
+``energy`` returns R(u) as a float, the sum of the active cells' densities.
+``energy_with_gradient`` returns R(u) with the exact gradient of the discrete
+sum with respect to the nodal values: each cell's slot gradient is pulled back
 through the cofactor of J entry by entry and scattered to the corner nodes by
 the transpose of the difference stencil.
 
@@ -147,8 +148,7 @@ class Grid:
 
     @cached_property
     def cell_centers(self) -> np.ndarray:
-        pts = self.node_points
-        return 0.25 * (pts[:-1, :-1] + pts[1:, :-1] + pts[:-1, 1:] + pts[1:, 1:])
+        return cell_center_values(self.node_points)
 
     @cached_property
     def active_cells(self) -> np.ndarray:
@@ -199,13 +199,7 @@ class Grid:
             cx, cy = self.mask.center
             r2 = (pts[..., 0] - cx) ** 2 + (pts[..., 1] - cy) ** 2
             return r2 <= self.mask.radius ** 2 * (1.0 + 1e-12)
-        inside = np.zeros(self.node_shape, dtype=bool)
-        act = self.mask.active
-        inside[:-1, :-1] |= act
-        inside[1:, :-1] |= act
-        inside[:-1, 1:] |= act
-        inside[1:, 1:] |= act
-        return inside
+        return scatter_to_corners(self.mask.active.astype(float), self.node_shape) > 0
 
     def distance_outside(self, points) -> np.ndarray:
         """Euclidean distance from each point to the (masked) closed domain."""
@@ -364,26 +358,17 @@ def _cell_slots(u, corners):
     return uc, xi
 
 
-@dataclass(frozen=True)
-class EnergyValue:
-    """Quadrature value of an integral energy plus its per-cell densities.
-
-    ``value`` equals ``cell_area * sum(densities over active cells)`` and is
-    ``inf`` whenever any active density is infinite; inactive cells hold 0.
-    """
-
-    value: float
-    densities: np.ndarray
-
-
 def _density_pass(u, F, gradient):
     """Densities of ``F`` along ``u`` and, with ``gradient``, their slot gradients.
 
     The one pass over the active cells behind ``energy``, ``energy_with_gradient``
     and the certificates of :mod:`polyreg.bregman`, with one call of ``F``.
-    Returns ``(xi, ev, g_u, g_xi)`` with ``xi`` the (n_active, 5) slots of
-    ``_cell_slots``; the two gradients are None without ``gradient``.  A
-    gradient requires finite energy and is checked finite, in that order.
+    Returns ``(xi, dens, value, g_u, g_xi)``: ``xi`` the (n_active, 5) slots
+    of ``_cell_slots``, ``dens`` the density of each active cell in
+    ``Grid.active_index`` order, ``value`` the energy ``cell_area * sum(dens)``
+    (``inf`` whenever a density is); the two gradients are None without
+    ``gradient``.  A gradient requires finite energy and is checked finite,
+    in that order.
     """
     if F.layout != MinorsLayout(2, 2):
         raise ValueError("grid calculus supports 2 x 2 gradient layouts only")
@@ -396,24 +381,24 @@ def _density_pass(u, F, gradient):
         else:
             dens, g_u, g_xi = F.value(xc, uc, xi), None, None
     dens = np.asarray(dens, dtype=float)
-    densities = np.zeros(grid.cell_shape)
-    densities.reshape(-1)[grid.active_index] = dens
-    ev = EnergyValue(value=float(grid.cell_area * np.sum(dens)), densities=densities)
+    value = float(grid.cell_area * np.sum(dens))
     if gradient:
-        if not np.isfinite(ev.value):
+        if not np.isfinite(value):
             raise InfiniteEnergyError("energy is not finite; gradient undefined")
         if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
             raise UnboundedGradientError("integrand gradient has non-finite entries")
-    return xi, ev, g_u, g_xi
+    return xi, dens, value, g_u, g_xi
 
 
-def energy(u, F) -> EnergyValue:
-    """Midpoint-rule energy of ``u`` under integrand ``F`` over active cells."""
-    return _density_pass(u, F, gradient=False)[1]
+def energy(u, F) -> float:
+    """Midpoint-rule energy R(u) of ``u`` under integrand ``F``: the sum over
+    active cells of ``cell_area`` times the density, ``inf`` if any density is."""
+    return _density_pass(u, F, gradient=False)[2]
 
 
 def energy_with_gradient(u, F):
-    """Energy and its exact gradient w.r.t. the nodal values, in one pass.
+    """``(R(u), gradient)``: the energy of :func:`energy` and its exact gradient
+    w.r.t. the nodal values, in one pass.
 
     The gradient is shaped like ``u.values``.  Per active cell, the slot
     gradient ``(g_A, g_det)`` of ``F`` maps to the matrix gradient
@@ -423,7 +408,7 @@ def energy_with_gradient(u, F):
     nodes; the direct dependence on u (integrands with a u argument) is
     averaged onto the corners.
     """
-    xi, ev, g_u, g_xi = _density_pass(u, F, gradient=True)
+    xi, _, value, g_u, g_xi = _density_pass(u, F, gradient=True)
     grid = u.grid
     idx = grid.active_index
     area = grid.cell_area
@@ -462,7 +447,7 @@ def energy_with_gradient(u, F):
         gu_cells = np.zeros(grid.cell_shape + (2,))
         gu_cells.reshape(-1, 2)[idx] = (area / 4.0) * g_u
         grad += scatter_to_corners(gu_cells, grid.node_shape)
-    return ev, grad
+    return value, grad
 
 
 def pairing(w, u) -> float:

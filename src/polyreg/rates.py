@@ -283,7 +283,7 @@ def _make_row(exp, sample, alpha, seed, result, started, exact=False) -> RateRow
         objective=float(result.objective),
         iterations=result.iterations,
         converged=result.converged,
-        energy=float(energy(result.u_min, exp.integrand).value),
+        energy=energy(result.u_min, exp.integrand),
         wallclock=time.perf_counter() - started,
         exact=exact,
     )

@@ -143,7 +143,7 @@ class TikhonovProblem:
         grid = u.grid
         idx = grid.active_index
         if gradient and self.alpha > 0:
-            ev, energy_grad = energy_with_gradient(u, self.integrand)
+            reg_value, energy_grad = energy_with_gradient(u, self.integrand)
         if gradient:
             warped, img_grad = self.reference.sample_with_gradient(u.values)
         else:
@@ -152,7 +152,7 @@ class TikhonovProblem:
         value = float(grid.cell_area * np.sum(np.abs(diff_c) ** self.q))
         if not gradient:
             if self.alpha > 0:
-                value += self.alpha * energy(u, self.integrand).value
+                value += self.alpha * energy(u, self.integrand)
             return value
         # d|d|^q/dd = q |d|^(q-1) sign(d); each cell spreads 1/4 to its corners.
         slope = np.zeros(grid.cell_shape)
@@ -163,7 +163,7 @@ class TikhonovProblem:
         grad = img_grad
         grad *= scatter_to_corners(slope, grid.node_shape)[..., None]
         if self.alpha > 0:
-            value += self.alpha * ev.value
+            value += self.alpha * reg_value
             energy_grad *= self.alpha
             grad += energy_grad
         return value, grad

@@ -27,7 +27,6 @@ import itertools
 import numpy as np
 
 from polyreg.fields import (
-    EnergyValue,
     InfiniteEnergyError,
     UnboundedGradientError,
     cell_center_values,
@@ -36,16 +35,17 @@ from polyreg.fields import (
 from polyreg.minors import all_minors, higher_minors
 
 
-def det_recursive(m):
-    """Determinant by recursive cofactor expansion along the first row."""
-    k = m.shape[0]
-    if k == 1:
-        return m[0, 0]
+def det_recursive(rows):
+    """Determinant of a square matrix given as a list of row lists, by
+    recursive cofactor expansion along the first row.  Plain Python floats:
+    the same IEEE double operations as numpy scalars, without their overhead."""
+    if len(rows) == 1:
+        return rows[0][0]
     total = 0.0
     sign = 1.0
-    for j in range(k):
-        sub = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total = total + sign * m[0, j] * det_recursive(sub)
+    for j, head in enumerate(rows[0]):
+        sub = [row[:j] + row[j + 1:] for row in rows[1:]]
+        total = total + sign * head * det_recursive(sub)
         sign = -sign
     return total
 
@@ -54,11 +54,12 @@ def brute_force_minors(a):
     """Every minor of ``a`` in block order: orders ascending, subset pairs
     lexicographic with the row subset slower."""
     N, n = a.shape
+    entries = np.asarray(a, dtype=float).tolist()
     out = []
     for s in range(1, min(N, n) + 1):
         for rows in itertools.combinations(range(N), s):
             for cols in itertools.combinations(range(n), s):
-                out.append(det_recursive(a[np.ix_(rows, cols)]))
+                out.append(det_recursive([[entries[i][j] for j in cols] for i in rows]))
     return np.asarray(out)
 
 
@@ -133,28 +134,32 @@ def _assembly_pass(u, F, gradient):
     xi = all_minors(jc)
     with np.errstate(over="ignore"):
         dens = np.asarray(F.value(xc, uc, xi), dtype=float)
-    densities = np.zeros(grid.cell_shape)
-    densities[act] = dens
-    ev = EnergyValue(value=float(grid.cell_area * np.sum(dens)), densities=densities)
+    value = float(grid.cell_area * np.sum(dens))
     if not gradient:
-        return act, jc, ev, None, None
-    if not np.isfinite(ev.value):
+        return act, jc, dens, value, None, None
+    if not np.isfinite(value):
         raise InfiniteEnergyError("energy is not finite; gradient undefined")
     _, g_u, g_xi = F.gradient(xc, uc, xi)
     if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
         raise UnboundedGradientError("integrand gradient has non-finite entries")
-    return act, jc, ev, g_u, g_xi
+    return act, jc, dens, value, g_u, g_xi
+
+
+def assembly_densities(u, F):
+    """Density of each active cell through the Jacobian stack and
+    ``all_minors``, in the order of a boolean gather with the cell mask."""
+    return _assembly_pass(u, F, gradient=False)[2]
 
 
 def assembly_energy(u, F):
     """``fields.energy`` through the Jacobian stack and ``all_minors``."""
-    return _assembly_pass(u, F, gradient=False)[2]
+    return _assembly_pass(u, F, gradient=False)[3]
 
 
 def assembly_energy_with_gradient(u, F):
     """``fields.energy_with_gradient`` through the Jacobian stack, ``all_minors``
     and a (cells, 2, 2) cofactor pull-back scattered through the mask."""
-    act, jc, ev, g_u, g_xi = _assembly_pass(u, F, gradient=True)
+    act, jc, _, value, g_u, g_xi = _assembly_pass(u, F, gradient=True)
     grid = u.grid
     cof = np.stack([jc[:, 1, 1], -jc[:, 1, 0], -jc[:, 0, 1], jc[:, 0, 0]], axis=-1)
     df_dA = (g_xi[:, :4] + g_xi[:, 4:] * cof).reshape(-1, 2, 2)
@@ -176,7 +181,7 @@ def assembly_energy_with_gradient(u, F):
         gu_cells = np.zeros(grid.cell_shape + (2,))
         gu_cells[act] = (area / 4.0) * g_u
         grad += scatter_to_corners(gu_cells, grid.node_shape)
-    return ev, grad
+    return value, grad
 
 
 def assembly_pairing(w, u):

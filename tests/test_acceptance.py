@@ -67,8 +67,8 @@ def test_criterion_2_gradient_checks():
             grad = pr.energy_with_gradient(u, F)[1]
             for d in range(3):
                 phi = pr.random_smooth_field(grid, seed=[2020, k, d], amplitude=1.0)
-                plus = pr.energy(u.with_values(u.values + h * phi.values), F).value
-                minus = pr.energy(u.with_values(u.values - h * phi.values), F).value
+                plus = pr.energy(u.with_values(u.values + h * phi.values), F)
+                minus = pr.energy(u.with_values(u.values - h * phi.values), F)
                 fd = (plus - minus) / (2.0 * h)
                 exact = float(np.sum(grad * phi.values))
                 worst = max(worst, abs(exact - fd) / max(1e-12, abs(fd)))
@@ -217,7 +217,7 @@ def test_criterion_8_source_condition(experiment_grid):
             shrink * pr.rotation_field(theta, experiment_grid).values + bump.values,
         )
         objective = forward.residual_norm(u) ** 2 \
-            + params.alpha_bar * pr.energy(u, F).value
+            + params.alpha_bar * pr.energy(u, F)
         if objective > params.rho:
             continue  # outside the sublevel set the condition is not claimed
         kept += 1

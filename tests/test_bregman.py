@@ -198,7 +198,7 @@ class TestBregmanPoly:
             d = bregman_poly(F, v, u, w0)
             assert d >= -1e-10
             assert d == pytest.approx(
-                energy(v, F).value - energy(u, F).value, rel=1e-12, abs=1e-12
+                energy(v, F) - energy(u, F), rel=1e-12, abs=1e-12
             )
 
     def test_infinite_energy_raises(self, unit_grid):

@@ -5,7 +5,6 @@ import pytest
 
 from polyreg import (
     CellMask,
-    EnergyValue,
     Grid,
     InfiniteEnergyError,
     Integrand,
@@ -28,6 +27,7 @@ from polyreg import (
     rotation_energy,
 )
 from polyreg.bregman import PolySubgradient, zero_subgradient
+from polyreg.fields import _density_pass
 from polyreg.registration import admissibility_gap
 
 from oracles import density_from, random_smooth_field_reference
@@ -80,6 +80,22 @@ class TestGrid:
         base = Grid(((-1.0, 1.0), (-1.0, 1.0)), n, n)
         return base.with_mask(CellMask(disk_mask(base, radius=0.9).active))
 
+    @staticmethod
+    def dense_distance(g, p, block=64):
+        """Distance from each point to every active closed cell, minimized per
+        point; ``block`` points at a time bound the temporaries."""
+        centers = g.cell_centers[g.mask.active]
+        h1, h2 = g.spacing
+        flat = p.reshape(-1, 2)
+        out = np.empty(len(flat))
+        with np.errstate(invalid="ignore"):
+            for s in range(0, len(flat), block):
+                f = flat[s:s + block]
+                dx = np.maximum(np.abs(f[:, None, 0] - centers[None, :, 0]) - 0.5 * h1, 0.0)
+                dy = np.maximum(np.abs(f[:, None, 1] - centers[None, :, 1]) - 0.5 * h2, 0.0)
+                out[s:s + block] = np.hypot(dx, dy).min(axis=1)
+        return out.reshape(p.shape[:-1])
+
     def test_data_mask_distance_equals_dense_formula(self, rng):
         g = self.data_mask_grid(32)
         pts = rng.uniform(-1.5, 1.5, (40, 30, 2))
@@ -90,14 +106,9 @@ class TestGrid:
         special = np.array([[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [-np.inf, 0.0],
                             [0.0, np.inf], [np.inf, -np.inf], [-1.0, -1.0], [1.0, 1.0]])
         for p in (pts, nodes, g.cell_centers, edges, special):
-            centers = g.cell_centers[g.mask.active]
-            h1, h2 = g.spacing
-            flat = p.reshape(-1, 2)
             with np.errstate(invalid="ignore"):
-                dx = np.maximum(np.abs(flat[:, None, 0] - centers[None, :, 0]) - 0.5 * h1, 0.0)
-                dy = np.maximum(np.abs(flat[:, None, 1] - centers[None, :, 1]) - 0.5 * h2, 0.0)
-                dense = np.hypot(dx, dy).min(axis=1).reshape(p.shape[:-1])
-                assert np.array_equal(g.distance_outside(p), dense, equal_nan=True)
+                assert np.array_equal(g.distance_outside(p), self.dense_distance(g, p),
+                                      equal_nan=True)
 
     def test_data_mask_distance_memory_bounded(self):
         # The stretched field moves about half the domain nodes out of the
@@ -114,6 +125,22 @@ class TestGrid:
         assert gap < 1e-12
         assert 0.4 < stretched_gap < 0.5
         assert peak < 64 * 2**20
+
+    def test_data_mask_distance_at_256(self, rng):
+        # about 41,000 active cells: the identity stays inside in bounded
+        # memory, and random points still equal the dense formula
+        g = self.data_mask_grid(256)
+        u = identity_field(g)
+        tracemalloc.start()
+        try:
+            gap = admissibility_gap(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap < 1e-12
+        assert peak < 64 * 2**20
+        pts = rng.uniform(-1.2, 1.2, (300, 2))
+        assert np.array_equal(g.distance_outside(pts), self.dense_distance(g, pts))
 
 
 class TestDiscreteJacobian:
@@ -154,23 +181,25 @@ class TestDiscreteJacobian:
 
 class TestEnergy:
     def test_detsq_identity_unit_square(self, unit_grid):
-        ev = energy(identity_field(unit_grid), detsq_energy())
-        assert ev.value == pytest.approx(1.0, abs=1e-14)
-        assert isinstance(ev, EnergyValue)
-        assert ev.value == pytest.approx(unit_grid.cell_area * np.sum(ev.densities), abs=1e-15)
+        u, F = identity_field(unit_grid), detsq_energy()
+        value = energy(u, F)
+        assert value == pytest.approx(1.0, abs=1e-14)
+        assert type(value) is float
+        dens = _density_pass(u, F, gradient=False)[1]
+        assert value == unit_grid.cell_area * np.sum(dens)
 
     def test_detsq_diagonal_stretch(self, unit_grid):
         u = field_from_function(
             unit_grid, lambda p: np.stack([2.0 * p[..., 0], p[..., 1]], axis=-1)
         )
-        assert energy(u, detsq_energy()).value == pytest.approx(4.0, rel=1e-14)
+        assert energy(u, detsq_energy()) == pytest.approx(4.0, rel=1e-14)
 
     def test_rotation_energy_on_disk(self, disk_grid):
         from polyreg import rotation_field
 
         u = rotation_field(0.7, disk_grid)
-        ev = energy(u, rotation_energy(4.0))
-        assert ev.value == pytest.approx(6.0 * disk_grid.domain_measure, rel=1e-13)
+        value = energy(u, rotation_energy(4.0))
+        assert value == pytest.approx(6.0 * disk_grid.domain_measure, rel=1e-13)
 
     def test_affine_density_is_exact(self, unit_grid, rng):
         # constant density integrates to density * measure exactly
@@ -178,7 +207,7 @@ class TestEnergy:
         u = field_from_function(unit_grid, lambda p: p @ a.T)
         F = pq_energy(4.0, 2.0)
         expected = F.value_at_matrix(a) * 1.0
-        assert energy(u, F).value == pytest.approx(expected, rel=1e-12)
+        assert energy(u, F) == pytest.approx(expected, rel=1e-12)
 
     def test_infinite_density_propagates(self, unit_grid):
         layout = MinorsLayout(2, 2)
@@ -189,11 +218,11 @@ class TestEnergy:
             ),
         )
         u = field_from_function(unit_grid, lambda p: -p)  # det = 1 > 0, fine
-        assert np.isfinite(energy(u, F).value)
+        assert np.isfinite(energy(u, F))
         flipped = field_from_function(
             unit_grid, lambda p: np.stack([p[..., 1], p[..., 0]], axis=-1)
         )  # det = -1
-        assert energy(flipped, F).value == np.inf
+        assert energy(flipped, F) == np.inf
         with pytest.raises(InfiniteEnergyError):
             energy_with_gradient(flipped, F)
 
@@ -204,9 +233,10 @@ class TestEnergy:
         from polyreg import CellMask
 
         g = base.with_mask(CellMask(half))
-        ev = energy(identity_field(g), detsq_energy())
-        assert ev.value == pytest.approx(g.domain_measure, rel=1e-14)
-        assert np.all(ev.densities[2:, :] == 0.0)
+        u, F = identity_field(g), detsq_energy()
+        assert energy(u, F) == pytest.approx(g.domain_measure, rel=1e-14)
+        # densities cover the active cells only
+        assert len(_density_pass(u, F, gradient=False)[1]) == np.sum(half)
 
     def test_refinement_second_order(self):
         # Richardson order estimate on a fixed smooth non-affine field
@@ -220,7 +250,7 @@ class TestEnergy:
         values = []
         for n in (9, 17, 33):
             g = Grid(((0.0, 1.0), (0.0, 1.0)), n, n)
-            values.append(energy(field_from_function(g, fn), F).value)
+            values.append(energy(field_from_function(g, fn), F))
         order = np.log2(abs(values[0] - values[1]) / abs(values[1] - values[2]))
         assert order > 1.9
 
@@ -277,8 +307,8 @@ class TestEnergyGradient:
             u = random_smooth_field(g, seed=[42, k], amplitude=0.7)
             grad = energy_with_gradient(u, F)[1]
             phi = random_smooth_field(g, seed=[77, k], amplitude=1.0)
-            plus = energy(u.with_values(u.values + h * phi.values), F).value
-            minus = energy(u.with_values(u.values - h * phi.values), F).value
+            plus = energy(u.with_values(u.values + h * phi.values), F)
+            minus = energy(u.with_values(u.values - h * phi.values), F)
             fd = (plus - minus) / (2 * h)
             exact = float(np.sum(grad * phi.values))
             assert abs(exact - fd) / max(1.0, abs(fd)) < 1e-6
@@ -305,9 +335,9 @@ class TestEnergyGradient:
     def test_energy_with_gradient_consistent(self, unit_grid):
         u = random_smooth_field(unit_grid, seed=9, amplitude=0.5)
         F = pq_energy(4.0, 2.0)
-        ev = energy_with_gradient(u, F)[0]
-        assert ev.value == energy(u, F).value
-        assert np.array_equal(ev.densities, energy(u, F).densities)
+        assert energy_with_gradient(u, F)[0] == energy(u, F)
+        assert np.array_equal(_density_pass(u, F, gradient=True)[1],
+                              _density_pass(u, F, gradient=False)[1])
 
 
 class TestPairing:

@@ -82,7 +82,7 @@ class TestProblem:
                                   identity_field(disk_grid))
         u = random_smooth_field(disk_grid, seed=2, amplitude=0.3)
         want = data_term(warp(reference, u), sample.image, 2.0) \
-            + 0.01 * energy(u, F).value
+            + 0.01 * energy(u, F)
         assert problem.objective(u) == pytest.approx(want, rel=1e-14)
 
     def test_gradient_matches_central_differences(self, disk_grid, setup):
@@ -134,7 +134,7 @@ class TestMinimize:
         assert result.stop_reason == "gradient"  # predicted decrease below rounding
         assert result.iterations == 0
         assert result.objective == pytest.approx(
-            0.01 * energy(u_dagger, F).value, rel=1e-12
+            0.01 * energy(u_dagger, F), rel=1e-12
         )
 
     def test_monotone_descent(self, disk_grid, setup):
@@ -158,7 +158,7 @@ class TestMinimize:
         problem = TikhonovProblem(F, reference, sample, 2.0, 1e6,
                                   identity_field(disk_grid))
         result = minimize(problem, tol=1e-7, max_iter=300)
-        density = energy(result.u_min, F).value / disk_grid.domain_measure
+        density = energy(result.u_min, F) / disk_grid.domain_measure
         assert density == pytest.approx(6.0, rel=1e-3)
 
     def test_smooth_surrogate_recovers_identity(self, disk_grid):
