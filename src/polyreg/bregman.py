@@ -136,11 +136,14 @@ def poly_subgradient(F, u) -> PolySubgradient:
     v2 = np.zeros(grid.cell_shape + (layout.tau2,))
     v2.reshape(-1, layout.tau2)[idx] = g_xi[:, n2:]
 
-    gu_cells = np.zeros(grid.cell_shape + (2,))
-    gu_cells.reshape(-1, 2)[idx] = g_u
-    counts = scatter_to_corners(grid.active_cells.astype(float), grid.node_shape)
-    summed = scatter_to_corners(gu_cells, grid.node_shape)
-    u0 = np.where(counts[..., None] > 0, summed / np.maximum(counts, 1.0)[..., None], 0.0)
+    if g_u is None:  # no direct u dependence
+        u0 = np.zeros(grid.node_shape + (2,))
+    else:
+        gu_cells = np.zeros(grid.cell_shape + (2,))
+        gu_cells.reshape(-1, 2)[idx] = g_u
+        counts = scatter_to_corners(grid.active_cells.astype(float), grid.node_shape)
+        summed = scatter_to_corners(gu_cells, grid.node_shape)
+        u0 = np.where(counts[..., None] > 0, summed / np.maximum(counts, 1.0)[..., None], 0.0)
     return PolySubgradient(u0, u1, v2, base_point=u, base_energy=base_energy)
 
 

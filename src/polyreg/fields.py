@@ -45,6 +45,7 @@ from .minors import MinorsLayout
 
 # Entries of each (points x cells) temporary in Grid.distance_outside: 4 MB of floats.
 _DISTANCE_BLOCK = 1 << 19
+_LAYOUT_2X2 = MinorsLayout(2, 2)  # the only layout the grid calculus supports
 
 
 class InfiniteEnergyError(ValueError):
@@ -368,9 +369,9 @@ def _density_pass(u, F, gradient):
     ``Grid.active_index`` order, ``value`` the energy ``cell_area * sum(dens)``
     (``inf`` whenever a density is); the two gradients are None without
     ``gradient``.  A gradient requires finite energy and is checked finite,
-    in that order.
+    in that order.  ``g_u`` may be None: the density has no direct u dependence.
     """
-    if F.layout != MinorsLayout(2, 2):
+    if F.layout != _LAYOUT_2X2:
         raise ValueError("grid calculus supports 2 x 2 gradient layouts only")
     grid = u.grid
     xc = grid.active_centers
@@ -385,7 +386,7 @@ def _density_pass(u, F, gradient):
     if gradient:
         if not np.isfinite(value):
             raise InfiniteEnergyError("energy is not finite; gradient undefined")
-        if not (np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_xi))):
+        if not ((g_u is None or np.all(np.isfinite(g_u))) and np.all(np.isfinite(g_xi))):
             raise UnboundedGradientError("integrand gradient has non-finite entries")
     return xi, dens, value, g_u, g_xi
 
@@ -443,7 +444,7 @@ def energy_with_gradient(u, F):
     np.add(gx, gy, out=t)
     grad[1:, 1:] += t
 
-    if np.any(g_u):
+    if g_u is not None and np.any(g_u):
         gu_cells = np.zeros(grid.cell_shape + (2,))
         gu_cells.reshape(-1, 2)[idx] = (area / 4.0) * g_u
         grad += scatter_to_corners(gu_cells, grid.node_shape)

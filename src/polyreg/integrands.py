@@ -16,9 +16,9 @@ Three built-in densities are provided:
 
 Each density is one function ``density(x, u, xi, gradient)`` returning the
 density, or with ``gradient`` the density and both gradients from one pass.
-All built-ins are autonomous (they ignore ``x`` and ``u``); the interface
-still carries both arguments so spatially varying densities fit the same
-contract.  ``value`` and ``gradient`` are vectorized over leading axes, and
+All built-ins are autonomous (they ignore ``x`` and ``u``) and return None
+for the ``u`` gradient; the interface still carries both arguments so
+spatially varying densities fit the same contract.  ``value`` and ``gradient`` are vectorized over leading axes, and
 integrands are immutable after construction, so evaluation is pure and
 concurrently callable.
 """
@@ -46,7 +46,8 @@ class Integrand:
         the density, shape ``(...)``, nonnegative wherever finite and ``inf``
         outside the effective domain; with ``gradient`` true, ``(density,
         g_u, g_xi)`` from one pass, the gradients of shapes ``(..., N)`` and
-        ``(..., tau)`` and defined wherever the density is finite.
+        ``(..., tau)`` and defined wherever the density is finite; ``g_u``
+        may be None when the density does not depend on ``u`` directly.
     params : dict, optional
         Dimensionless parameters (exponents etc.) recorded as metadata.
     coercivity_constant : float, optional
@@ -182,8 +183,7 @@ def rotation_energy(p) -> Integrand:
         np.add(hk, hy, out=g_xi[:, 2])
         np.subtract(hs, hd, out=g_xi[:, 3])
         np.multiply(-p, wall, out=g_xi[:, 4])
-        return (value.reshape(shape)[()], np.zeros(shape + (2,)),
-                g_xi.reshape(xi.shape))
+        return value.reshape(shape)[()], None, g_xi.reshape(xi.shape)
 
     return Integrand(
         layout, "rotation", density,
@@ -216,7 +216,7 @@ def pq_energy(p, q, n=2) -> Integrand:
         scale = fro2 ** ((p - 2.0) / 2.0)
         g_xi[..., :n2] = (scale[..., None, None] * a).reshape(xi.shape[:-1] + (n2,))
         g_xi[..., -1] = np.sign(d) * np.abs(d) ** (q - 1.0)
-        return value, np.zeros(xi.shape[:-1] + (n,)), g_xi
+        return value, None, g_xi
 
     return Integrand(
         layout, "pq", density,
@@ -234,7 +234,7 @@ def detsq_energy() -> Integrand:
             return value
         g_xi = np.zeros_like(xi)
         g_xi[..., 4] = 2.0 * xi[..., 4]
-        return value, np.zeros(xi.shape[:-1] + (2,)), g_xi
+        return value, None, g_xi
 
     return Integrand(MinorsLayout(2, 2), "detsq", density, params={})
 

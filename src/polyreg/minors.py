@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -81,12 +81,12 @@ class MinorsLayout:
         self.check_order(s)
         return comb(self.N, s) * comb(self.n, s)
 
-    @property
+    @cached_property
     def sigma(self):
         """Block sizes for s = 1..max_order."""
         return tuple(self.block_size(s) for s in range(1, self.max_order + 1))
 
-    @property
+    @cached_property
     def tau(self) -> int:
         """Total number of slots."""
         return sum(self.sigma)

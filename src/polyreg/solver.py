@@ -183,15 +183,16 @@ class MinimizeResult:
         return self.stop_reason in _CONVERGED
 
 
-def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
+def _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma):
+    """Two-loop recursion over at least one stored pair; ``gamma`` is
+    ``s.y / y.y`` of the newest pair, the scale of the initial metric."""
     q = g.copy()
     alphas = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
         a = rho * _blocked_dot(s, q)
         alphas.append(a)
         q -= a * y
-    if s_hist:
-        q *= _blocked_dot(s_hist[-1], y_hist[-1]) / _blocked_dot(y_hist[-1], y_hist[-1])
+    q *= gamma
     for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
         b = rho * _blocked_dot(y, q)
         q += (a - b) * s
@@ -224,6 +225,7 @@ def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:
     rounding = np.finfo(float).eps
 
     s_hist, y_hist, rho_hist = [], [], []
+    gamma = None  # s.y / y.y of the newest stored pair
     recent = deque(maxlen=_DECREASE_WINDOW)
     iterations = 0
 
@@ -238,20 +240,25 @@ def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:
             reason = "budget"
             break
 
-        d = _lbfgs_direction(g, s_hist, y_hist, rho_hist)
-        if _blocked_dot(d, g) >= 0.0:
-            d = -g
-        if not s_hist:
-            d = d / max(1.0, g_sup)
-        if -_blocked_dot(g, d) <= rounding * abs(f):
+        if s_hist:
+            d = _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma)
+            gtd = _blocked_dot(g, d)
+            if gtd >= 0.0:  # not a descent direction
+                d = -g
+                gtd = _blocked_dot(g, d)
+        else:
+            d = -g / max(1.0, g_sup)
+            gtd = _blocked_dot(g, d)
+        if -gtd <= rounding * abs(f):
             reason = "gradient"  # predicted decrease below rounding of f
             break
 
-        x_new, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
+        x_new, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, d, gtd)
         evals += ls_evals
         if x_new is None and not np.array_equal(d, -g):
             d = -g
-            x_new, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, g, d)
+            x_new, f_new, g_new, ls_evals = _backtrack(
+                value_at, value_and_grad, x, f, d, _blocked_dot(g, d))
             evals += ls_evals
         if x_new is None:
             reason = "line-search-stall"  # no decrease along the gradient either
@@ -264,11 +271,13 @@ def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:
         s = x_new - x
         y = g_new - g
         sy = _blocked_dot(s, y)
+        yy = _blocked_dot(y, y)
         # sqrt(v . v) is bit-identical to np.linalg.norm of a 1-d float array.
-        if sy > 1e-12 * np.sqrt(_blocked_dot(s, s)) * np.sqrt(_blocked_dot(y, y)):
+        if sy > 1e-12 * np.sqrt(_blocked_dot(s, s)) * np.sqrt(yy):
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
+            gamma = sy / yy
             if len(s_hist) > memory:
                 s_hist.pop(0)
                 y_hist.pop(0)
@@ -289,8 +298,9 @@ def minimize(problem, tol=1e-4, max_iter=500, memory=10) -> MinimizeResult:
     )
 
 
-def _backtrack(value_at, value_and_grad, x, f, g, d):
-    """Armijo backtracking; returns (point, value, gradient, evaluations).
+def _backtrack(value_at, value_and_grad, x, f, d, gtd):
+    """Armijo backtracking along ``d``, with ``gtd`` the slope ``g . d`` at
+    ``x``; returns (point, value, gradient, evaluations).
 
     The point is the accepted trial ``x + step * d``, or None when no step
     gave sufficient decrease.  The unit step is tried with ``value_and_grad``
@@ -298,7 +308,6 @@ def _backtrack(value_at, value_and_grad, x, f, g, d):
     with ``value_at`` and return no gradient (None).  A unit step at infinite
     energy counts as rejected.
     """
-    gtd = _blocked_dot(g, d)
     step = 1.0
     evals = 0
     while step > 1e-20:
