@@ -38,7 +38,7 @@ def default_config() -> dict:
             "fit_levels": 4,
             "exact_row": True,
         },
-        "solver": {"tol": 1e-4, "max_iter": 4000, "memory": 12, "starts": 1},
+        "solver": {"tol": 3e-5, "max_iter": 4000, "memory": 12, "starts": 1},
         "source_condition": {
             "beta1": 0.5,
             "beta2": 1.0,

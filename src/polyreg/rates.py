@@ -175,7 +175,7 @@ class RateExperiment:
     epsilon: float = 0.5
     seeds: tuple = (0,)
     source_params: object = None
-    solver_tol: float = 1e-4
+    solver_tol: float = 3e-5
     solver_max_iter: int = 4000
     solver_memory: int = 12
     solver_starts: int = 1

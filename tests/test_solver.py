@@ -32,15 +32,15 @@ from polyreg import (
 )
 
 
-def small_problem(seed=4, n=16):
-    """Noisy n x n disk problem started at the identity."""
+def small_problem(seed=4, n=16, delta=0.05, alpha=0.01, initial=None):
+    """Noisy n x n disk problem started at the identity, or at ``initial``."""
     base = Grid(((-1.0, 1.0), (-1.0, 1.0)), n, n)
     grid = base.with_mask(disk_mask(base, radius=1.0))
     reference = blob_image(grid, random_blobs(7))
     exact = warp(reference, rotation_field(np.pi / 6, grid))
-    sample = add_noise(exact, 0.05, 2.0, seed=seed)
-    return TikhonovProblem(rotation_energy(4.0), reference, sample, 2.0, 0.01,
-                           identity_field(grid))
+    sample = add_noise(exact, delta, 2.0, seed=seed)
+    return TikhonovProblem(rotation_energy(4.0), reference, sample, 2.0, alpha,
+                           identity_field(grid) if initial is None else initial)
 
 
 class CallLog:
@@ -186,16 +186,36 @@ class TestMinimize:
         assert result.iterations == 3
 
     def test_relative_gradient_stop(self, disk_grid, setup):
+        # little noise and a small weight leave a low objective floor, so the
+        # predicted-decrease test (relative to |f|) comes late and the
+        # sup-norm test ends this cold solve
         F, reference, u_dagger, exact = setup
-        sample = add_noise(exact, 0.1, 2.0, seed=7)
-        problem = TikhonovProblem(F, reference, sample, 2.0, 0.01,
+        sample = add_noise(exact, 0.01, 2.0, seed=7)
+        problem = TikhonovProblem(F, reference, sample, 2.0, 1e-3,
                                   identity_field(disk_grid))
         _, g0 = problem.objective_and_gradient(problem.initial)
-        result = minimize(problem, tol=0.1, max_iter=500)
+        result = minimize(problem, tol=0.01, max_iter=500)
         assert result.converged
         assert result.stop_reason == "gradient"
         assert 0 < result.iterations < 500
-        assert result.grad_sup <= 0.1 * np.max(np.abs(g0))
+        assert result.grad_sup <= 0.01 * np.max(np.abs(g0))
+
+    def test_predicted_decrease_ends_a_warm_solve(self):
+        # Two levels of a noise ladder, the second started where the first
+        # ended.  That warm start has a small gradient, so tol * g_sup(x0) is
+        # out of reach and the predicted decrease -g.d below tol**2 * |f|
+        # ends the solve.  A tight solve from the same start runs through the
+        # same iterates, so it can only go on longer and lower.
+        tol = 3e-5
+        cold = minimize(small_problem(delta=0.1, alpha=0.02), tol=tol, max_iter=4000)
+        warm = small_problem(initial=cold.u_min)
+        _, g0 = warm.objective_and_gradient(warm.initial)
+        result = minimize(warm, tol=tol, max_iter=4000)
+        tight = minimize(warm, tol=1e-9, max_iter=4000)
+        assert result.stop_reason == "gradient"
+        assert result.grad_sup > tol * np.max(np.abs(g0))
+        assert 0 < result.iterations < tight.iterations
+        assert 0 <= result.objective - tight.objective <= 1e-6 * abs(tight.objective)
 
     def test_small_decrease_stop(self):
         # the gradient stalls far above 1e-14 of its start, so the
