@@ -18,9 +18,9 @@ Each density is one function ``density(x, u, xi, gradient)`` returning the
 density, or with ``gradient`` the density and both gradients from one pass.
 All built-ins are autonomous (they ignore ``x`` and ``u``) and return None
 for the ``u`` gradient; the interface still carries both arguments so
-spatially varying densities fit the same contract.  ``value`` and ``gradient`` are vectorized over leading axes, and
-integrands are immutable after construction, so evaluation is pure and
-concurrently callable.
+spatially varying densities fit the same contract.  ``value`` and
+``gradient`` are vectorized over leading axes, and integrands are immutable
+after construction, so evaluation is pure and concurrently callable.
 """
 
 from __future__ import annotations
