@@ -114,6 +114,7 @@ def cmd_register(args) -> int:
     exp = build_experiment(cfg)
     seed = exp.seeds[0]
     _, alpha, result = solve_level(exp, args.delta, seed, seed)
+    gap = admissibility_gap(result.u_min)
     os.makedirs(args.out, exist_ok=True)
     pio.save_field(os.path.join(args.out, "deformation.csv"), result.u_min)
     pio.save_pgm(os.path.join(args.out, "warped.pgm"),
@@ -129,13 +130,18 @@ def cmd_register(args) -> int:
         "grad_sup": result.grad_sup,
         "energy": energy(result.u_min, exp.integrand),
         "d_poly": bregman_poly(exp.integrand, result.u_min, exp.u_dagger, exp.w),
-        "admissibility_gap": admissibility_gap(result.u_min),
+        "admissibility_gap": gap,
     }
     with open(os.path.join(args.out, "summary.json"), "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"objective {_fmt(result.objective)} after {result.iterations} iterations "
           f"(converged: {result.converged}, stopped on {result.stop_reason})")
+    cell = max(result.u_min.grid.spacing)
+    if gap > cell:
+        print(f"warning: the field leaves the domain by {gap:.3g}, "
+              f"more than one cell width ({cell:.3g})", file=sys.stderr)
+        return 1
     return 0 if result.converged else 1
 
 

@@ -101,8 +101,8 @@ class Grid:
 
     ``bounds`` is ((a1, b1), (a2, b2)); node (i, j) sits at
     (a1 + i * h1, a2 + j * h2).  Node arrays have shape (nx, ny, ...),
-    cell arrays (nx - 1, ny - 1, ...).  An optional cell mask restricts the
-    integration domain.
+    cell arrays (nx - 1, ny - 1, ...).  A cell mask restricts the integration
+    domain; a grid built without one gets the whole box (``full_mask``).
     """
 
     bounds: tuple
@@ -116,7 +116,9 @@ class Grid:
             raise ValueError(f"degenerate bounds {self.bounds}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need at least two nodes per axis")
-        if self.mask is not None and self.mask.active.shape != self.cell_shape:
+        if self.mask is None:
+            object.__setattr__(self, "mask", full_mask(self))
+        elif self.mask.active.shape != self.cell_shape:
             raise ValueError(
                 f"mask shape {self.mask.active.shape} does not match cells {self.cell_shape}"
             )
@@ -153,8 +155,6 @@ class Grid:
 
     @cached_property
     def active_cells(self) -> np.ndarray:
-        if self.mask is None:
-            return np.ones(self.cell_shape, dtype=bool)
         return self.mask.active
 
     @cached_property
@@ -182,7 +182,7 @@ class Grid:
 
     @property
     def diameter(self) -> float:
-        if self.mask is not None and self.mask.kind == "disk":
+        if self.mask.kind == "disk":
             return 2.0 * self.mask.radius
         (a1, b1), (a2, b2) = self.bounds
         return float(np.hypot(b1 - a1, b2 - a2))
@@ -193,7 +193,7 @@ class Grid:
     @cached_property
     def nodes_in_domain(self) -> np.ndarray:
         """Boolean (nx, ny) marker of nodes belonging to the domain."""
-        if self.mask is None or self.mask.kind == "box":
+        if self.mask.kind == "box":
             return np.ones(self.node_shape, dtype=bool)
         if self.mask.kind == "disk":
             pts = self.node_points
@@ -205,7 +205,7 @@ class Grid:
     def distance_outside(self, points) -> np.ndarray:
         """Euclidean distance from each point to the (masked) closed domain."""
         pts = np.asarray(points, dtype=float)
-        if self.mask is not None and self.mask.kind == "disk":
+        if self.mask.kind == "disk":
             cx, cy = self.mask.center
             r = np.hypot(pts[..., 0] - cx, pts[..., 1] - cy)
             return np.maximum(r - self.mask.radius, 0.0)
@@ -213,7 +213,7 @@ class Grid:
         dx = np.maximum(np.maximum(a1 - pts[..., 0], pts[..., 0] - b1), 0.0)
         dy = np.maximum(np.maximum(a2 - pts[..., 1], pts[..., 1] - b2), 0.0)
         box_dist = np.hypot(dx, dy)
-        if self.mask is None or self.mask.kind == "box":
+        if self.mask.kind == "box":
             return box_dist
         # Generic mask: distance to the union of active closed cells.  Every
         # distance is >= 0, so a point at distance 0.0 from one of the <= 4

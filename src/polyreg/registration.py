@@ -224,7 +224,7 @@ def rotation_field(theta, grid) -> MatrixField:
     A warning is recorded when the grid's mask is not an origin-centered
     disk, since only then is the domain guaranteed to stay inside itself.
     """
-    if grid.mask is None or not grid.mask.is_centered_disk():
+    if not grid.mask.is_centered_disk():
         warnings.warn(
             "rotation field on a domain that is not an origin-centered disk; "
             "admissibility is not guaranteed",

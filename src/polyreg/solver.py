@@ -36,12 +36,9 @@ ch. 3 and 7:
 
 The first two count as converged.
 
-The first trial point of each line search is evaluated with value and
-gradient together; it is usually accepted, and its gradient then serves the
-next iteration, so an accepted unit step costs one evaluation.  Later, shorter
-trials are value-only, and when one of them is accepted the gradient there is
-evaluated once more.  Infinite energy at the first trial is a rejected trial,
-as it is for a value-only one.
+Every line-search trial is evaluated with value and gradient together, so
+the accepted trial's gradient serves the next iteration and each trial costs
+one evaluation.  Infinite energy at a trial rejects it.
 
 Everything is deterministic: no randomness enters a solve, and all
 reductions run in fixed order.  The solver's inner products run in fixed
@@ -183,7 +180,7 @@ class MinimizeResult:
     objective: float
     iterations: int
     grad_sup: float
-    evaluations: int  # objective calls, value-only or value+gradient alike
+    evaluations: int  # value+gradient objective calls
     stop_reason: str  # gradient, small-decrease, line-search-stall or budget
 
     @property
@@ -219,9 +216,6 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
     """
     grid = problem.initial.grid
     shape = problem.initial.values.shape
-
-    def value_at(x):
-        return problem.objective(MatrixField(grid, x.reshape(shape)))
 
     def value_and_grad(x):
         f, g = problem.objective_and_gradient(MatrixField(grid, x.reshape(shape)))
@@ -264,20 +258,16 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
             reason = "gradient"  # predicted decrease below tol**2 (rounding) of f
             break
 
-        x_new, f_new, g_new, ls_evals = _backtrack(value_at, value_and_grad, x, f, d, gtd)
+        x_new, f_new, g_new, ls_evals = _backtrack(value_and_grad, x, f, d, gtd)
         evals += ls_evals
         if x_new is None and not np.array_equal(d, -g):
             d = -g
             x_new, f_new, g_new, ls_evals = _backtrack(
-                value_at, value_and_grad, x, f, d, _blocked_dot(g, d))
+                value_and_grad, x, f, d, _blocked_dot(g, d))
             evals += ls_evals
         if x_new is None:
             reason = "line-search-stall"  # no decrease along the gradient either
             break
-
-        if g_new is None:
-            _, g_new = value_and_grad(x_new)
-            evals += 1
 
         s = x_new - x
         y = g_new - g
@@ -309,29 +299,24 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
     )
 
 
-def _backtrack(value_at, value_and_grad, x, f, d, gtd):
+def _backtrack(value_and_grad, x, f, d, gtd):
     """Armijo backtracking along ``d``, with ``gtd`` the slope ``g . d`` at
     ``x``; returns (point, value, gradient, evaluations).
 
-    The point is the accepted trial ``x + step * d``, or None when no step
-    gave sufficient decrease.  The unit step is tried with ``value_and_grad``
-    and, when accepted, its gradient is returned; shorter steps are tried
-    with ``value_at`` and return no gradient (None).  A unit step at infinite
-    energy counts as rejected.
+    Every trial ``x + step * d`` is evaluated with ``value_and_grad``; the
+    point is the accepted trial, returned with its gradient, or None when no
+    step gave sufficient decrease.  A trial at infinite energy is rejected;
+    an ``UnboundedGradientError`` propagates.
     """
     step = 1.0
     evals = 0
     while step > 1e-20:
-        g_try = None
         x_try = x + step * d
-        if evals == 0:
-            try:
-                f_try, g_try = value_and_grad(x_try)
-            except InfiniteEnergyError:
-                f_try = np.inf  # rejected, as a value-only trial would be
-        else:
-            f_try = value_at(x_try)
         evals += 1
+        try:
+            f_try, g_try = value_and_grad(x_try)
+        except InfiniteEnergyError:
+            f_try = np.inf
         if np.isfinite(f_try) and f_try <= f + _ARMIJO * step * gtd:
             return x_try, f_try, g_try, evals
         step *= _SHRINK

@@ -130,6 +130,22 @@ class TestRegister:
         assert summary["d_poly"] >= 0.0
         assert summary["admissibility_gap"] < 0.05
 
+    @pytest.mark.parametrize("delta, code", [("0", 1), ("0.0125", 0)])
+    def test_field_leaving_the_domain_fails(self, tmp_path, capsys, delta, code):
+        # at 16^2 the unregularized solve folds the field 1.3 cells out of
+        # the disk; the regularized one stays well inside a cell width
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"nx": 16, "ny": 16}}))
+        out_dir = tmp_path / "reg"
+        assert main(["register", "--config", str(config),
+                     "--delta", delta, "--out", str(out_dir)]) == code
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["converged"] is True
+        cell = 2.0 / 15
+        assert (summary["admissibility_gap"] > cell) == bool(code)
+        err = capsys.readouterr().err
+        assert ("leaves the domain" in err) == bool(code)
+
     @pytest.mark.parametrize("delta", ["-0.1", "nan", "inf"])
     def test_bad_noise_level_rejected(self, small_config, tmp_path, capsys, delta):
         out_dir = tmp_path / "reg"

@@ -122,6 +122,17 @@ class TestProblem:
             with pytest.raises(ValueError, match="different grids or masks"):
                 TikhonovProblem(F, reference, sample, 2.0, 0.01, identity_field(grid))
 
+    def test_start_at_infinite_energy_has_no_witness(self):
+        from test_cell_kernel import wall_energy
+
+        problem = small_problem()
+        grid = problem.initial.grid
+        folded = MatrixField(grid, grid.node_points[..., ::-1])  # det = -1 in every cell
+        posed = (problem.reference, problem.data, 2.0)
+        with pytest.raises(ValueError, match="no feasible witness"):
+            TikhonovProblem(wall_energy(), *posed, 0.01, folded)
+        TikhonovProblem(wall_energy(), *posed, 0.0, folded)  # no energy term, no wall
+
 
 class TestMinimize:
     def test_converges_immediately_at_exact_minimizer(self, disk_grid, setup):
@@ -477,31 +488,62 @@ class TestMultiStart:
             assert built == [[5, 977]] * perturbed
 
 
-class TestFirstTrialReuse:
-    def test_value_only_calls_follow_rejected_first_trials(self, monkeypatch):
+class TestLineSearchTrials:
+    """Every line-search trial is one value+gradient call, and the accepted
+    trial's gradient serves the next iteration."""
+
+    @staticmethod
+    def _solve(problem, monkeypatch, **kwargs):
+        """``minimize`` with its calls logged; returns the result, the log and,
+        per line search, (x, d, its calls, whether a step was accepted)."""
+        from polyreg import solver
+
         # the witness check is made by the constructor, before the log starts
-        problem = small_problem()
         log = CallLog(problem, monkeypatch)
-        result = minimize(problem, tol=1e-9, max_iter=100)
-        kinds = [kind for kind, _ in log.calls]
+        searches = []
+        backtrack = solver._backtrack
+
+        def logged(value_and_grad, x, f, d, gtd):
+            first = len(log.calls)
+            out = backtrack(value_and_grad, x, f, d, gtd)
+            searches.append((x.copy(), d.copy(), log.calls[first:], out[0] is not None))
+            return out
+
+        monkeypatch.setattr(solver, "_backtrack", logged)
+        return minimize(problem, **kwargs), log, searches
+
+    def test_every_call_is_value_and_gradient(self, monkeypatch):
+        result, log, searches = self._solve(small_problem(), monkeypatch,
+                                            tol=1e-9, max_iter=100)
+        assert {kind for kind, _ in log.calls} == {"value+grad"}
         assert result.evaluations == len(log.calls)
-        assert kinds[0] == "value+grad"
-        assert "value" in kinds  # some first trials were rejected
-        # a value-only call right after a value+grad trial at t halves the
-        # step from an earlier gradient point x: it lies at (x + t) / 2, so
-        # that trial was a rejected first trial, not the current iterate
-        grad_points = []
-        for (kind, point), (prev_kind, prev) in zip(log.calls[1:], log.calls):
-            if prev_kind == "value+grad":
-                grad_points.append(prev)
-            if kind == "value" and prev_kind == "value+grad":
-                midpoints = [0.5 * (x + prev) for x in grad_points[:-1]]
-                assert any(np.allclose(point, m, rtol=0.0, atol=1e-12) for m in midpoints)
-        # every iteration makes at least its first trial with a gradient
-        assert kinds.count("value+grad") >= 1 + result.iterations
+        assert len(searches) == result.iterations
+        assert result.evaluations > 1 + result.iterations  # some unit steps were rejected
         assert result.evaluations < 2 * result.iterations
 
-    def test_infinite_energy_at_first_trial_shrinks_step(self, monkeypatch):
+    def test_rejected_unit_step_retries_at_the_midpoint(self, monkeypatch):
+        problem = small_problem()
+        _, _, searches = self._solve(problem, monkeypatch, tol=1e-9, max_iter=100)
+        shape = problem.initial.values.shape
+        retried = [search for search in searches if len(search[2]) > 1]
+        assert retried
+        for x, d, calls, _ in retried:
+            start = x.reshape(shape)
+            trial, shorter = calls[0][1], calls[1][1]
+            assert np.allclose(shorter, 0.5 * (start + trial), rtol=0.0, atol=1e-12)
+            for k, (_, point) in enumerate(calls):
+                assert np.array_equal(point, (x + 0.5 ** k * d).reshape(shape))
+
+    def test_no_call_follows_an_accepted_short_step(self, monkeypatch):
+        _, log, searches = self._solve(small_problem(), monkeypatch, tol=1e-9, max_iter=100)
+        assert any(accepted and len(calls) > 1 for _, _, calls, accepted in searches)
+        # the start, then the line searches' trials and nothing in between:
+        # the next iteration starts from the accepted trial's own gradient
+        trials = [point for _, _, calls, _ in searches for _, point in calls]
+        assert len(log.calls) == 1 + len(trials)
+        assert all(np.array_equal(a, b) for (_, a), b in zip(log.calls[1:], trials))
+
+    def test_infinite_energy_at_first_trial_halves_step(self, monkeypatch):
         problem = small_problem()
         log = CallLog(problem, monkeypatch)
         logged = problem.objective_and_gradient
@@ -514,8 +556,7 @@ class TestFirstTrialReuse:
 
         monkeypatch.setattr(problem, "objective_and_gradient", blows_up_once)
         result = minimize(problem, tol=1e-9, max_iter=20)
-        kinds = [kind for kind, _ in log.calls]
-        assert kinds[:3] == ["value+grad", "value+grad", "value"]
+        assert {kind for kind, _ in log.calls} == {"value+grad"}
         start, trial, shorter = (point for _, point in log.calls[:3])
         assert np.allclose(shorter, 0.5 * (start + trial), rtol=0.0, atol=1e-12)
         assert result.iterations == 20
