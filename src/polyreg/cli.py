@@ -46,6 +46,17 @@ def _noise_level(text) -> float:
     return delta
 
 
+def _leaves_domain(gap, grid, what) -> bool:
+    """Warn on stderr when ``what`` leaves the domain by more than one cell
+    width (``max(grid.spacing)``); returns whether it did."""
+    cell = max(grid.spacing)
+    if gap <= cell:
+        return False
+    print(f"warning: {what} leaves the domain by {gap:.3g}, "
+          f"more than one cell width ({cell:.3g})", file=sys.stderr)
+    return True
+
+
 def _check_grid():
     base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 12, 12)
     return base.with_mask(full_mask(base))
@@ -135,12 +146,12 @@ def cmd_register(args) -> int:
     with open(os.path.join(args.out, "summary.json"), "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    metric = ("scalar" if result.metric_shift is None
+              else f"H1 with shift {result.metric_shift:.3g}")
     print(f"objective {_fmt(result.objective)} after {result.iterations} iterations "
-          f"(converged: {result.converged}, stopped on {result.stop_reason})")
-    cell = max(result.u_min.grid.spacing)
-    if gap > cell:
-        print(f"warning: the field leaves the domain by {gap:.3g}, "
-              f"more than one cell width ({cell:.3g})", file=sys.stderr)
+          f"(converged: {result.converged}, stopped on {result.stop_reason}, "
+          f"initial metric {metric})")
+    if _leaves_domain(gap, result.u_min.grid, "the field"):
         return 1
     return 0 if result.converged else 1
 
@@ -155,6 +166,9 @@ def cmd_rates(args) -> int:
     report.write_slopes(slopes_path)
     for line in report.warnings:
         print(f"warning: {line}")
+    for row in report.rows:
+        _leaves_domain(row.admissibility_gap, exp.u_dagger.grid,
+                       f"the row at delta {row.delta!r} (seed {row.seed})")
     if report.d_poly_fit is not None:
         print(f"distance slope {report.d_poly_fit.slope:.4f} "
               f"(r2 {report.d_poly_fit.r2:.4f})")

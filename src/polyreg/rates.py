@@ -25,7 +25,7 @@ import numpy as np
 
 from .bregman import bregman_poly, source_condition_residual, verify_subgradient
 from .fields import energy, identity_field, random_smooth_field
-from .registration import add_noise, data_term, warp
+from .registration import add_noise, admissibility_gap, data_term, warp
 from .solver import TikhonovProblem, solve_multi_start
 
 # Certificate sampling that every sweep runs before its first solve.
@@ -98,6 +98,7 @@ class RateRow:
     converged: bool
     energy: float
     wallclock: float
+    admissibility_gap: float  # how far the solution leaves the domain
     exact: bool = False
 
 
@@ -285,6 +286,7 @@ def _make_row(exp, sample, alpha, seed, result, started, exact=False) -> RateRow
         converged=result.converged,
         energy=energy(result.u_min, exp.integrand),
         wallclock=time.perf_counter() - started,
+        admissibility_gap=admissibility_gap(result.u_min),
         exact=exact,
     )
 

@@ -40,6 +40,27 @@ Every line-search trial is evaluated with value and gradient together, so
 the accepted trial's gradient serves the next iteration and each trial costs
 one evaluation.  Infinite energy at a trial rejects it.
 
+The two-loop recursion starts from the scalar metric ``gamma * I``, with
+``gamma = s.y / y.y`` of the newest pair, unless the regularizer dominates at
+grid scale.  On fine grids the Hessian of the polyconvex energy behaves like
+``alpha`` times a nodal Laplacian, which no scalar preconditions; so, as in
+FAIR (Modersitzki 2009) and in Burger, Modersitzki & Ruthotto (SIAM J. Sci.
+Comput. 35, 2013), the recursion then starts from ``gamma * P`` with
+``P = (L + c I)^-1`` on each component (``H1Metric``), ``L`` the Neumann
+5-point graph Laplacian of the node grid and ``gamma = s.y / y.P y``.  The
+shift ``c = mbar * h1 * h2 / alpha`` compares the misfit's curvature per
+cell, ``mbar`` being the mean of ``|grad I_ref|^2`` over the domain nodes,
+with the regularizer's; the metric is used when ``0 < c <= 1``
+(``metric_shift``), and ``MinimizeResult.metric_shift`` reports the ``c``
+used.  Elsewhere the direction is the scalar one, bit for bit: where the
+misfit dominates the metric does not pay (the default 32 x 32 sweep, c from
+3.9 to 246, took 2,867 iterations with it against 2,739 without), while a
+cold 128 x 128 solve at the default weight (c about 0.9) takes half the
+iterations with it.
+Nodes that touch no active cell carry no gradient; the metric's direction is
+zeroed there, so they stay where they start, as they do under the scalar
+metric.
+
 Everything is deterministic: no randomness enters a solve, and all
 reductions run in fixed order.  The solver's inner products run in fixed
 ``_DOT_BLOCK``-entry slices, summed left to right, each slice one ``np.dot``.
@@ -49,7 +70,10 @@ thread count; so with OpenBLAS every slice runs on the calling thread and a
 solve's result does not depend on the BLAS thread count or the host's cores.
 A BLAS that threads shorter dot products would not keep that promise.  Up to
 ``_DOT_BLOCK`` unknowns (a 64 x 64 grid) every inner product is one plain
-``np.dot`` of the whole arrays.
+``np.dot`` of the whole arrays.  The H1 metric's matmuls run in row blocks
+of at most ``_GEMM_BLOCK`` multiply-adds, each one ``np.matmul``, which
+OpenBLAS also runs on the calling thread; threaded, one 64 x 64 apply took
+6 to 32 ms instead of 0.14 ms on a shared 2-core host.
 """
 
 from __future__ import annotations
@@ -82,6 +106,9 @@ _CONVERGED = ("gradient", "small-decrease")
 # OpenBLAS 0.3.31); a BLAS that threads shorter ones makes solves above
 # 8192 unknowns depend on its thread count again.
 _DOT_BLOCK = 8192
+# Multiply-adds per matmul block: OpenBLAS runs a dgemm of at most
+# 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) of them on one thread.
+_GEMM_BLOCK = 2 ** 18
 
 
 def _blocked_dot(a, b):
@@ -182,21 +209,97 @@ class MinimizeResult:
     grad_sup: float
     evaluations: int  # value+gradient objective calls
     stop_reason: str  # gradient, small-decrease, line-search-stall or budget
+    metric_shift: float | None = None  # c of the H1 initial metric; None: scalar
 
     @property
     def converged(self) -> bool:
         return self.stop_reason in _CONVERGED
 
 
-def _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma):
-    """Two-loop recursion over at least one stored pair; ``gamma`` is
-    ``s.y / y.y`` of the newest pair, the scale of the initial metric."""
+def _neumann_eigenbasis(n):
+    """Orthonormal eigenvectors (columns) and eigenvalues of the Neumann
+    graph Laplacian of a path of ``n`` nodes, ``tridiag(-1, 2, -1)`` with
+    1 in both corners: the cosine basis ``cos(pi k (i + 1/2) / n)`` with
+    eigenvalue ``2 - 2 cos(pi k / n)``."""
+    k = np.arange(n)
+    basis = np.cos(np.pi * np.outer(k + 0.5, k) / n) * np.sqrt(2.0 / n)
+    basis[:, 0] = np.sqrt(1.0 / n)
+    return basis, 2.0 - 2.0 * np.cos(np.pi * k / n)
+
+
+class H1Metric:
+    """``P = (L + c I)^-1`` on both components of a nodal (nx, ny, 2) field,
+    with ``L = L_x (x) I + I (x) L_y`` the Neumann 5-point graph Laplacian of
+    the node grid.
+
+    ``apply`` works in the closed-form cosine eigenbasis of ``L``: one
+    matmul per axis into it, a division by ``lambda_i + lambda_j + c``, and
+    one per axis back, the two components batched into each matmul.
+    """
+
+    def __init__(self, grid, shift):
+        self.node_shape = grid.node_shape
+        self.vx, lx = _neumann_eigenbasis(grid.nx)
+        self.vy, ly = _neumann_eigenbasis(grid.ny)
+        self.vx_t, self.vy_t = self.vx.T.copy(), self.vy.T.copy()
+        self.inverse = 1.0 / (lx[:, None] + ly[None, :] + shift)
+        # 1 at the unknowns of nodes with an active cell, 0 at the rest, which
+        # the objective does not see: a direction leaves those where they are
+        corners = np.zeros(grid.node_shape)
+        corners.reshape(-1)[grid.active_corners.ravel()] = 1.0
+        self.moving = np.repeat(corners.reshape(-1), 2)
+
+    def apply(self, v):
+        """``P v`` for the flat (nx * ny * 2) array ``v``; returns a new array."""
+        nx, ny = self.node_shape
+        # Index order of each result: v is [i, j, k] (x node, y node,
+        # component); l and m number the x and y eigenvectors.
+        a = _serial_matmul(v.reshape(nx, 2 * ny).T, self.vx)  # [j, k, l]
+        a = _serial_matmul(a.reshape(ny, 2 * nx).T, self.vy)  # [k, l, m]
+        a.reshape(2, nx, ny)[...] *= self.inverse
+        a = _serial_matmul(a, self.vy_t)  # [k, l, j]
+        a = a.reshape(2, nx, ny).transpose(2, 0, 1).reshape(2 * ny, nx)  # [j, k, l]
+        return _serial_matmul(a, self.vx_t).T.ravel()  # [i, j, k]
+
+
+def _serial_matmul(a, b):
+    """``a @ b`` for 2-d arrays, one ``np.matmul`` per block of rows of
+    ``a``, each block at most ``_GEMM_BLOCK`` multiply-adds, so that each
+    runs on the calling thread."""
+    rows = max(1, _GEMM_BLOCK // b.size)
+    out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
+    return out
+
+
+def metric_shift(problem):
+    """Shift ``c = mbar * h1 * h2 / alpha`` of the H1 initial metric for
+    ``problem`` when it lies in (0, 1], else None: the scalar metric (see the
+    module docstring)."""
+    if problem.alpha <= 0:
+        return None
+    grid = problem.initial.grid
+    _, image_grad = problem.reference.sample_with_gradient(grid.node_points)
+    mbar = float(np.mean(np.sum(image_grad ** 2, axis=-1)[grid.nodes_in_domain]))
+    shift = mbar * grid.cell_area / problem.alpha
+    return shift if 0.0 < shift <= 1.0 else None
+
+
+def _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma, metric):
+    """Two-loop recursion over at least one stored pair.  The initial metric
+    is ``gamma * I`` when ``metric`` is None, else ``gamma * P`` with ``P``
+    the ``H1Metric``; ``gamma`` is ``s.y / y.y``, or ``s.y / y.P y``, of the
+    newest pair."""
     q = g.copy()
     alphas = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
         a = rho * _blocked_dot(s, q)
         alphas.append(a)
         q -= a * y
+    if metric is not None:
+        q = metric.apply(q)
+        q *= metric.moving
     q *= gamma
     for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
         b = rho * _blocked_dot(y, q)
@@ -229,8 +332,10 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
     rounding = np.finfo(float).eps
     decrease_stop = max(tol ** 2, rounding)  # relative to |f|, once a pair is stored
 
+    shift = metric_shift(problem)
+    metric = None if shift is None else H1Metric(grid, shift)
     s_hist, y_hist, rho_hist = [], [], []
-    gamma = None  # s.y / y.y of the newest stored pair
+    gamma = None  # s.y / y.H y of the newest stored pair
     recent = deque(maxlen=_DECREASE_WINDOW)
     iterations = 0
 
@@ -246,7 +351,7 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
             break
 
         if s_hist:
-            d = _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma)
+            d = _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma, metric)
             gtd = _blocked_dot(g, d)
             if gtd >= 0.0:  # not a descent direction
                 d = -g
@@ -278,7 +383,7 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
-            gamma = sy / yy
+            gamma = sy / (yy if metric is None else _blocked_dot(y, metric.apply(y)))
             if len(s_hist) > memory:
                 s_hist.pop(0)
                 y_hist.pop(0)
@@ -296,6 +401,7 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
         grad_sup=g_sup,
         evaluations=evals,
         stop_reason=reason,
+        metric_shift=shift,
     )
 
 

@@ -146,6 +146,17 @@ class TestRegister:
         err = capsys.readouterr().err
         assert ("leaves the domain" in err) == bool(code)
 
+    @pytest.mark.parametrize("alpha0, metric", [(0.05, "scalar"), (5.0, "H1 with shift 0.643")])
+    def test_stdout_names_the_initial_metric(self, tmp_path, capsys, alpha0, metric):
+        # at 16^2 the default weight leaves the misfit dominant per cell; a
+        # hundred times the weight makes the regularizer dominate
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"nx": 16, "ny": 16},
+                                      "experiment": {"alpha0": alpha0}}))
+        assert main(["register", "--config", str(config), "--delta", "0.0125",
+                     "--out", str(tmp_path / "reg")]) == 0
+        assert f"initial metric {metric})" in capsys.readouterr().out
+
     @pytest.mark.parametrize("delta", ["-0.1", "nan", "inf"])
     def test_bad_noise_level_rejected(self, small_config, tmp_path, capsys, delta):
         out_dir = tmp_path / "reg"
@@ -169,6 +180,24 @@ class TestRates:
         lines = out1.read_text().strip().split("\n")
         assert lines[0] == "delta,alpha,seed,D_poly,residual,objective,iters,converged"
         assert len(lines) == 1 + 3 + 1  # header + levels + exact row
+
+    def test_rows_leaving_the_domain_warn(self, tmp_path, capsys):
+        # with almost no regularization every level folds the field 1.5 to
+        # 3 cells out of the disk (cell width 0.182 at 12^2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "grid": {"nx": 12, "ny": 12},
+            "experiment": {"alpha0": 1e-6, "levels": 3, "fit_levels": 3,
+                           "exact_row": False},
+            "solver": {"max_iter": 200},
+        }))
+        assert main(["rates", "--config", str(config),
+                     "--out", str(tmp_path / "report.csv")]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if "leaves the domain" in line]
+        assert len(warned) == 3
+        for line, delta in zip(warned, (0.05, 0.025, 0.0125)):
+            assert line.startswith(f"warning: the row at delta {delta!r} (seed 0) ")
 
 
 class TestVerifySubgradient:

@@ -47,6 +47,7 @@ def test_rates_16_bytes(config_16, tmp_path, capsys):
     out.mkdir()
     assert main(["rates", "--config", config_16, "--out", str(out / "report.csv")]) == 0
     assert _digests(out, RATES) == RATES
+    assert "leaves the domain" not in capsys.readouterr().err
 
 
 def test_register_16_bytes(config_16, tmp_path, capsys):

@@ -9,6 +9,7 @@ from polyreg import (
     RateExperiment,
     SourceConditionParams,
     blob_image,
+    bregman_poly,
     choose_alpha,
     fit_slope,
     geometric_levels,
@@ -20,6 +21,7 @@ from polyreg import (
     zero_subgradient,
 )
 from polyreg.config import build_experiment, load_config
+from polyreg.rates import solve_level
 
 
 class TestChooseAlpha:
@@ -214,3 +216,23 @@ def test_default_solver_matches_reference_distances(noise_seed):
     for row, want in zip(report.rows, entry["d_poly"]):
         assert row.converged
         assert abs(row.d_poly - want) <= 0.01 * want, (row.delta, row.d_poly, want)
+
+
+def test_h1_metric_solve_matches_reference_distance():
+    # The cold first level of the default 64 x 64 sweep is a solve where the
+    # regularizer dominates at grid scale, so it runs with the H1 initial
+    # metric; its D_poly must still be that of the regularized minimizer.
+    with open(REFERENCE, encoding="utf-8") as fh:
+        entries = json.load(fh)["entries"]
+    entry = next(e for e in entries
+                 if (e["command"], e["nx"], e["ny"], e["seed"]) == ("rates", 64, 64, 0))
+    cfg = load_config()
+    cfg["grid"].update(nx=64, ny=64)
+    exp = build_experiment(cfg)
+    assert entry["deltas"][0] == 0.05
+    _, _, result = solve_level(exp, 0.05, 0, 0)
+    assert result.converged
+    assert 0.0 < result.metric_shift <= 1.0
+    d_poly = bregman_poly(exp.integrand, result.u_min, exp.u_dagger, exp.w)
+    want = entry["d_poly"][0]
+    assert abs(d_poly - want) <= 0.01 * want, (d_poly, want)

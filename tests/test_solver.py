@@ -14,6 +14,7 @@ from polyreg import (
     Grid,
     InfiniteEnergyError,
     MatrixField,
+    ScalarImage,
     TikhonovProblem,
     add_noise,
     blob_image,
@@ -406,14 +407,15 @@ class TestNoStateSurvivesACall:
         assert first.tobytes() == kept.tobytes()
 
 
-# Prints a short 72 x 72 solve: its iterations, objective bits and iterate hash.
+# Prints a short 72 x 72 solve: its iterations, metric shift, objective bits
+# and iterate hash.
 _SOLVE_72 = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 from test_solver import small_problem
 from polyreg import minimize
 result = minimize(small_problem(n=72), max_iter=15)
-print(result.iterations, result.objective.hex(),
+print(result.iterations, result.metric_shift, result.objective.hex(),
       hashlib.sha256(result.u_min.values.tobytes()).hexdigest())
 """
 
@@ -421,10 +423,13 @@ print(result.iterations, result.objective.hex(),
 class TestInnerProducts:
     def test_solve_does_not_depend_on_blas_threads(self):
         # 72^2 nodes carry 10,368 unknowns, more than the 10,000 entries above
-        # which OpenBLAS splits one dot product across its threads.
+        # which OpenBLAS splits one dot product across its threads.  The
+        # solve runs with the H1 metric, so its matmuls are covered too.
         outputs = [_run_python(_SOLVE_72, OPENBLAS_NUM_THREADS=threads)
                    for threads in ("1", "2")]
-        assert outputs[0].split()[0] == "15"
+        iterations, shift = outputs[0].split()[:2]
+        assert iterations == "15"
+        assert 0.1 < float(shift) < 0.3
         assert outputs[0] == outputs[1]
 
     def test_dot_is_np_dot_up_to_one_block_then_blocks_left_to_right(self):
@@ -439,6 +444,67 @@ class TestInnerProducts:
                       for k in range(0, n, _DOT_BLOCK)]
             want = functools.reduce(operator.add, blocks)
             assert _blocked_dot(a[:n], b[:n]).hex() == want.hex()
+
+
+def _neumann_laplacian(n):
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    return lap
+
+
+class TestH1Metric:
+    def test_apply_is_a_dense_solve_per_component(self):
+        from polyreg.solver import H1Metric
+
+        base = Grid(((-1.0, 1.0), (-0.5, 1.0)), 9, 7)
+        grid = base.with_mask(disk_mask(base, radius=0.8))
+        shift = 0.3
+        system = (np.kron(_neumann_laplacian(9), np.eye(7))
+                  + np.kron(np.eye(9), _neumann_laplacian(7)) + shift * np.eye(63))
+        v = np.random.default_rng(3).standard_normal((9, 7, 2))
+        before = v.copy()
+        applied = H1Metric(grid, shift).apply(v.ravel()).reshape(9, 7, 2)
+        assert np.array_equal(v, before)
+        for k in range(2):
+            want = np.linalg.solve(system, v[..., k].ravel()).reshape(9, 7)
+            np.testing.assert_allclose(applied[..., k], want, rtol=0, atol=1e-13)
+
+    def test_shift_from_the_problem(self):
+        from polyreg.solver import metric_shift
+
+        problem = small_problem(n=72)
+        grid = problem.initial.grid
+        _, image_grad = problem.reference.sample_with_gradient(grid.node_points)
+        mbar = np.mean(np.sum(image_grad ** 2, axis=-1)[grid.nodes_in_domain])
+        assert metric_shift(problem) == mbar * grid.cell_area / problem.alpha
+        assert 0.1 < metric_shift(problem) < 0.3
+
+    def test_scalar_metric_without_regularization_flat_image_or_large_shift(self):
+        from polyreg.solver import metric_shift
+
+        assert metric_shift(small_problem(n=72, alpha=0.0)) is None
+        flat = small_problem(n=72)
+        flat.reference = ScalarImage(flat.reference.grid, np.ones(flat.reference.grid.node_shape))
+        assert metric_shift(flat) is None
+        coarse = small_problem()  # 16 x 16: the misfit dominates each cell, c > 1
+        assert metric_shift(coarse) is None
+        coarse.alpha *= 100.0
+        assert 0.0 < metric_shift(coarse) <= 1.0
+
+    def test_result_names_the_metric_and_inactive_nodes_stay(self):
+        problem = small_problem(n=72)
+        result = minimize(problem, max_iter=15)
+        assert result.metric_shift == pytest.approx(0.18, abs=0.05)
+        assert minimize(small_problem(), max_iter=15).metric_shift is None
+        # nodes without an active cell do not enter the objective; the
+        # metric's direction leaves them at their start
+        grid = problem.initial.grid
+        seen = np.zeros(grid.nx * grid.ny, dtype=bool)
+        seen[grid.active_corners.ravel()] = True
+        unseen = ~seen.reshape(grid.node_shape)
+        assert unseen.any()
+        moved = result.u_min.values != problem.initial.values
+        assert moved[~unseen].any() and not moved[unseen].any()
 
 
 class TestMultiStart:
