@@ -15,7 +15,7 @@ import json
 import math
 
 from .bregman import SourceConditionParams, poly_subgradient, zero_subgradient
-from .fields import Grid, disk_mask, full_mask
+from .fields import Grid, disk_mask
 from .integrands import detsq_energy, pq_energy, rotation_energy
 from .rates import RateExperiment, geometric_levels
 from .registration import ForwardModel, blob_image, random_blobs, rotation_field, warp
@@ -77,10 +77,10 @@ def build_grid(cfg) -> Grid:
     bare = Grid(bounds, int(g["nx"]), int(g["ny"]))
     m = cfg["mask"]
     kind = m["type"]
+    if kind == "none":
+        return bare  # a grid built without a mask carries the box mask
     if kind == "disk":
         mask = disk_mask(bare, center=tuple(m["center"]), radius=float(m["radius"]))
-    elif kind == "none":
-        mask = full_mask(bare)
     elif kind == "csv":
         from .io import load_mask
         mask = load_mask(m["path"])

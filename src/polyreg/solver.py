@@ -1,10 +1,11 @@
 """Minimization of the regularized registration objective.
 
-The objective is the clamped-warp data misfit plus ``alpha`` times the
-regularization energy.  Minimization uses a limited-memory quasi-Newton
-method (two-loop recursion over secant pairs) with a backtracking line
-search enforcing the Armijo sufficient-decrease condition, so accepted
-iterates never increase the objective.
+The objective is the clamped-warp data misfit
+``data_term(warp(reference, u), data.image, q)`` plus, when ``alpha > 0``,
+``alpha * energy(u)``.  Minimization uses a limited-memory quasi-Newton
+method (two-loop recursion over the newest ``memory`` secant pairs) with a
+backtracking line search enforcing the Armijo sufficient-decrease condition,
+so accepted iterates never increase the objective.
 
 A solve stops for one of four reasons (``MinimizeResult.stop_reason``),
 following the relative tests of Nocedal & Wright, *Numerical Optimization*,
@@ -30,8 +31,8 @@ ch. 3 and 7:
   iterations.  On the registration problems the gradient often stalls well
   above ``tol`` times its start while the objective stops moving; this test
   ends such a solve.
-* ``line-search-stall``: no step along the quasi-Newton direction or along
-  the negative gradient gave sufficient decrease.
+* ``line-search-stall``: no step along the search direction gave
+  sufficient decrease.
 * ``budget``: ``max_iter`` iterations ran out first.
 
 The first two count as converged.
@@ -93,7 +94,7 @@ from .fields import (
     random_smooth_field,
     scatter_to_corners,
 )
-from .registration import _check_same_geometry
+from .registration import _check_same_geometry, data_term, warp
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -158,41 +159,32 @@ class TikhonovProblem:
             raise ValueError("initial field has infinite objective; no feasible witness")
 
     def objective(self, u) -> float:
-        return self._evaluate(u, gradient=False)
+        value = data_term(warp(self.reference, u), self.data.image, self.q)
+        if self.alpha > 0:
+            value += self.alpha * energy(u, self.integrand)
+        return value
 
     def objective_and_gradient(self, u):
-        return self._evaluate(u, gradient=True)
+        """Objective at ``u`` and its nodal gradient.
 
-    def _evaluate(self, u, gradient):
-        """Objective at ``u``, with ``gradient`` also its nodal gradient; the misfit
-        is ``data_term(warp(reference, u), data.image, q)`` on the initial grid.
-
-        With the gradient, the energy pass runs first, before any misfit array
-        exists: at 128² its peak then fits in the heap space the previous call
-        freed, where after the warp it grew the heap for glibc to trim again.
-        The terms are summed misfit first either way.
+        The energy pass runs first, before any misfit array exists: at 128²
+        its peak then fits in the heap space the previous call freed, where
+        after the warp it grew the heap for glibc to trim again.  The terms
+        are summed misfit first, as in ``objective``.
         """
         grid = u.grid
         idx = grid.active_index
-        if gradient and self.alpha > 0:
+        if self.alpha > 0:
             reg_value, energy_grad = energy_with_gradient(u, self.integrand)
-        if gradient:
-            warped, img_grad = self.reference.sample_with_gradient(u.values)
-        else:
-            warped = self.reference.sample(u.values)
+        warped, grad = self.reference.sample_with_gradient(u.values)
         diff_c = cell_center_values(warped - self.data.image.samples).reshape(-1)[idx]
         value = float(grid.cell_area * np.sum(np.abs(diff_c) ** self.q))
-        if not gradient:
-            if self.alpha > 0:
-                value += self.alpha * energy(u, self.integrand)
-            return value
         # d|d|^q/dd = q |d|^(q-1) sign(d); each cell spreads 1/4 to its corners.
         slope = np.zeros(grid.cell_shape)
         slope.reshape(-1)[idx] = (
             grid.cell_area * self.q / 4.0
             * np.sign(diff_c) * np.abs(diff_c) ** (self.q - 1.0)
         )
-        grad = img_grad
         grad *= scatter_to_corners(slope, grid.node_shape)[..., None]
         if self.alpha > 0:
             value += self.alpha * reg_value
@@ -286,14 +278,14 @@ def metric_shift(problem):
     return shift if 0.0 < shift <= 1.0 else None
 
 
-def _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma, metric):
-    """Two-loop recursion over at least one stored pair.  The initial metric
-    is ``gamma * I`` when ``metric`` is None, else ``gamma * P`` with ``P``
-    the ``H1Metric``; ``gamma`` is ``s.y / y.y``, or ``s.y / y.P y``, of the
-    newest pair."""
+def _lbfgs_direction(g, pairs, gamma, metric):
+    """Two-loop recursion over the stored pairs ``(s, y, 1 / s.y)``, oldest
+    first, at least one.  The initial metric is ``gamma * I`` when ``metric``
+    is None, else ``gamma * P`` with ``P`` the ``H1Metric``; ``gamma`` is
+    ``s.y / y.y``, or ``s.y / y.P y``, of the newest pair."""
     q = g.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+    for s, y, rho in reversed(pairs):
         a = rho * _blocked_dot(s, q)
         alphas.append(a)
         q -= a * y
@@ -301,7 +293,7 @@ def _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma, metric):
         q = metric.apply(q)
         q *= metric.moving
     q *= gamma
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * _blocked_dot(y, q)
         q += (a - b) * s
     return -q
@@ -334,24 +326,24 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
 
     shift = metric_shift(problem)
     metric = None if shift is None else H1Metric(grid, shift)
-    s_hist, y_hist, rho_hist = [], [], []
+    pairs = deque(maxlen=memory)  # the newest (s, y, 1 / s.y), oldest first
     gamma = None  # s.y / y.H y of the newest stored pair
-    recent = deque(maxlen=_DECREASE_WINDOW)
+    small_decreases = 0  # consecutive iterations below _DECREASE_RTOL
     iterations = 0
 
     while True:
         if g_sup <= g_stop:
             reason = "gradient"
             break
-        if len(recent) == _DECREASE_WINDOW and max(recent) < _DECREASE_RTOL:
+        if small_decreases == _DECREASE_WINDOW:
             reason = "small-decrease"
             break
         if iterations >= max_iter:
             reason = "budget"
             break
 
-        if s_hist:
-            d = _lbfgs_direction(g, s_hist, y_hist, rho_hist, gamma, metric)
+        if pairs:
+            d = _lbfgs_direction(g, pairs, gamma, metric)
             gtd = _blocked_dot(g, d)
             if gtd >= 0.0:  # not a descent direction
                 d = -g
@@ -359,19 +351,14 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
         else:
             d = -g / max(1.0, g_sup)
             gtd = _blocked_dot(g, d)
-        if -gtd <= (decrease_stop if s_hist else rounding) * abs(f):
+        if -gtd <= (decrease_stop if pairs else rounding) * abs(f):
             reason = "gradient"  # predicted decrease below tol**2 (rounding) of f
             break
 
         x_new, f_new, g_new, ls_evals = _backtrack(value_and_grad, x, f, d, gtd)
         evals += ls_evals
-        if x_new is None and not np.array_equal(d, -g):
-            d = -g
-            x_new, f_new, g_new, ls_evals = _backtrack(
-                value_and_grad, x, f, d, _blocked_dot(g, d))
-            evals += ls_evals
         if x_new is None:
-            reason = "line-search-stall"  # no decrease along the gradient either
+            reason = "line-search-stall"
             break
 
         s = x_new - x
@@ -380,16 +367,11 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
         yy = _blocked_dot(y, y)
         # sqrt(v . v) is bit-identical to np.linalg.norm of a 1-d float array.
         if sy > 1e-12 * np.sqrt(_blocked_dot(s, s)) * np.sqrt(yy):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
+            pairs.append((s, y, 1.0 / sy))
             gamma = sy / (yy if metric is None else _blocked_dot(y, metric.apply(y)))
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
 
-        recent.append((f - f_new) / max(1.0, abs(f_new)))
+        decrease = (f - f_new) / max(1.0, abs(f_new))
+        small_decreases = small_decreases + 1 if decrease < _DECREASE_RTOL else 0
         x, f, g = x_new, f_new, g_new
         g_sup = float(np.max(np.abs(g)))
         iterations += 1

@@ -42,6 +42,13 @@ class TestConfig:
         assert grid.mask is not None and grid.mask.kind == "disk"
         assert grid.nx == 20
 
+    def test_build_grid_without_mask(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"nx": 9, "ny": 7}, "mask": {"type": "none"}}))
+        grid = build_grid(load_config(str(path)))
+        assert grid.mask.kind == "box"
+        assert grid.active_cells.shape == (8, 6) and grid.active_cells.all()
+
     def test_build_experiment_shapes(self, small_config):
         exp = build_experiment(load_config(small_config))
         assert len(exp.deltas) == 3

@@ -1,4 +1,5 @@
 import functools
+from collections import deque
 import hashlib
 import json
 import operator
@@ -257,6 +258,45 @@ class TestMinimize:
         assert result.iterations == 0
         assert np.array_equal(result.u_min.values, problem.initial.values)
 
+    def test_failed_quasi_newton_search_stops_the_solve(self, monkeypatch):
+        # After the first step every trial has infinite energy, so the search
+        # along the first quasi-Newton direction fails and the solve stops
+        # there, without searching again along the negative gradient.
+        from polyreg import solver
+
+        problem = small_problem()
+        evaluate = problem.objective_and_gradient
+        calls, searches = [], []
+        backtrack = solver._backtrack
+
+        def infinite_after_the_first_search(u):
+            calls.append(u)
+            if searches:
+                raise InfiniteEnergyError("energy is not finite; gradient undefined")
+            return evaluate(u)
+
+        def logged(value_and_grad, x, f, d, gtd):
+            first = len(calls)
+            out = backtrack(value_and_grad, x, f, d, gtd)
+            searches.append((d.copy(), len(calls) - first, out))
+            return out
+
+        monkeypatch.setattr(problem, "objective_and_gradient", infinite_after_the_first_search)
+        monkeypatch.setattr(solver, "_backtrack", logged)
+        result = minimize(problem, tol=1e-9, max_iter=50)
+        assert result.stop_reason == "line-search-stall"
+        assert not result.converged
+        assert result.iterations == 1
+        assert len(searches) == 2
+        (_, first_trials, (x1, f1, g1, _)), (d, trials, failed) = searches
+        assert failed == (None, None, None, trials)
+        assert trials == sum(1 for k in range(100) if 0.5 ** k > 1e-20)  # step down to 1e-20
+        assert result.evaluations == len(calls) == 1 + first_trials + trials
+        assert np.array_equal(result.u_min.values.ravel(), x1)
+        assert result.objective == f1
+        cosine = -np.dot(d, g1) / (np.linalg.norm(d) * np.linalg.norm(g1))
+        assert 0.0 < cosine < 1.0 - 1e-6  # a quasi-Newton direction, not -g
+
     def test_deterministic(self, disk_grid, setup):
         F, reference, u_dagger, exact = setup
         sample = add_noise(exact, 0.05, 2.0, seed=8)
@@ -505,6 +545,85 @@ class TestH1Metric:
         assert unseen.any()
         moved = result.u_min.values != problem.initial.values
         assert moved[~unseen].any() and not moved[unseen].any()
+
+
+def _inverse_bfgs(h0, pairs):
+    """Dense inverse-BFGS matrix built from ``h0`` by the pairs, oldest first:
+    ``H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T``."""
+    h = h0
+    for s, y, rho in pairs:
+        v = np.eye(s.size) - rho * np.outer(y, s)
+        h = v.T @ h @ v + rho * np.outer(s, s)
+    return h
+
+
+class TestLbfgsDirection:
+    @staticmethod
+    def _pairs(n, m, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        hessian = a @ a.T / n + np.eye(n)
+        pairs = deque()
+        for _ in range(m):
+            s = rng.standard_normal(n)
+            y = hessian @ s
+            pairs.append((s, y, 1.0 / np.dot(s, y)))
+        return rng.standard_normal(n), pairs
+
+    def test_two_loop_is_the_dense_recursion_from_gamma_i(self):
+        from polyreg.solver import _lbfgs_direction
+
+        g, pairs = self._pairs(40, 5, seed=1)
+        s, y, _ = pairs[-1]
+        gamma = np.dot(s, y) / np.dot(y, y)
+        want = -_inverse_bfgs(gamma * np.eye(40), pairs) @ g
+        np.testing.assert_allclose(_lbfgs_direction(g, pairs, gamma, None), want, rtol=1e-12)
+
+    def test_two_loop_is_the_dense_recursion_from_the_h1_metric(self):
+        from polyreg.solver import H1Metric, _lbfgs_direction
+
+        base = Grid(((-1.0, 1.0), (-0.5, 1.0)), 9, 7)
+        grid = base.with_mask(disk_mask(base, radius=0.8))
+        metric = H1Metric(grid, 0.3)
+        assert not metric.moving.all()
+        laplacian = (np.kron(_neumann_laplacian(9), np.eye(7))
+                     + np.kron(np.eye(9), _neumann_laplacian(7)))
+        # unknowns are ordered (x node, y node, component)
+        p = np.kron(np.linalg.inv(laplacian + 0.3 * np.eye(63)), np.eye(2))
+        g, pairs = self._pairs(126, 4, seed=2)
+        s, y, _ = pairs[-1]
+        gamma = np.dot(s, y) / np.dot(y, p @ y)
+        h0 = gamma * np.diag(metric.moving) @ p
+        want = -_inverse_bfgs(h0, pairs) @ g
+        np.testing.assert_allclose(_lbfgs_direction(g, pairs, gamma, metric), want, rtol=1e-12)
+
+    def test_minimize_reads_the_newest_memory_pairs(self, monkeypatch):
+        from polyreg import solver
+
+        memory = 3
+        starts, handed = [], []
+        backtrack, direction = solver._backtrack, solver._lbfgs_direction
+
+        def logged_backtrack(value_and_grad, x, f, d, gtd):
+            starts.append(x.copy())
+            return backtrack(value_and_grad, x, f, d, gtd)
+
+        def logged_direction(g, pairs, gamma, metric):
+            handed.append((len(starts), [s.copy() for s, _, _ in pairs]))
+            return direction(g, pairs, gamma, metric)
+
+        monkeypatch.setattr(solver, "_backtrack", logged_backtrack)
+        monkeypatch.setattr(solver, "_lbfgs_direction", logged_direction)
+        result = minimize(small_problem(), tol=1e-9, max_iter=12, memory=memory)
+        assert result.iterations == 12
+        iterates = starts + [result.u_min.values.ravel()]
+        steps = [b - a for a, b in zip(iterates, iterates[1:])]
+        # from the second iteration on, iteration k gets the steps before it
+        assert [k for k, _ in handed] == list(range(1, 12))
+        for k, stored in handed:
+            assert len(stored) == min(memory, k)
+            for s, step in zip(stored, steps[k - len(stored):k]):
+                assert np.array_equal(s, step)
 
 
 class TestMultiStart:
