@@ -18,7 +18,9 @@ value and the five slots of every active cell straight from the two
 difference stencils, with no Jacobian stack and no boolean gathers.  The
 slots equal ``all_minors`` of the cell Jacobian bit for bit (same operations
 in the same order), so ``all_minors`` remains the reference calculus.
-``energy`` returns R(u) as a float, the sum of the active cells' densities.
+``energy`` returns R(u) as a float, the sum of the active cells' densities;
+``_energy_and_pairing`` returns it with a certificate's pairing from one
+kernel pass, for the sampled certificate checks.
 ``energy_with_gradient`` returns R(u) with the exact gradient of the discrete
 sum with respect to the nodal values: each cell's slot gradient is pulled back
 through the cofactor of J entry by entry and scattered to the corner nodes by
@@ -46,6 +48,9 @@ from .minors import MinorsLayout
 # Entries of each (points x cells) temporary in Grid.distance_outside: 4 MB of floats.
 _DISTANCE_BLOCK = 1 << 19
 _LAYOUT_2X2 = MinorsLayout(2, 2)  # the only layout the grid calculus supports
+# Multiply-adds per matmul block: OpenBLAS runs a dgemm of at most
+# 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) of them on one thread.
+_GEMM_BLOCK = 2 ** 18
 
 
 class InfiniteEnergyError(ValueError):
@@ -359,23 +364,25 @@ def _cell_slots(u, corners):
     return uc, xi
 
 
-def _density_pass(u, F, gradient):
+def _density_pass(u, F, gradient, slots=None):
     """Densities of ``F`` along ``u`` and, with ``gradient``, their slot gradients.
 
-    The one pass over the active cells behind ``energy``, ``energy_with_gradient``
-    and the certificates of :mod:`polyreg.bregman`, with one call of ``F``.
-    Returns ``(xi, dens, value, g_u, g_xi)``: ``xi`` the (n_active, 5) slots
-    of ``_cell_slots``, ``dens`` the density of each active cell in
-    ``Grid.active_index`` order, ``value`` the energy ``cell_area * sum(dens)``
-    (``inf`` whenever a density is); the two gradients are None without
-    ``gradient``.  A gradient requires finite energy and is checked finite,
-    in that order.  ``g_u`` may be None: the density has no direct u dependence.
+    The one pass over the active cells behind ``energy``, ``energy_with_gradient``,
+    ``_energy_and_pairing`` and the certificates of :mod:`polyreg.bregman`, with
+    one call of ``F``.  ``slots`` is ``_cell_slots`` of ``u`` on the active
+    cells when the caller already has it.  Returns ``(xi, dens, value, g_u,
+    g_xi)``: ``xi`` the (n_active, 5) slots of ``_cell_slots``, ``dens`` the
+    density of each active cell in ``Grid.active_index`` order, ``value`` the
+    energy ``cell_area * sum(dens)`` (``inf`` whenever a density is); the two
+    gradients are None without ``gradient``.  A gradient requires finite
+    energy and is checked finite, in that order.  ``g_u`` may be None: the
+    density has no direct u dependence.
     """
     if F.layout != _LAYOUT_2X2:
         raise ValueError("grid calculus supports 2 x 2 gradient layouts only")
     grid = u.grid
     xc = grid.active_centers
-    uc, xi = _cell_slots(u, grid.active_corners)
+    uc, xi = _cell_slots(u, grid.active_corners) if slots is None else slots
     with np.errstate(over="ignore"):
         if gradient:
             dens, g_u, g_xi = F.gradient(xc, uc, xi)
@@ -464,6 +471,14 @@ def pairing(w, u) -> float:
     Jacobian.  ``w.active_values`` supplies u0_c, u1_c and v2_c over the
     active cells of ``w``'s base grid, which must have the mask of ``u``'s.
     """
+    operands = _pairing_operands(w, u)
+    uc, xi = _cell_slots(u, u.grid.active_corners)
+    return _pairing_sum(operands, uc, xi, u.grid.cell_area)
+
+
+def _pairing_operands(w, u):
+    """``w.active_values``, once ``w`` is checked to pair with fields on
+    ``u``'s grid (or any grid of the same shape and mask)."""
     grid = u.grid
     if w.u0.shape != u.values.shape:
         raise ValueError("node covector shape does not match the field")
@@ -472,12 +487,24 @@ def pairing(w, u) -> float:
     base = w.base_point.grid
     if base is not grid and not np.array_equal(base.active_cells, grid.active_cells):
         raise ValueError("covector and field have different cell masks")
-    u0c, u1c, v2c = w.active_values
-    uc, xi = _cell_slots(u, grid.active_corners)
+    return w.active_values
+
+
+def _pairing_sum(operands, uc, xi, area):
+    u0c, u1c, v2c = operands
     total = np.sum(u0c * uc)
     total += np.sum(u1c * xi[:, :4])
     total += np.sum(v2c * xi[:, 4:])
-    return float(grid.cell_area * total)
+    return float(area * total)
+
+
+def _energy_and_pairing(v, F, operands):
+    """``(energy(v, F), pairing(w, v))`` bit for bit from one pass of the cell
+    kernel, ``operands`` being ``_pairing_operands(w, v)``: the checks run
+    once per grid, not once per field."""
+    uc, xi = _cell_slots(v, v.grid.active_corners)
+    value = _density_pass(v, F, gradient=False, slots=(uc, xi))[2]
+    return value, _pairing_sum(operands, uc, xi, v.grid.cell_area)
 
 
 def identity_field(grid) -> MatrixField:
@@ -498,14 +525,18 @@ def random_smooth_field(grid, seed=None, rng=None, amplitude=1.0, modes=3) -> Ma
       + c2 cos(pi kx s) sin(pi (ky+1) t)     + c3 cos(pi kx s) cos(pi ky t)
 
     with (s, t) the node position scaled to [0, 1]^2 and the four
-    coefficients drawn from ``rng`` (or a generator seeded with ``seed``);
-    the result is scaled so its sup norm equals ``amplitude``.  Smooth by
-    construction, hence resolution-independent in character.
+    coefficients drawn from ``rng`` (or a generator seeded with ``seed``),
+    component by component, ``kx`` before ``ky``; the result is scaled so
+    its sup norm equals ``amplitude``.  Smooth by construction, hence
+    resolution-independent in character.
 
-    The grid is a tensor product, so the sines and cosines are 1-d tables
-    over s and t, and each term is the outer product ``(c * a) (x) b``:
-    the same products, summed in the same order, as evaluating the formula
-    on the full grid, hence the same values bit for bit.
+    The sum is separable: with ``Bs`` and ``Bt`` the (2 modes x n) tables
+    of the sines and cosines over s and t, and ``C`` the matrix of one
+    component's coefficients (sine rows before cosine rows, likewise the
+    columns), the component is ``Bs^T C Bt``.  The two products run through
+    ``_serial_matmul``, so the field does not depend on the BLAS thread
+    count; it matches the term-by-term sum to rounding (a few ulps of the
+    sup norm), not bit for bit.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -514,21 +545,26 @@ def random_smooth_field(grid, seed=None, rng=None, amplitude=1.0, modes=3) -> Ma
     k = np.arange(modes)[:, None]
     s = (pts[:, 0, 0] - a1) / (b1 - a1)
     t = (pts[0, :, 1] - a2) / (b2 - a2)
-    sin_s, cos_s = np.sin(np.pi * (k + 1) * s), np.cos(np.pi * k * s)
-    sin_t, cos_t = np.sin(np.pi * (k + 1) * t), np.cos(np.pi * k * t)
-    outer = np.multiply.outer
-    values = np.zeros(grid.node_shape + (2,))
+    bs = np.concatenate([np.sin(np.pi * (k + 1) * s), np.cos(np.pi * k * s)])
+    bt = np.concatenate([np.sin(np.pi * (k + 1) * t), np.cos(np.pi * k * t)])
+    # c[comp, kx, ky, 2 p + q]: p picks sin/cos over s, q sin/cos over t
+    c = rng.standard_normal((2, modes, modes, 4)).reshape(2, modes, modes, 2, 2)
+    coef = c.transpose(0, 3, 1, 4, 2).reshape(2, 2 * modes, 2 * modes)
+    values = np.empty(grid.node_shape + (2,))
     for comp in range(2):
-        acc = np.zeros(grid.node_shape)
-        for kx in range(modes):
-            for ky in range(modes):
-                c = rng.standard_normal(4)
-                acc += outer(c[0] * sin_s[kx], sin_t[ky])
-                acc += outer(c[1] * sin_s[kx], cos_t[ky])
-                acc += outer(c[2] * cos_s[kx], sin_t[ky])
-                acc += outer(c[3] * cos_s[kx], cos_t[ky])
-        values[..., comp] = acc
+        values[..., comp] = _serial_matmul(_serial_matmul(bs.T, coef[comp]), bt)
     peak = np.max(np.abs(values))
     if peak > 0:
         values *= amplitude / peak
     return MatrixField(grid, values)
+
+
+def _serial_matmul(a, b):
+    """``a @ b`` for 2-d arrays, one ``np.matmul`` per block of rows of
+    ``a``, each block at most ``_GEMM_BLOCK`` multiply-adds, so that each
+    runs on the calling thread."""
+    rows = max(1, _GEMM_BLOCK // b.size)
+    out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
+    return out

@@ -71,10 +71,12 @@ thread count; so with OpenBLAS every slice runs on the calling thread and a
 solve's result does not depend on the BLAS thread count or the host's cores.
 A BLAS that threads shorter dot products would not keep that promise.  Up to
 ``_DOT_BLOCK`` unknowns (a 64 x 64 grid) every inner product is one plain
-``np.dot`` of the whole arrays.  The H1 metric's matmuls run in row blocks
-of at most ``_GEMM_BLOCK`` multiply-adds, each one ``np.matmul``, which
-OpenBLAS also runs on the calling thread; threaded, one 64 x 64 apply took
-6 to 32 ms instead of 0.14 ms on a shared 2-core host.
+``np.dot`` of the whole arrays.  The H1 metric's matmuls run through
+``fields._serial_matmul``, in row blocks of at most ``fields._GEMM_BLOCK``
+multiply-adds, each one ``np.matmul``, which OpenBLAS also runs on the
+calling thread; threaded, one 64 x 64 apply took 6 to 32 ms instead of
+0.14 ms on a shared 2-core host.  The random fields of the perturbed starts
+come from the same blocked products.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ import numpy as np
 from .fields import (
     InfiniteEnergyError,
     MatrixField,
+    _serial_matmul,
     cell_center_values,
     energy,
     energy_with_gradient,
@@ -107,9 +110,6 @@ _CONVERGED = ("gradient", "small-decrease")
 # OpenBLAS 0.3.31); a BLAS that threads shorter ones makes solves above
 # 8192 unknowns depend on its thread count again.
 _DOT_BLOCK = 8192
-# Multiply-adds per matmul block: OpenBLAS runs a dgemm of at most
-# 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) of them on one thread.
-_GEMM_BLOCK = 2 ** 18
 
 
 def _blocked_dot(a, b):
@@ -252,17 +252,6 @@ class H1Metric:
         a = _serial_matmul(a, self.vy_t)  # [k, l, j]
         a = a.reshape(2, nx, ny).transpose(2, 0, 1).reshape(2 * ny, nx)  # [j, k, l]
         return _serial_matmul(a, self.vx_t).T.ravel()  # [i, j, k]
-
-
-def _serial_matmul(a, b):
-    """``a @ b`` for 2-d arrays, one ``np.matmul`` per block of rows of
-    ``a``, each block at most ``_GEMM_BLOCK`` multiply-adds, so that each
-    runs on the calling thread."""
-    rows = max(1, _GEMM_BLOCK // b.size)
-    out = np.empty((a.shape[0], b.shape[1]))
-    for i in range(0, a.shape[0], rows):
-        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
-    return out
 
 
 def metric_shift(problem):

@@ -27,7 +27,7 @@ from polyreg import (
     random_smooth_field,
     rotation_energy,
 )
-from polyreg.fields import _density_pass
+from polyreg.fields import _density_pass, _energy_and_pairing, _pairing_operands
 
 from oracles import (
     assembly_densities,
@@ -132,6 +132,26 @@ def test_pairing_equals_the_assembly(name, mask):
         phi = random_smooth_field(grid, seed=[17, k], amplitude=0.5)
         v = u.with_values(u.values + phi.values)
         assert pairing(w, v) == assembly_pairing(w, v)
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 1e100])
+@pytest.mark.parametrize("mask", ("box", "disk"))
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_one_pass_energy_and_pairing_equal_the_two_calls(name, mask, amplitude):
+    # amplitude 1e100 overflows every density to inf; the pairing stays finite
+    F = INTEGRANDS[name]()
+    grid = make_grid(mask)
+    u = make_field("random", grid)
+    w = poly_subgradient(F, u)
+    operands = _pairing_operands(w, u)
+    for k in range(3):
+        phi = random_smooth_field(grid, seed=[19, k], amplitude=amplitude)
+        v = u.with_values(u.values + phi.values)
+        value, paired = _energy_and_pairing(v, F, operands)
+        assert type(value) is float and type(paired) is float
+        assert value.hex() == energy(v, F).hex()
+        assert paired.hex() == pairing(w, v).hex()
+        assert np.isfinite(value) == (amplitude < 1.0)
 
 
 def test_pairing_rejects_a_field_on_another_mask():
