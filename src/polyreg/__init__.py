@@ -68,7 +68,7 @@ from .bregman import (
     verify_subgradient,
     zero_subgradient,
 )
-from .solver import MinimizeResult, TikhonovProblem, minimize, solve_multi_start
+from .solver import MinimizeResult, TikhonovProblem, minimize
 from .rates import (
     RateExperiment,
     RateReport,

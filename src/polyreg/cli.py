@@ -122,7 +122,7 @@ def cmd_register(args) -> int:
     cfg = load_config(args.config)
     exp = build_experiment(cfg)
     seed = exp.seeds[0]
-    _, alpha, result = solve_level(exp, args.delta, seed, seed)
+    _, alpha, result = solve_level(exp, args.delta, seed)
     gap = admissibility_gap(result.u_min)
     os.makedirs(args.out, exist_ok=True)
     pio.save_field(os.path.join(args.out, "deformation.csv"), result.u_min)

@@ -38,7 +38,7 @@ def default_config() -> dict:
             "fit_levels": 4,
             "exact_row": True,
         },
-        "solver": {"tol": 3e-5, "max_iter": 4000, "memory": 12, "starts": 1},
+        "solver": {"tol": 3e-5, "max_iter": 4000, "memory": 12},
         "source_condition": {
             "beta1": 0.5,
             "beta2": 1.0,
@@ -133,7 +133,6 @@ def _check_ranges(cfg) -> None:
         ("solver.tol", sol["tol"], "in (0, 1)", 0 < float(sol["tol"]) < 1),
         ("solver.max_iter", sol["max_iter"], ">= 1", int(sol["max_iter"]) >= 1),
         ("solver.memory", sol["memory"], ">= 1", int(sol["memory"]) >= 1),
-        ("solver.starts", sol["starts"], ">= 1", int(sol["starts"]) >= 1),
         ("experiment.delta0", ecfg["delta0"], "finite and > 0",
          _finite_positive(ecfg["delta0"])),
         ("experiment.alpha0", ecfg["alpha0"], "finite and > 0",
@@ -205,7 +204,6 @@ def build_experiment(cfg) -> RateExperiment:
         solver_tol=float(sol["tol"]),
         solver_max_iter=int(sol["max_iter"]),
         solver_memory=int(sol["memory"]),
-        solver_starts=int(sol["starts"]),
         fit_levels=int(ecfg["fit_levels"]),
         exact_row=bool(ecfg["exact_row"]),
     )

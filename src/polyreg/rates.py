@@ -9,10 +9,12 @@ estimate the observed convergence order; a slope near one matches the
 predicted linear rate, and steeper slopes with monotone distances are
 reported as superlinear rather than as failures.
 
-Levels run from the largest noise downward so each solve can warm-start
-from its predecessor; the first level starts from the identity, and the
-noise-free exact row warm-starts from the last level.  With fixed seeds the
-sweep is fully deterministic and two runs produce byte-identical reports.
+Levels run from the largest noise downward, one solve each, so each can
+warm-start from its predecessor; the first starts from the identity.  The
+noise-free exact row warm-starts from the last level at the smallest level's
+weight, so it too is a regularized minimizer (for the default rotation
+density and zero certificate, the exact solution itself).  With fixed seeds
+the sweep is fully deterministic and two runs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -161,10 +163,10 @@ class RateExperiment:
     ``deltas`` are the positive noise levels (any order; the sweep runs them
     descending).  ``w`` is the certificate at the exact solution
     ``u_dagger``.  The fit uses the ``fit_levels`` smallest levels.  When
-    ``exact_row`` is set, a final noise-free solve is appended as a sanity
-    row, excluded from all fits.  Before the first solve the sweep samples
-    the certificate inequality, and the source condition when
-    ``source_params`` is given, and stops on a violation.
+    ``exact_row`` is set, a final noise-free solve at the smallest level's
+    weight is appended as a sanity row, excluded from all fits.  Before the
+    first solve the sweep samples the certificate inequality, and the source
+    condition when ``source_params`` is given, and stops on a violation.
     """
 
     integrand: object
@@ -179,7 +181,6 @@ class RateExperiment:
     solver_tol: float = 3e-5
     solver_max_iter: int = 4000
     solver_memory: int = 12
-    solver_starts: int = 1
     fit_levels: int = 4
     exact_row: bool = True
 
@@ -208,33 +209,27 @@ def _precheck(exp) -> None:
                 raise ValueError(f"source condition violated at a probe: {resid:.3e}")
 
 
-def solve_level(exp, delta, seed, start_seed, warm_start=None):
+def solve_level(exp, delta, seed, warm_start=None, *, weight_delta=None):
     """One regularized solve at noise level ``delta``.
 
     Draws the noisy data with ``seed``, picks the weight by the a-priori
-    rule (``alpha = 0`` at ``delta = 0``: the exact, unregularized solve) and
-    solves from ``warm_start``, or from the identity when there is none.  With
-    ``exp.solver_starts`` above one, further starts are tried and the best
-    kept; the perturbed one derives from ``start_seed``.  Returns
-    ``(sample, alpha, result)``.
+    rule at ``weight_delta`` (default ``delta``; ``alpha = 0`` at zero: the
+    exact, unregularized solve) and solves once from ``warm_start``, or from
+    the identity when there is none.  Returns ``(sample, alpha, result)``.
     """
     q = exp.forward.q
     sample = add_noise(exp.forward.exact_data, delta, q, seed)
+    weight_delta = delta if weight_delta is None else weight_delta
     alpha = 0.0
-    if delta > 0:
+    if weight_delta > 0:
         alpha = choose_alpha(
-            delta, q, exp.alpha0, exp.epsilon,
+            weight_delta, q, exp.alpha0, exp.epsilon,
             beta2=None if exp.source_params is None else exp.source_params.beta2,
         )
-    problem = TikhonovProblem(
-        exp.integrand, exp.forward.reference, sample, q, alpha,
-        initial=identity_field(exp.u_dagger.grid),
-    )
-    result = solve_multi_start(
-        problem, tol=exp.solver_tol, max_iter=exp.solver_max_iter,
-        memory=exp.solver_memory, starts=exp.solver_starts,
-        seed=start_seed, warm_start=warm_start,
-    )
+    start = identity_field(exp.u_dagger.grid) if warm_start is None else warm_start
+    problem = TikhonovProblem(exp.integrand, exp.forward.reference, sample, q, alpha, start)
+    result = solve_multi_start(problem, tol=exp.solver_tol, max_iter=exp.solver_max_iter,
+                               memory=exp.solver_memory)
     return sample, alpha, result
 
 
@@ -251,11 +246,11 @@ def run_rates(exp) -> RateReport:
     _precheck(exp)
     rows = []
     warm = None
-    for level, delta in enumerate(levels):
+    for delta in levels:
         best_of_level = None
         for seed in exp.seeds:
             started = time.perf_counter()
-            sample, alpha, result = solve_level(exp, delta, seed, seed + 7919 * level, warm)
+            sample, alpha, result = solve_level(exp, delta, seed, warm)
             rows.append(_make_row(exp, sample, alpha, seed, result, started))
             if best_of_level is None or result.objective < best_of_level.objective:
                 best_of_level = result
@@ -264,7 +259,7 @@ def run_rates(exp) -> RateReport:
     if exp.exact_row:
         started = time.perf_counter()
         seed = exp.seeds[0]
-        sample, alpha, result = solve_level(exp, 0.0, seed, seed, warm)
+        sample, alpha, result = solve_level(exp, 0.0, seed, warm, weight_delta=levels[-1])
         rows.append(_make_row(exp, sample, alpha, seed, result, started, exact=True))
 
     return _assemble_report(exp, rows)

@@ -75,8 +75,7 @@ A BLAS that threads shorter dot products would not keep that promise.  Up to
 ``fields._serial_matmul``, in row blocks of at most ``fields._GEMM_BLOCK``
 multiply-adds, each one ``np.matmul``, which OpenBLAS also runs on the
 calling thread; threaded, one 64 x 64 apply took 6 to 32 ms instead of
-0.14 ms on a shared 2-core host.  The random fields of the perturbed starts
-come from the same blocked products.
+0.14 ms on a shared 2-core host.
 """
 
 from __future__ import annotations
@@ -93,8 +92,6 @@ from .fields import (
     cell_center_values,
     energy,
     energy_with_gradient,
-    identity_field,
-    random_smooth_field,
     scatter_to_corners,
 )
 from .registration import _check_same_geometry, data_term, warp
@@ -103,7 +100,6 @@ _ARMIJO = 1e-4
 _SHRINK = 0.5
 _DECREASE_WINDOW = 5
 _DECREASE_RTOL = 1e-12  # relative decrease that counts as no progress
-_START_PERTURBATION = 0.02  # sup norm of the bump on the third multi-start field
 _CONVERGED = ("gradient", "small-decrease")
 # Entries per inner-product slice.  It assumes that the BLAS runs a ddot of
 # at most 10,000 entries on one thread, as OpenBLAS does (checked with
@@ -400,36 +396,11 @@ def _backtrack(value_and_grad, x, f, d, gtd):
     return None, None, None, evals
 
 
-def solve_multi_start(problem, tol=3e-5, max_iter=500, memory=10, starts=3,
-                      seed=0, warm_start=None) -> MinimizeResult:
-    """Run ``minimize`` from up to three starting fields and keep the best.
+def solve_multi_start(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
+    """``minimize`` from ``problem.initial``: the one call every level solve of
+    ``rates.solve_level`` goes through.
 
-    Starts, in order: the warm start (when given), the identity field, and
-    the identity plus a small seeded smooth perturbation.  Each start poses
-    ``problem`` anew, so it must have a finite objective like any initial
-    field, and each solve measures its relative ``tol`` against the gradient
-    at its own start.  Ties in the final objective resolve in favor of the
-    earlier start, so results are deterministic.  With ``starts=1`` this is
-    one ``minimize`` call from the warm start, or from the identity when
-    there is none, as in the sweep's default configuration.  Only the kept
-    starts are built; the perturbed one draws from its own seeded generator,
-    so skipping it moves no other draw.
+    It is the benchmark's hook for counting the kept solves, until the
+    benchmark hooks ``rates.solve_level`` instead (ROADMAP item 1).
     """
-    grid = problem.initial.grid
-    candidates = []
-    if warm_start is not None:
-        candidates.append(warm_start)
-    candidates.append(identity_field(grid))
-    if len(candidates) < starts:
-        bump = random_smooth_field(grid, seed=[int(seed), 977], amplitude=_START_PERTURBATION)
-        candidates.append(MatrixField(grid, grid.node_points + bump.values))
-    candidates = candidates[:max(1, starts)]
-
-    best = None
-    for start in candidates:
-        posed = TikhonovProblem(problem.integrand, problem.reference, problem.data,
-                                problem.q, problem.alpha, start)
-        result = minimize(posed, tol=tol, max_iter=max_iter, memory=memory)
-        if best is None or result.objective < best.objective:
-            best = result
-    return best
+    return minimize(problem, tol=tol, max_iter=max_iter, memory=memory)

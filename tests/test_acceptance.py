@@ -252,7 +252,7 @@ def test_criterion_10_determinism(tmp_path):
     cfg = {
         "grid": {"nx": 20, "ny": 20},
         "experiment": {"levels": 3, "fit_levels": 3, "delta0": 0.1, "seeds": [0, 1]},
-        "solver": {"tol": 1e-6, "max_iter": 800, "starts": 2},
+        "solver": {"tol": 1e-6, "max_iter": 800},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -7,6 +7,7 @@ API fails here first.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -52,3 +53,37 @@ def test_probe_targets_resolve(bench_modules):
     assert run.Probe.KEPT
     for target in run.Probe.KEPT + (("polyreg.solver", "minimize"),):
         assert callable(resolve(target)), target
+
+
+def test_every_solve_goes_through_the_probe_hook(monkeypatch, tmp_path):
+    # The probe reads adm_gap_max from what solve_multi_start returns and
+    # useful_start_ratio as its calls per minimize call; both keep their
+    # meaning only while every level solve is one hooked call of one minimize.
+    from polyreg import rates, solver
+    from polyreg.cli import main
+    from polyreg.config import build_experiment, load_config
+
+    calls = {"hook": 0, "minimize": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(rates, "solve_multi_start", counting("hook", rates.solve_multi_start))
+    monkeypatch.setattr(solver, "minimize", counting("minimize", solver.minimize))
+    overlay = {"grid": {"nx": 12, "ny": 12},
+               "experiment": {"levels": 3, "fit_levels": 3, "seeds": [0, 1]},
+               "solver": {"max_iter": 20}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overlay))
+
+    report = rates.run_rates(build_experiment(load_config(str(config))))
+    assert len(report.rows) == 3 * 2 + 1
+    assert calls == {"hook": len(report.rows), "minimize": len(report.rows)}
+
+    calls.update(hook=0, minimize=0)
+    main(["register", "--config", str(config), "--delta", "0.05",
+          "--out", str(tmp_path / "reg")])
+    assert calls == {"hook": 1, "minimize": 1}

@@ -12,7 +12,7 @@ def small_config(tmp_path):
     cfg = {
         "grid": {"nx": 20, "ny": 20},
         "experiment": {"levels": 3, "fit_levels": 3, "delta0": 0.1, "seeds": [0]},
-        "solver": {"tol": 1e-6, "max_iter": 1500, "starts": 2},
+        "solver": {"tol": 1e-6, "max_iter": 1500},
         "verify": {"trials": 40, "radius": 0.4, "seed": 3},
     }
     path = tmp_path / "config.json"
@@ -33,9 +33,10 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"grd": {}}))
-        with pytest.raises(ValueError):
-            load_config(str(path))
+        for overlay, key in (({"grd": {}}, "grd"), ({"solver": {"starts": 2}}, "solver.starts")):
+            path.write_text(json.dumps(overlay))
+            with pytest.raises(ValueError, match=rf"unknown config key '{key}'"):
+                load_config(str(path))
 
     def test_build_grid_disk(self, small_config):
         grid = build_grid(load_config(small_config))
@@ -65,7 +66,7 @@ class TestConfig:
         ("solver", "tol", 3.0),
         ("solver", "max_iter", 0),
         ("solver", "memory", 0),
-        ("solver", "starts", 0),
+        ("solver", "max_iter", -1),
         ("experiment", "fit_levels", 2),
         ("experiment", "levels", 2),
         ("experiment", "delta0", 0.0),
@@ -152,6 +153,18 @@ class TestRegister:
         assert (summary["admissibility_gap"] > cell) == bool(code)
         err = capsys.readouterr().err
         assert ("leaves the domain" in err) == bool(code)
+
+    def test_zero_noise_solves_unregularized(self, tmp_path, capsys):
+        # register --delta 0 is the exact, alpha = 0 solve; the sweep's
+        # noise-free row is regularized instead
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"nx": 16, "ny": 16},
+                                      "solver": {"max_iter": 5}}))
+        out_dir = tmp_path / "reg"
+        main(["register", "--config", str(config), "--delta", "0", "--out", str(out_dir)])
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["delta"] == 0.0
+        assert summary["alpha"] == 0.0
 
     @pytest.mark.parametrize("alpha0, metric", [(0.05, "scalar"), (5.0, "H1 with shift 0.643")])
     def test_stdout_names_the_initial_metric(self, tmp_path, capsys, alpha0, metric):

@@ -24,7 +24,7 @@ import pytest
 from polyreg.cli import main
 
 RATES = {
-    "report.csv": "1af745c2cf8343be13750947292b3ee99d1846ffe329fdb65718c888405fe640",
+    "report.csv": "260d9d0ab95b3d03b57080cacd56dd493bd909bc2efdcb839dd5eb4cd025c569",
     "report_slopes.json": "2f982f8a38d2da882f409641ede8719e68e209384167cc47649ebe26210af4c4",
 }
 REGISTER = {

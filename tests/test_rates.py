@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -101,7 +102,7 @@ def small_experiment(grid, **overrides):
         integrand=F, forward=forward, u_dagger=u_dagger, w=w,
         deltas=geometric_levels(0.2, 1, 4), alpha0=0.05, epsilon=0.5,
         seeds=(0,), source_params=params,
-        solver_tol=1e-4, solver_max_iter=4000, solver_memory=10, solver_starts=2,
+        solver_tol=1e-4, solver_max_iter=4000, solver_memory=10,
         fit_levels=4, exact_row=True,
     )
     kwargs.update(overrides)
@@ -196,6 +197,38 @@ class TestRunRates:
             run_rates(exp)
 
 
+class TestSolveLevel:
+    def test_warm_start_is_used(self):
+        from polyreg import Grid, disk_mask
+
+        base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 16, 16)
+        exp = small_experiment(base.with_mask(disk_mask(base, radius=1.0)),
+                               solver_tol=1e-6, solver_max_iter=200)
+        _, _, good = solve_level(exp, 0.01, 10)
+        # with a zero budget, the warm start is returned as is
+        frozen_exp = dataclasses.replace(exp, solver_max_iter=0)
+        _, _, frozen = solve_level(frozen_exp, 0.01, 10, good.u_min)
+        assert np.array_equal(frozen.u_min.values, good.u_min.values)
+        # and with budget it can only improve on the warm objective
+        _, _, warm = solve_level(exp, 0.01, 10, good.u_min)
+        assert warm.objective <= good.objective + 1e-14
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_noise_free_row_is_the_regularized_minimizer(n):
+    # On the default config u_dagger minimizes the misfit (to 0) and the
+    # rotation energy, so at the smallest level's weight it is the noise-free
+    # row's exact minimizer and the row's D_poly is the solver's own error.
+    cfg = load_config()
+    cfg["grid"].update(nx=n, ny=n)
+    report = run_rates(build_experiment(cfg))
+    *levels, exact = report.rows
+    assert exact.exact and exact.delta == 0.0
+    assert exact.alpha == min(levels, key=lambda r: r.delta).alpha > 0.0
+    assert exact.converged
+    assert 0.0 <= exact.d_poly < 1e-5
+
+
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
@@ -230,7 +263,7 @@ def test_h1_metric_solve_matches_reference_distance():
     cfg["grid"].update(nx=64, ny=64)
     exp = build_experiment(cfg)
     assert entry["deltas"][0] == 0.05
-    _, _, result = solve_level(exp, 0.05, 0, 0)
+    _, _, result = solve_level(exp, 0.05, 0)
     assert result.converged
     assert 0.0 < result.metric_shift <= 1.0
     d_poly = bregman_poly(exp.integrand, result.u_min, exp.u_dagger, exp.w)

@@ -29,7 +29,6 @@ from polyreg import (
     random_smooth_field,
     rotation_energy,
     rotation_field,
-    solve_multi_start,
     warp,
 )
 
@@ -624,53 +623,6 @@ class TestLbfgsDirection:
             assert len(stored) == min(memory, k)
             for s, step in zip(stored, steps[k - len(stored):k]):
                 assert np.array_equal(s, step)
-
-
-class TestMultiStart:
-    def test_best_objective_wins(self, disk_grid, setup):
-        F, reference, u_dagger, exact = setup
-        sample = add_noise(exact, 0.05, 2.0, seed=9)
-        problem = TikhonovProblem(F, reference, sample, 2.0, 0.005,
-                                  identity_field(disk_grid))
-        multi = solve_multi_start(problem, tol=1e-6, max_iter=150, starts=3, seed=1)
-        single = minimize(problem, tol=1e-6, max_iter=150)
-        assert multi.objective <= single.objective + 1e-12
-
-    def test_warm_start_is_used(self, disk_grid, setup):
-        F, reference, u_dagger, exact = setup
-        sample = add_noise(exact, 0.01, 2.0, seed=10)
-        problem = TikhonovProblem(F, reference, sample, 2.0, 0.001,
-                                  identity_field(disk_grid))
-        good = solve_multi_start(problem, tol=1e-6, max_iter=200, starts=3, seed=1)
-        # with a single start and a zero budget, the warm start is returned as is
-        frozen = solve_multi_start(problem, tol=1e-6, max_iter=0, starts=1, seed=1,
-                                   warm_start=good.u_min)
-        assert np.array_equal(frozen.u_min.values, good.u_min.values)
-        # and with budget it can only improve on the warm objective
-        warm = solve_multi_start(problem, tol=1e-6, max_iter=200, starts=1, seed=1,
-                                 warm_start=good.u_min)
-        assert warm.objective <= good.objective + 1e-14
-
-
-    def test_only_the_kept_starts_are_built(self, monkeypatch):
-        from polyreg import solver
-
-        problem = small_problem()
-        built = []
-        real = solver.random_smooth_field
-
-        def counted(*args, **kwargs):
-            built.append(kwargs.get("seed"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "random_smooth_field", counted)
-        warm = problem.initial
-        for starts, warm_start, perturbed in ((1, None, 0), (1, warm, 0), (2, None, 1),
-                                              (2, warm, 0), (3, warm, 1)):
-            built.clear()
-            solve_multi_start(problem, max_iter=2, starts=starts, seed=5,
-                              warm_start=warm_start)
-            assert built == [[5, 977]] * perturbed
 
 
 class TestLineSearchTrials:
