@@ -3,9 +3,10 @@
 The objective is the clamped-warp data misfit
 ``data_term(warp(reference, u), data.image, q)`` plus, when ``alpha > 0``,
 ``alpha * energy(u)``.  Minimization uses a limited-memory quasi-Newton
-method (two-loop recursion over the newest ``memory`` secant pairs) with a
-backtracking line search enforcing the Armijo sufficient-decrease condition,
-so accepted iterates never increase the objective.
+method (L-BFGS in the compact form of Byrd, Nocedal & Schnabel over the
+newest ``memory`` secant pairs) with a backtracking line search enforcing
+the Armijo sufficient-decrease condition, so accepted iterates never
+increase the objective.
 
 A solve stops for one of four reasons (``MinimizeResult.stop_reason``),
 following the relative tests of Nocedal & Wright, *Numerical Optimization*,
@@ -21,10 +22,11 @@ ch. 3 and 7:
   error where the sup norm is linear, so ``tol**2`` asks for about the same
   accuracy; and it does not depend on the start, so it also ends warm
   starts, whose small initial gradient puts ``tol * g_sup(x0)`` out of
-  reach.  Before the first curvature pair the direction is the scaled
-  gradient, whose ``-g.d`` carries the cell area; there the threshold is
-  rounding, ``eps * |f|``, below which no line search makes progress (an
-  exact minimizer is one such start).  The sup-norm test stays for
+  reach.  Before the first curvature pair (and after a quasi-Newton
+  direction that does not descend, which empties the memory) the direction
+  is the scaled gradient, whose ``-g.d`` carries the cell area; there the
+  threshold is rounding, ``eps * |f|``, below which no line search makes
+  progress (an exact minimizer is one such start).  The sup-norm test stays for
   objectives whose floor is 0, where no test relative to ``|f|`` can fire.
 * ``small-decrease``: the relative objective decrease, scaled by
   ``max(1, |f|)``, stayed below ``_DECREASE_RTOL`` for five consecutive
@@ -41,46 +43,55 @@ Every line-search trial is evaluated with value and gradient together, so
 the accepted trial's gradient serves the next iteration and each trial costs
 one evaluation.  Infinite energy at a trial rejects it.
 
-The two-loop recursion starts from the scalar metric ``gamma * I``, with
+The inverse-BFGS matrix is built from the scalar metric ``gamma * I``, with
 ``gamma = s.y / y.y`` of the newest pair, unless the regularizer dominates at
 grid scale.  On fine grids the Hessian of the polyconvex energy behaves like
 ``alpha`` times a nodal Laplacian, which no scalar preconditions; so, as in
 FAIR (Modersitzki 2009) and in Burger, Modersitzki & Ruthotto (SIAM J. Sci.
-Comput. 35, 2013), the recursion then starts from ``gamma * P`` with
-``P = (L + c I)^-1`` on each component (``H1Metric``), ``L`` the Neumann
-5-point graph Laplacian of the node grid and ``gamma = s.y / y.P y``.  The
-shift ``c = mbar * h1 * h2 / alpha`` compares the misfit's curvature per
-cell, ``mbar`` being the mean of ``|grad I_ref|^2`` over the domain nodes,
-with the regularizer's; the metric is used when ``0 < c <= 1``
+Comput. 35, 2013), it is then built from ``gamma * P~`` with
+``P~ = M P M``, ``P = (L + c I)^-1`` on each component (``H1Metric``), ``L``
+the Neumann 5-point graph Laplacian of the node grid and ``M`` the 0/1 mask
+of the unknowns at nodes that touch an active cell (``H1Metric.moving``).
+Nodes that touch no active cell carry no gradient, so ``P~ g = M P g`` on
+every gradient, and every direction is 0 there: those nodes stay where they
+start, as they do under the scalar metric.  The shift
+``c = mbar * h1 * h2 / alpha`` compares the misfit's curvature per cell,
+``mbar`` being the mean of ``|grad I_ref|^2`` over the domain nodes, with
+the regularizer's; the metric is used when ``0 < c <= 1``
 (``metric_shift``), and ``MinimizeResult.metric_shift`` reports the ``c``
-used.  Elsewhere the direction is the scalar one, bit for bit: where the
-misfit dominates the metric does not pay (the default 32 x 32 sweep, c from
-3.9 to 246, took 2,867 iterations with it against 2,739 without), while a
-cold 128 x 128 solve at the default weight (c about 0.9) takes half the
-iterations with it.
-Nodes that touch no active cell carry no gradient; the metric's direction is
-zeroed there, so they stay where they start, as they do under the scalar
-metric.
+used.  Where the misfit dominates the metric does not pay (the default
+32 x 32 sweep, c from 3.9 to 246, took 2,867 iterations with it against
+2,739 without), while a cold 128 x 128 solve at the default weight (c about
+0.9) takes half the iterations with it.
+
+The direction comes from the compact form of the inverse-BFGS matrix
+(``_CompactMemory``).  Each iteration applies the metric once, to the new
+gradient (``z = P~ g_new - P~ g`` and ``gamma = s.y / y.z`` need no second
+apply), and passes twice over the stored pairs: one product with ``g_new``
+and one combination for the direction.
 
 Everything is deterministic: no randomness enters a solve, and all
 reductions run in fixed order.  The solver's inner products run in fixed
 ``_DOT_BLOCK``-entry slices, summed left to right, each slice one ``np.dot``.
-OpenBLAS splits only longer products (over 10,000 entries) across its
-threads, and such a split changes both the cost and the rounding with the
-thread count; so with OpenBLAS every slice runs on the calling thread and a
-solve's result does not depend on the BLAS thread count or the host's cores.
-A BLAS that threads shorter dot products would not keep that promise.  Up to
+The product of the pair rows with a vector and their combination run in
+``_DOT_BLOCK``-column slices, each one ``np.matmul`` (a BLAS matrix-vector
+product); the product's slices are summed left to right, and the
+combination's are disjoint parts of its result.  OpenBLAS splits only longer products (over 10,000 entries, or
+columns of a matrix-vector product) across its threads, and such a split
+changes both the cost and the rounding with the thread count; so with
+OpenBLAS every slice runs on the calling thread and a solve's result does
+not depend on the BLAS thread count or the host's cores.  A BLAS that
+threads shorter products would not keep that promise.  Up to
 ``_DOT_BLOCK`` unknowns (a 64 x 64 grid) every inner product is one plain
-``np.dot`` of the whole arrays.  The H1 metric's matmuls run through
-``fields._serial_matmul``, in row blocks of at most ``fields._GEMM_BLOCK``
-multiply-adds, each one ``np.matmul``, which OpenBLAS also runs on the
-calling thread; threaded, one 64 x 64 apply took 6 to 32 ms instead of
-0.14 ms on a shared 2-core host.
+``np.dot`` of the whole arrays and every product one ``np.matmul``.  The H1
+metric's matmuls run through ``fields._serial_matmul``, in row blocks of at
+most ``fields._GEMM_BLOCK`` multiply-adds, each one ``np.matmul``, which
+OpenBLAS also runs on the calling thread; threaded, one 64 x 64 apply took
+6 to 32 ms instead of 0.14 ms on a shared 2-core host.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +112,14 @@ _SHRINK = 0.5
 _DECREASE_WINDOW = 5
 _DECREASE_RTOL = 1e-12  # relative decrease that counts as no progress
 _CONVERGED = ("gradient", "small-decrease")
-# Entries per inner-product slice.  It assumes that the BLAS runs a ddot of
-# at most 10,000 entries on one thread, as OpenBLAS does (checked with
-# OpenBLAS 0.3.31); a BLAS that threads shorter ones makes solves above
-# 8192 unknowns depend on its thread count again.
+# Entries per inner-product slice, and columns per slice of the pair rows'
+# products.  It assumes that the BLAS runs a ddot of at most 10,000 entries,
+# and a dgemv of at most 10,000 columns, on one thread, as OpenBLAS does
+# (checked with OpenBLAS 0.3.31 on a 2-core host: with 2 threads, a gemv of
+# 1 to 24 rows by 8192 to 10,000 columns used no second core, took as long
+# as with 1 thread and gave the same bits; from 10,001 columns on, many row
+# counts used both cores); a BLAS that threads shorter ones makes solves
+# above 8192 unknowns depend on its thread count again.
 _DOT_BLOCK = 8192
 
 
@@ -116,6 +131,24 @@ def _blocked_dot(a, b):
     for i in range(_DOT_BLOCK, a.size, _DOT_BLOCK):
         total += np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK])
     return total
+
+
+def _blocked_product(a, v):
+    """``a @ v`` for a 2-d ``a`` and 1-d ``v``, as one ``np.matmul`` per
+    ``_DOT_BLOCK``-column slice of ``a``, summed strictly left to right."""
+    total = a[:, :_DOT_BLOCK] @ v[:_DOT_BLOCK]
+    for i in range(_DOT_BLOCK, v.size, _DOT_BLOCK):
+        total += a[:, i:i + _DOT_BLOCK] @ v[i:i + _DOT_BLOCK]
+    return total
+
+
+def _blocked_combination(a, c):
+    """``c @ a`` for a 2-d ``a`` and 1-d ``c``, as one ``np.matmul`` per
+    ``_DOT_BLOCK``-column slice of ``a``."""
+    out = np.empty(a.shape[1])
+    for i in range(0, a.shape[1], _DOT_BLOCK):
+        np.matmul(c, a[:, i:i + _DOT_BLOCK], out=out[i:i + _DOT_BLOCK])
+    return out
 
 
 class TikhonovProblem:
@@ -263,25 +296,94 @@ def metric_shift(problem):
     return shift if 0.0 < shift <= 1.0 else None
 
 
-def _lbfgs_direction(g, pairs, gamma, metric):
-    """Two-loop recursion over the stored pairs ``(s, y, 1 / s.y)``, oldest
-    first, at least one.  The initial metric is ``gamma * I`` when ``metric``
-    is None, else ``gamma * P`` with ``P`` the ``H1Metric``; ``gamma`` is
-    ``s.y / y.y``, or ``s.y / y.P y``, of the newest pair."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * _blocked_dot(s, q)
-        alphas.append(a)
-        q -= a * y
-    if metric is not None:
-        q = metric.apply(q)
-        q *= metric.moving
-    q *= gamma
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * _blocked_dot(y, q)
-        q += (a - b) * s
-    return -q
+class _CompactMemory:
+    """The newest ``memory`` curvature pairs in the compact form of Byrd,
+    Nocedal & Schnabel (*Math. Prog.* 63, 1994; Nocedal & Wright,
+    *Numerical Optimization*, section 7.2), and the inverse-BFGS direction
+    they give from the initial metric ``gamma * P~``.
+
+    ``rows`` is one (2 * memory, n) ring: rows ``2 i`` and ``2 i + 1`` hold
+    ``s_i`` and ``z_i = P~ y_i`` of slot ``i``.  The small arrays are in
+    oldest-first order: ``sy[i] = s_i . y_i``, ``yz[i, j] = y_i . z_j`` and
+    ``r_inv``, the inverse of ``R``, the upper triangle of ``S Y^T``; the
+    lower triangle of ``r_inv`` stays 0.  ``products`` holds
+    ``(s_i . g, z_i . g)`` at the current gradient ``g``, oldest first.  With
+    ``a = S g``, ``b = Z g`` and ``p = r_inv a`` the direction is
+
+        ``d = -(gamma P~ g + S^T c1 + Z^T c2)``,
+        ``c1 = r_inv^T (diag(sy) p + gamma (yz p - b))``, ``c2 = -gamma p``:
+
+    one ``P~ g`` and one pass over ``rows``.  ``R`` enters only through its
+    diagonal and ``r_inv``.  A new pair's column of ``R`` and of ``yz`` is
+    the difference of ``products`` across its step (``z_i . y = y_i . z``,
+    ``P~`` being symmetric), so only ``s.y``, ``s.s``, ``y.y`` and ``y.z`` of
+    the new pair are inner products of length n.
+    """
+
+    def __init__(self, n, memory):
+        self.memory = memory
+        self.rows = np.zeros((2 * memory, n))
+        self.sy = np.zeros(memory)
+        self.yz = np.zeros((memory, memory))
+        self.r_inv = np.zeros((memory, memory))
+        self.gamma = None  # s.y / y.z of the newest stored pair
+        self.clear()
+
+    def clear(self):
+        """Forget every pair; the next one goes to slot 0."""
+        self.stored = 0
+        self.newest = -1  # slot of the newest pair
+        self.order = np.arange(0)  # slots, oldest first
+        self.products = np.zeros((0, 2))
+
+    def _products(self, g):
+        k = self.stored
+        return _blocked_product(self.rows[:2 * k], g).reshape(k, 2)[self.order]
+
+    def direction(self, pg):
+        """``-H g`` at the gradient ``g`` of the last ``update`` (or of the
+        start), with ``pg = P~ g``; at least one pair must be stored."""
+        k, gamma = self.stored, self.gamma
+        r_inv = self.r_inv[:k, :k]
+        a, b = self.products[:, 0], self.products[:, 1]
+        p = r_inv @ a
+        c1 = (self.sy[:k] * p + gamma * (self.yz[:k, :k] @ p - b)) @ r_inv
+        coef = np.empty((k, 2))  # -c1 and -c2, in ring order
+        coef[self.order, 0] = -c1
+        coef[self.order, 1] = gamma * p
+        d = _blocked_combination(self.rows[:2 * k], coef.reshape(-1))
+        d -= gamma * pg
+        return d
+
+    def update(self, s, y, z, g):
+        """Store the pair ``(s, y)``, ``z = P~ y``, unless it fails the
+        curvature test, then take the products at the new gradient ``g``."""
+        sy = _blocked_dot(s, y)
+        yy = _blocked_dot(y, y)
+        # sqrt(v . v) is bit-identical to np.linalg.norm of a 1-d float array.
+        if not sy > 1e-12 * np.sqrt(_blocked_dot(s, s)) * np.sqrt(yy):
+            self.products = self._products(g)
+            return
+        yz = _blocked_dot(y, z)
+        self.gamma = sy / yz
+        k, before = self.stored, self.products
+        if k == self.memory:  # the oldest pair leaves
+            self.sy[:-1] = self.sy[1:]
+            self.yz[:-1, :-1] = self.yz[1:, 1:]
+            self.r_inv[:-1, :-1] = self.r_inv[1:, 1:]
+            k, before = k - 1, before[1:]
+        slot = (self.newest + 1) % self.memory
+        self.rows[2 * slot] = s
+        self.rows[2 * slot + 1] = z
+        self.newest, self.stored = slot, k + 1
+        self.order = np.arange(slot - k, slot + 1) % self.memory
+        self.products = self._products(g)
+        column = self.products[:k] - before  # (s_i . y, z_i . y)
+        self.sy[k] = sy
+        self.yz[:k, k] = self.yz[k, :k] = column[:, 1]
+        self.yz[k, k] = yz
+        self.r_inv[:k, k] = self.r_inv[:k, :k] @ column[:, 0] / -sy
+        self.r_inv[k, k] = 1.0 / sy
 
 
 def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
@@ -311,8 +413,14 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
 
     shift = metric_shift(problem)
     metric = None if shift is None else H1Metric(grid, shift)
-    pairs = deque(maxlen=memory)  # the newest (s, y, 1 / s.y), oldest first
-    gamma = None  # s.y / y.H y of the newest stored pair
+
+    def precondition(v):
+        """``P~ v = M P M v`` for a gradient ``v``, which is 0 where ``M``
+        is 0; ``v`` itself under the scalar metric."""
+        return v if metric is None else metric.moving * metric.apply(v)
+
+    pg = precondition(g)
+    pairs = _CompactMemory(g.size, memory)
     small_decreases = 0  # consecutive iterations below _DECREASE_RTOL
     iterations = 0
 
@@ -327,16 +435,15 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
             reason = "budget"
             break
 
-        if pairs:
-            d = _lbfgs_direction(g, pairs, gamma, metric)
+        if pairs.stored:
+            d = pairs.direction(pg)
             gtd = _blocked_dot(g, d)
-            if gtd >= 0.0:  # not a descent direction
-                d = -g
-                gtd = _blocked_dot(g, d)
-        else:
+            if gtd >= 0.0:  # not a descent direction: start the memory afresh
+                pairs.clear()
+        if not pairs.stored:
             d = -g / max(1.0, g_sup)
             gtd = _blocked_dot(g, d)
-        if -gtd <= (decrease_stop if pairs else rounding) * abs(f):
+        if -gtd <= (decrease_stop if pairs.stored else rounding) * abs(f):
             reason = "gradient"  # predicted decrease below tol**2 (rounding) of f
             break
 
@@ -346,18 +453,13 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
             reason = "line-search-stall"
             break
 
-        s = x_new - x
+        pg_new = precondition(g_new)
         y = g_new - g
-        sy = _blocked_dot(s, y)
-        yy = _blocked_dot(y, y)
-        # sqrt(v . v) is bit-identical to np.linalg.norm of a 1-d float array.
-        if sy > 1e-12 * np.sqrt(_blocked_dot(s, s)) * np.sqrt(yy):
-            pairs.append((s, y, 1.0 / sy))
-            gamma = sy / (yy if metric is None else _blocked_dot(y, metric.apply(y)))
+        pairs.update(x_new - x, y, y if metric is None else pg_new - pg, g_new)
 
         decrease = (f - f_new) / max(1.0, abs(f_new))
         small_decreases = small_decreases + 1 if decrease < _DECREASE_RTOL else 0
-        x, f, g = x_new, f_new, g_new
+        x, f, g, pg = x_new, f_new, g_new, pg_new
         g_sup = float(np.max(np.abs(g)))
         iterations += 1
 

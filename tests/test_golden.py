@@ -10,9 +10,10 @@ for bit must leave them unchanged; a change that moves the iterates on
 purpose records new digests here and says why.
 
 Recorded with numpy 2.4.6 (OpenBLAS) on x86-64.  On these grids every solver
-inner product is one ``np.dot`` of fewer than 10,000 entries and every H1
-matmul one ``np.matmul`` below OpenBLAS's threading threshold, so the bytes
-do not depend on the BLAS thread count; another numpy or libm may round
+inner product and matrix-vector product runs over fewer than 10,000
+unknowns, in one ``np.dot`` or ``np.matmul``, and every H1 matmul is one
+``np.matmul`` below OpenBLAS's threading threshold, so the bytes do not
+depend on the BLAS thread count; another numpy or libm may round
 differently.
 """
 
@@ -24,17 +25,17 @@ import pytest
 from polyreg.cli import main
 
 RATES = {
-    "report.csv": "260d9d0ab95b3d03b57080cacd56dd493bd909bc2efdcb839dd5eb4cd025c569",
-    "report_slopes.json": "2f982f8a38d2da882f409641ede8719e68e209384167cc47649ebe26210af4c4",
+    "report.csv": "ef38a968961e11074812f65a5c0e465dc457e5f2d78817d1138bb30d72575ab1",
+    "report_slopes.json": "e06f22738625fb797174236de9acfce7484e4aa80bd3abc47aa82eae4684a3c4",
 }
 REGISTER = {
-    "deformation.csv": "14f91a3e840ba9e52c6d7ceb957794218600ea51b98d8262fe8917308b3a9af2",
-    "summary.json": "c2a98f12ac0e869b4a408b817b464cd05c7238d82937451dc7dd814838d2fec1",
+    "deformation.csv": "ff132eafc1706940f0fb5a8128798abb01e86497f0c0b214cf04039d0712afbb",
+    "summary.json": "fc5773b27d44f7a6b68b3ed9c2789941adc3e6fa4caaeffe192d31417b0cb1e2",
 }
 
 REGISTER_H1 = {
-    "deformation.csv": "bfefeec6395e643122e90fc71419cffa923f6a78bdd5f682fe1bef345b86e54f",
-    "summary.json": "1db2168564565381d53bce8c059882899da703b106e82365edcbf7c648df1c01",
+    "deformation.csv": "9e94cb37323a206b6dcf9c7e51511dccb9b8645d694468267456d3c7e4a11031",
+    "summary.json": "cafd0de93bb93e022ce79279a4bbe4c9aec9ec0108edb959ee4f4f303facd78b",
 }
 
 

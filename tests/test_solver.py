@@ -1,5 +1,4 @@
 import functools
-from collections import deque
 import hashlib
 import json
 import operator
@@ -296,6 +295,37 @@ class TestMinimize:
         cosine = -np.dot(d, g1) / (np.linalg.norm(d) * np.linalg.norm(g1))
         assert 0.0 < cosine < 1.0 - 1e-6  # a quasi-Newton direction, not -g
 
+    def test_ascent_direction_empties_the_memory(self, monkeypatch):
+        # The third quasi-Newton direction is turned uphill: the solve forgets
+        # its pairs, searches along the scaled gradient instead and builds the
+        # memory again from the next pair, never increasing the objective.
+        from polyreg import solver
+
+        problem = small_problem()
+        direction, backtrack = solver._CompactMemory.direction, solver._backtrack
+        stored, searches = [], []
+
+        def uphill_third(self, pg):
+            stored.append(self.stored)
+            d = direction(self, pg)
+            return -d if len(stored) == 3 else d
+
+        def logged(value_and_grad, x, f, d, gtd):
+            out = backtrack(value_and_grad, x, f, d, gtd)
+            searches.append((x.copy(), f, d.copy(), out[1]))
+            return out
+
+        monkeypatch.setattr(solver._CompactMemory, "direction", uphill_third)
+        monkeypatch.setattr(solver, "_backtrack", logged)
+        result = minimize(problem, tol=1e-9, max_iter=6)
+        assert result.iterations == 6
+        assert stored == [1, 2, 3, 1, 2]
+        x, _, d, _ = searches[3]
+        u = problem.initial.with_values(x.reshape(problem.initial.values.shape))
+        g = problem.objective_and_gradient(u)[1].ravel()
+        assert np.array_equal(d, -g / max(1.0, np.max(np.abs(g))))
+        assert all(f_new <= f for _, f, _, f_new in searches)
+
     def test_deterministic(self, disk_grid, setup):
         F, reference, u_dagger, exact = setup
         sample = add_noise(exact, 0.05, 2.0, seed=8)
@@ -446,29 +476,33 @@ class TestNoStateSurvivesACall:
         assert first.tobytes() == kept.tobytes()
 
 
-# Prints a short 72 x 72 solve: its iterations, metric shift, objective bits
-# and iterate hash.
+# Prints two short 72 x 72 solves, with the H1 metric and with the scalar
+# one: their iterations, metric shift, objective bits and iterate hash.
 _SOLVE_72 = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 from test_solver import small_problem
 from polyreg import minimize
-result = minimize(small_problem(n=72), max_iter=15)
-print(result.iterations, result.metric_shift, result.objective.hex(),
-      hashlib.sha256(result.u_min.values.tobytes()).hexdigest())
+for alpha in (0.01, 0.0):
+    result = minimize(small_problem(n=72, alpha=alpha), max_iter=15, memory=10)
+    print(result.iterations, result.metric_shift, result.objective.hex(),
+          hashlib.sha256(result.u_min.values.tobytes()).hexdigest())
 """
 
 
 class TestInnerProducts:
     def test_solve_does_not_depend_on_blas_threads(self):
         # 72^2 nodes carry 10,368 unknowns, more than the 10,000 entries above
-        # which OpenBLAS splits one dot product across its threads.  The
-        # solve runs with the H1 metric, so its matmuls are covered too.
+        # which OpenBLAS splits one dot product or matrix-vector product
+        # across its threads.  One solve runs with the H1 metric, so its
+        # matmuls are covered too; the other with the scalar metric.  Both
+        # store more pairs than their memory, so the pair ring wraps.
         outputs = [_run_python(_SOLVE_72, OPENBLAS_NUM_THREADS=threads)
                    for threads in ("1", "2")]
-        iterations, shift = outputs[0].split()[:2]
-        assert iterations == "15"
-        assert 0.1 < float(shift) < 0.3
+        h1, scalar = (line.split() for line in outputs[0].splitlines())
+        assert h1[0] == "15"
+        assert 0.1 < float(h1[1]) < 0.3
+        assert scalar[:2] == ["15", "None"]
         assert outputs[0] == outputs[1]
 
     def test_dot_is_np_dot_up_to_one_block_then_blocks_left_to_right(self):
@@ -483,6 +517,20 @@ class TestInnerProducts:
                       for k in range(0, n, _DOT_BLOCK)]
             want = functools.reduce(operator.add, blocks)
             assert _blocked_dot(a[:n], b[:n]).hex() == want.hex()
+
+    def test_products_are_matmuls_over_column_slices(self):
+        from polyreg.solver import _DOT_BLOCK, _blocked_combination, _blocked_product
+
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((24, 4 * _DOT_BLOCK + 3))
+        v, c = rng.standard_normal(rows.shape[1]), rng.standard_normal(24)
+        for n in (1, 2048, _DOT_BLOCK, _DOT_BLOCK + 1, 4 * _DOT_BLOCK, v.size):
+            a = rows[:, :n]
+            slices = [slice(k, min(k + _DOT_BLOCK, n)) for k in range(0, n, _DOT_BLOCK)]
+            want = functools.reduce(operator.add, [a[:, s] @ v[s] for s in slices])
+            assert _blocked_product(a, v[:n]).tobytes() == want.tobytes()
+            want = np.concatenate([c @ a[:, s] for s in slices])
+            assert _blocked_combination(a, c).tobytes() == want.tobytes()
 
 
 def _neumann_laplacian(n):
@@ -530,6 +578,22 @@ class TestH1Metric:
         coarse.alpha *= 100.0
         assert 0.0 < metric_shift(coarse) <= 1.0
 
+    def test_one_apply_per_iteration(self, monkeypatch):
+        from polyreg.solver import H1Metric
+
+        applied = []
+        apply = H1Metric.apply
+
+        def counted(self, v):
+            applied.append(v.size)
+            return apply(self, v)
+
+        monkeypatch.setattr(H1Metric, "apply", counted)
+        result = minimize(small_problem(n=72), max_iter=15)
+        assert result.metric_shift is not None
+        assert result.iterations == 15
+        assert len(applied) == 1 + result.iterations  # at the start and after each step
+
     def test_result_names_the_metric_and_inactive_nodes_stay(self):
         problem = small_problem(n=72)
         result = minimize(problem, max_iter=15)
@@ -556,63 +620,97 @@ def _inverse_bfgs(h0, pairs):
     return h
 
 
+def _dense_p_tilde(grid, shift):
+    """Dense ``M P M`` of the H1 metric on ``grid``, unknowns ordered (x node,
+    y node, component), with the metric's ``moving`` mask ``M``."""
+    from polyreg.solver import H1Metric
+
+    nx, ny = grid.node_shape
+    laplacian = (np.kron(_neumann_laplacian(nx), np.eye(ny))
+                 + np.kron(np.eye(nx), _neumann_laplacian(ny)))
+    p = np.kron(np.linalg.inv(laplacian + shift * np.eye(nx * ny)), np.eye(2))
+    moving = H1Metric(grid, shift).moving
+    return moving[:, None] * p * moving[None, :], moving
+
+
 class TestLbfgsDirection:
+    """The compact direction against the dense inverse-BFGS recursion."""
+
     @staticmethod
-    def _pairs(n, m, seed):
+    def _check_directions(hessian, p_tilde, memory, steps, reject, seed):
+        """Drives ``_CompactMemory`` through ``steps`` steps of length 1/2
+        along its own directions on the quadratic with ``hessian``; at step
+        ``reject`` the curvature is negative, so the pair is rejected.  Each
+        direction must equal ``-H g`` of the dense recursion over the newest
+        ``memory`` accepted pairs from ``gamma * p_tilde`` (``None``: the
+        identity, with ``z = y``).  Returns the number of accepted pairs."""
+        from polyreg.solver import _CompactMemory
+
+        n = hessian.shape[0]
+        precondition = (lambda v: v) if p_tilde is None else (lambda v: p_tilde @ v)
+        h0 = np.eye(n) if p_tilde is None else p_tilde
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        hessian = a @ a.T / n + np.eye(n)
-        pairs = deque()
-        for _ in range(m):
-            s = rng.standard_normal(n)
-            y = hessian @ s
-            pairs.append((s, y, 1.0 / np.dot(s, y)))
-        return rng.standard_normal(n), pairs
+        g = hessian @ rng.standard_normal(n)
+        pg = precondition(g)
+        memory_ = _CompactMemory(n, memory)
+        accepted = []  # (s, y, 1 / s.y), oldest first
+        for k in range(steps):
+            if accepted:
+                s, y, _ = accepted[-1]
+                gamma = np.dot(s, y) / np.dot(y, precondition(y))
+                want = -_inverse_bfgs(gamma * h0, accepted[-memory:]) @ g
+                d = memory_.direction(pg)
+                np.testing.assert_allclose(d, want, rtol=1e-12)
+            else:
+                d = -g
+            s = 0.5 * d
+            y = (-1.0 if k == reject else 1.0) * hessian @ s
+            g_new = g + y
+            pg_new = precondition(g_new)
+            memory_.update(s, y, y if p_tilde is None else pg_new - pg, g_new)
+            if k != reject:
+                accepted.append((s, y, 1.0 / np.dot(s, y)))
+            assert memory_.stored == min(memory, len(accepted))
+            g, pg = g_new, pg_new
+        return len(accepted)
 
-    def test_two_loop_is_the_dense_recursion_from_gamma_i(self):
-        from polyreg.solver import _lbfgs_direction
+    def test_compact_direction_is_the_dense_recursion_from_gamma_i(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((40, 40))
+        hessian = a @ a.T / 40 + np.eye(40)
+        # 8 pairs through a memory of 5: the ring wraps, before and after the
+        # rejected pair
+        assert self._check_directions(hessian, None, 5, 9, reject=6, seed=1) == 8
 
-        g, pairs = self._pairs(40, 5, seed=1)
-        s, y, _ = pairs[-1]
-        gamma = np.dot(s, y) / np.dot(y, y)
-        want = -_inverse_bfgs(gamma * np.eye(40), pairs) @ g
-        np.testing.assert_allclose(_lbfgs_direction(g, pairs, gamma, None), want, rtol=1e-12)
-
-    def test_two_loop_is_the_dense_recursion_from_the_h1_metric(self):
-        from polyreg.solver import H1Metric, _lbfgs_direction
-
+    def test_compact_direction_is_the_dense_recursion_from_the_h1_metric(self):
         base = Grid(((-1.0, 1.0), (-0.5, 1.0)), 9, 7)
         grid = base.with_mask(disk_mask(base, radius=0.8))
-        metric = H1Metric(grid, 0.3)
-        assert not metric.moving.all()
-        laplacian = (np.kron(_neumann_laplacian(9), np.eye(7))
-                     + np.kron(np.eye(9), _neumann_laplacian(7)))
-        # unknowns are ordered (x node, y node, component)
-        p = np.kron(np.linalg.inv(laplacian + 0.3 * np.eye(63)), np.eye(2))
-        g, pairs = self._pairs(126, 4, seed=2)
-        s, y, _ = pairs[-1]
-        gamma = np.dot(s, y) / np.dot(y, p @ y)
-        h0 = gamma * np.diag(metric.moving) @ p
-        want = -_inverse_bfgs(h0, pairs) @ g
-        np.testing.assert_allclose(_lbfgs_direction(g, pairs, gamma, metric), want, rtol=1e-12)
+        p_tilde, moving = _dense_p_tilde(grid, 0.3)
+        assert not moving.all()
+        # Every solver gradient is 0 at the unknowns of nodes without an active
+        # cell, where M is; so is every g and y here: the Hessian acts on the
+        # moving unknowns only.
+        a = np.random.default_rng(2).standard_normal((126, 126))
+        hessian = moving[:, None] * (a @ a.T / 126 + np.eye(126)) * moving[None, :]
+        assert self._check_directions(hessian, p_tilde, 4, 8, reject=5, seed=2) == 7
 
     def test_minimize_reads_the_newest_memory_pairs(self, monkeypatch):
         from polyreg import solver
 
         memory = 3
         starts, handed = [], []
-        backtrack, direction = solver._backtrack, solver._lbfgs_direction
+        backtrack, direction = solver._backtrack, solver._CompactMemory.direction
 
         def logged_backtrack(value_and_grad, x, f, d, gtd):
             starts.append(x.copy())
             return backtrack(value_and_grad, x, f, d, gtd)
 
-        def logged_direction(g, pairs, gamma, metric):
-            handed.append((len(starts), [s.copy() for s, _, _ in pairs]))
-            return direction(g, pairs, gamma, metric)
+        def logged_direction(self, pg):
+            handed.append((len(starts), [self.rows[2 * i].copy() for i in self.order]))
+            return direction(self, pg)
 
         monkeypatch.setattr(solver, "_backtrack", logged_backtrack)
-        monkeypatch.setattr(solver, "_lbfgs_direction", logged_direction)
+        monkeypatch.setattr(solver._CompactMemory, "direction", logged_direction)
         result = minimize(small_problem(), tol=1e-9, max_iter=12, memory=memory)
         assert result.iterations == 12
         iterates = starts + [result.u_min.values.ravel()]
