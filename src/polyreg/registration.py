@@ -183,6 +183,21 @@ def warp(reference, u, strict=False, tol_factor=1e-9) -> ScalarImage:
     return ScalarImage(grid, reference.sample(u.values))
 
 
+def prolong(u, grid) -> MatrixField:
+    """Bilinear prolongation of the field ``u`` onto the nodes of ``grid``,
+    a grid over the same bounds.
+
+    The displacement ``u - id`` is interpolated per component as a
+    ``ScalarImage`` and added to the identity of ``grid``, so an affine field
+    comes back exactly up to rounding, and the identity bit for bit.
+    """
+    points = grid.node_points
+    shift = u.values - u.grid.node_points
+    values = np.stack([points[..., k] + ScalarImage(u.grid, shift[..., k]).sample(points)
+                       for k in range(2)], axis=-1)
+    return MatrixField(grid, values)
+
+
 def admissibility_gap(u) -> float:
     """Worst distance by which a domain node leaves the closed domain."""
     inside = u.grid.nodes_in_domain

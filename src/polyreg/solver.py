@@ -12,10 +12,15 @@ A solve stops for one of four reasons (``MinimizeResult.stop_reason``),
 following the relative tests of Nocedal & Wright, *Numerical Optimization*,
 ch. 3 and 7:
 
-* ``gradient``: the gradient sup norm has fallen to ``tol`` times its value
-  at the solve's own start.  The nodal gradient carries the cell area and a
-  factor that shrinks with the noise level; both cancel in this ratio, so
-  the test fires at the same relative accuracy on every mesh.  The same
+* ``gradient``: the gradient sup norm has fallen to ``tol`` times the
+  smaller of its values at the start and at the identity.  The nodal
+  gradient carries the cell area and a factor that shrinks with the noise
+  level; both cancel in this ratio, so the test fires at the same relative
+  accuracy on every mesh.  The identity's value makes the test independent
+  of the start: a rough start, such as a coarse solve prolonged to a finer
+  grid, can have a gradient a thousand times the identity's, and ``tol``
+  times that ended such a solve far from the minimizer.  A start other
+  than the identity costs one more evaluation for it.  The same
   reason is given when the predicted decrease ``-g.d`` of the next
   quasi-Newton direction is at most ``max(tol**2, eps) * |f|``.  Near a
   minimizer ``-g.d`` is about twice the gap ``f - f*``, quadratic in the
@@ -390,11 +395,11 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
     """Quasi-Newton descent on the regularized objective from ``problem.initial``.
 
     ``tol`` is relative: the solve stops on ``gradient`` once the gradient
-    sup norm is at most ``tol`` times its value at the start, or once the
-    predicted decrease of a quasi-Newton step is at most ``tol**2`` times
-    ``|f|``.  Returns the last accepted iterate, which has the lowest
-    objective seen, with the reason the solve stopped (see the module
-    docstring).
+    sup norm is at most ``tol`` times the smaller of its values at the start
+    and at the identity, or once the predicted decrease of a quasi-Newton
+    step is at most ``tol**2`` times ``|f|``.  Returns the last accepted
+    iterate, which has the lowest objective seen, with the reason the solve
+    stopped (see the module docstring).
     """
     grid = problem.initial.grid
     shape = problem.initial.values.shape
@@ -408,6 +413,10 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
     evals = 1
     g_sup = float(np.max(np.abs(g))) if g.size else 0.0
     g_stop = tol * g_sup
+    if g.size and not np.array_equal(x, grid.node_points.ravel()):
+        # not the identity: a rough start's large gradient must not set the test
+        g_stop = min(g_stop, tol * float(np.max(np.abs(value_and_grad(grid.node_points)[1]))))
+        evals += 1
     rounding = np.finfo(float).eps
     decrease_stop = max(tol ** 2, rounding)  # relative to |f|, once a pair is stored
 
