@@ -119,10 +119,16 @@ def cmd_check_gradient(args) -> int:
 
 
 def cmd_register(args) -> int:
+    from .rates import coarse_to_fine_start
+
     cfg = load_config(args.config)
     exp = build_experiment(cfg)
     seed = exp.seeds[0]
-    _, alpha, result = solve_level(exp, args.delta, seed)
+    start, ladder = None, []
+    if cfg["mask"]["type"] != "csv":  # a CSV mask has no coarse version: solve cold
+        start, ladder = coarse_to_fine_start(exp, args.delta, seed, lambda nx, ny: (
+            build_experiment(dict(cfg, grid=dict(cfg["grid"], nx=nx, ny=ny)))))
+    _, alpha, result = solve_level(exp, args.delta, seed, start)
     gap = admissibility_gap(result.u_min)
     os.makedirs(args.out, exist_ok=True)
     pio.save_field(os.path.join(args.out, "deformation.csv"), result.u_min)
@@ -146,9 +152,12 @@ def cmd_register(args) -> int:
         fh.write("\n")
     metric = ("scalar" if result.metric_shift is None
               else f"H1 with shift {result.metric_shift:.3g}")
+    coarse = ", ".join(f"{nx}x{ny}: {iterations}" for nx, ny, iterations in ladder)
+    if coarse:
+        coarse = f", started from coarse solves {coarse} iterations"
     print(f"objective {_fmt(result.objective)} after {result.iterations} iterations "
           f"(converged: {result.converged}, stopped on {result.stop_reason}, "
-          f"initial metric {metric})")
+          f"initial metric {metric}{coarse})")
     if _leaves_domain(gap, result.u_min.grid, "the field"):
         return 1
     return 0 if result.converged else 1

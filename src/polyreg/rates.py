@@ -15,6 +15,12 @@ noise-free exact row warm-starts from the last level at the smallest level's
 weight, so it too is a regularized minimizer (for the default rotation
 density and zero certificate, the exact solution itself).  With fixed seeds
 the sweep is fully deterministic and two runs produce byte-identical reports.
+
+A cold ``register`` solve on a grid of at least 128 nodes per axis starts
+from a ladder of coarse solves of the same experiment instead of the
+identity (``coarse_to_fine_start``), after Modersitzki, *FAIR* (SIAM 2009),
+ch. 9.  Sweeps do not use it: on the 64 x 64 sweep's first level it moved
+the total iterations by -20 % to +15 % over three noise seeds.
 """
 
 from __future__ import annotations
@@ -34,6 +40,19 @@ from .solver import TikhonovProblem, solve_multi_start
 _PRECHECK_TRIALS = 24
 _PRECHECK_RADIUS = 0.25
 _PRECHECK_SEED = 2024
+
+# Coarse-to-fine cold solves (``coarse_to_fine_start``).  Below 128 nodes per
+# axis a ladder did not pay: at 64 x 64 ``register`` was faster or slower
+# depending on the noise seed, and at seed 2 it ended 3.6e-5 (relative)
+# above the cold solve's objective.
+_LADDER_MIN_NODES = 128
+_LADDER_COARSEST = 16
+# The coarse solves' tol.  On register-128 (delta 0.0125, 2-core Xeon, median
+# of three in-process runs) 1e-2, 3e-3, 1e-3 and 3e-4 took 1.90, 1.51, 1.33 and
+# 1.30 s at noise seed 0 (fine solve 223, 191, 154 and 124 iterations) and
+# 1.48, 1.40, 1.49 and 1.56 s at seed 3 (191, 179, 158 and 164), against
+# about 2.6 s cold; every end point was within 3e-8 of the cold objective.
+_COARSE_TOL = 1e-3
 
 
 def choose_alpha(delta, q, alpha0, epsilon=0.5, beta2=None) -> float:
@@ -209,14 +228,9 @@ def _precheck(exp) -> None:
                 raise ValueError(f"source condition violated at a probe: {resid:.3e}")
 
 
-def solve_level(exp, delta, seed, warm_start=None, *, weight_delta=None):
-    """One regularized solve at noise level ``delta``.
-
-    Draws the noisy data with ``seed``, picks the weight by the a-priori
-    rule at ``weight_delta`` (default ``delta``; ``alpha = 0`` at zero: the
-    exact, unregularized solve) and solves once from ``warm_start``, or from
-    the identity when there is none.  Returns ``(sample, alpha, result)``.
-    """
+def _pose_level(exp, delta, seed, start, weight_delta=None):
+    """``(sample, alpha, problem)`` of ``solve_level``: the noisy data, the
+    weight and the problem started at ``start`` (None: the identity)."""
     q = exp.forward.q
     sample = add_noise(exp.forward.exact_data, delta, q, seed)
     weight_delta = delta if weight_delta is None else weight_delta
@@ -226,11 +240,71 @@ def solve_level(exp, delta, seed, warm_start=None, *, weight_delta=None):
             weight_delta, q, exp.alpha0, exp.epsilon,
             beta2=None if exp.source_params is None else exp.source_params.beta2,
         )
-    start = identity_field(exp.u_dagger.grid) if warm_start is None else warm_start
+    start = identity_field(exp.u_dagger.grid) if start is None else start
     problem = TikhonovProblem(exp.integrand, exp.forward.reference, sample, q, alpha, start)
+    return sample, alpha, problem
+
+
+def solve_level(exp, delta, seed, warm_start=None, *, weight_delta=None):
+    """One regularized solve at noise level ``delta``.
+
+    Draws the noisy data with ``seed``, picks the weight by the a-priori
+    rule at ``weight_delta`` (default ``delta``; ``alpha = 0`` at zero: the
+    exact, unregularized solve) and solves once from ``warm_start``, or from
+    the identity when there is none.  Returns ``(sample, alpha, result)``.
+    """
+    sample, alpha, problem = _pose_level(exp, delta, seed, warm_start, weight_delta)
     result = solve_multi_start(problem, tol=exp.solver_tol, max_iter=exp.solver_max_iter,
                                memory=exp.solver_memory)
     return sample, alpha, result
+
+
+def coarse_sizes(nx, ny) -> list:
+    """``(nx, ny)`` node counts of the coarse levels that precede a cold
+    solve on an ``nx`` x ``ny`` node grid, coarsest first: the counts halved
+    per axis down to the last with at least ``_LADDER_COARSEST`` nodes per
+    axis, and none below ``_LADDER_MIN_NODES`` nodes per axis."""
+    sizes = []
+    if min(nx, ny) >= _LADDER_MIN_NODES:
+        while min(nx, ny) >= 2 * _LADDER_COARSEST:
+            nx, ny = nx // 2, ny // 2
+            sizes.append((nx, ny))
+    return sizes[::-1]
+
+
+def coarse_to_fine_start(exp, delta, seed, experiment_at):
+    """Start of a cold solve of ``exp`` at noise level ``delta``: the last of
+    a ladder of coarse solves, prolonged bilinearly onto ``exp``'s grid, or
+    None (the identity) where ``coarse_sizes`` gives no ladder.
+
+    ``experiment_at(nx, ny)`` builds the same experiment on an ``nx`` x ``ny``
+    node grid.  Each coarse level draws its own data with ``seed``, takes
+    its weight by the same rule, starts from the level before it, prolonged,
+    and is solved by ``minimize`` to ``_COARSE_TOL``.  A prolonged field at
+    infinite energy gives way to the identity.  Returns ``(start, ladder)``,
+    ``ladder`` a list of ``(nx, ny, iterations)``; nothing else of the
+    coarse levels outlives the call.
+    """
+    # looked up per call, so a wrapper put on solver.minimize sees every coarse solve
+    from .registration import prolong
+    from .solver import minimize
+
+    def feasible_start(target, u):
+        if u is None:
+            return None
+        u = prolong(u, target.u_dagger.grid)
+        return u if np.isfinite(energy(u, target.integrand)) else None
+
+    grid = exp.u_dagger.grid
+    start, ladder = None, []
+    for nx, ny in coarse_sizes(grid.nx, grid.ny):
+        coarse = experiment_at(nx, ny)
+        _, _, problem = _pose_level(coarse, delta, seed, feasible_start(coarse, start))
+        result = minimize(problem, tol=_COARSE_TOL, max_iter=coarse.solver_max_iter,
+                          memory=coarse.solver_memory)
+        start = result.u_min
+        ladder.append((nx, ny, result.iterations))
+    return feasible_start(exp, start), ladder
 
 
 def run_rates(exp) -> RateReport:

@@ -87,3 +87,32 @@ def test_every_solve_goes_through_the_probe_hook(monkeypatch, tmp_path):
     main(["register", "--config", str(config), "--delta", "0.05",
           "--out", str(tmp_path / "reg")])
     assert calls == {"hook": 1, "minimize": 1}
+
+
+def test_a_laddered_register_hooks_the_fine_solve_alone(monkeypatch, tmp_path):
+    # From 128 nodes per axis register first solves coarse levels, each one
+    # minimize call outside the hook, so adm_gap_max still reads the fine
+    # field alone and useful_start_ratio reads 1 of 1 + len(ladder).
+    from polyreg import rates, solver
+    from polyreg.cli import main
+
+    hooked, minimized = [], []
+
+    def keeping(results, fn):
+        def kept(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            results.append(result)
+            return result
+        return kept
+
+    monkeypatch.setattr(rates, "solve_multi_start", keeping(hooked, rates.solve_multi_start))
+    monkeypatch.setattr(solver, "minimize", keeping(minimized, solver.minimize))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {"nx": 128, "ny": 128},
+                                  "solver": {"max_iter": 2}}))
+    main(["register", "--config", str(config), "--delta", "0.0125",
+          "--out", str(tmp_path / "reg")])
+    assert len(hooked) == 1
+    assert len(minimized) == 1 + len(rates.coarse_sizes(128, 128))
+    assert [r.u_min.grid.nx for r in minimized] == [16, 32, 64, 128]
+    assert hooked[0] is minimized[-1]

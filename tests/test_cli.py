@@ -177,6 +177,43 @@ class TestRegister:
                      "--out", str(tmp_path / "reg")]) == 0
         assert f"initial metric {metric})" in capsys.readouterr().out
 
+    def test_stdout_names_the_coarse_levels(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"nx": 128, "ny": 128},
+                                      "solver": {"max_iter": 2}}))
+        main(["register", "--config", str(config), "--delta", "0.0125",
+              "--out", str(tmp_path / "reg")])
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(
+            ", started from coarse solves 16x16: 2, 32x32: 2, 64x64: 2 iterations)")
+        summary = json.loads((tmp_path / "reg" / "summary.json").read_text())
+        assert summary["iterations"] == 2  # the fine solve's alone
+
+    @pytest.mark.filterwarnings("ignore:rotation field on a domain")
+    def test_csv_mask_solves_cold_at_128_nodes(self, tmp_path, capsys, monkeypatch):
+        # a CSV mask has no coarse version, so the ladder does not run
+        from polyreg import Grid, disk_mask, solver
+        from polyreg.io import save_mask
+
+        base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 128, 128)
+        mask_path = tmp_path / "mask.csv"
+        save_mask(mask_path, disk_mask(base, radius=0.9))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"nx": 128, "ny": 128},
+                                      "mask": {"type": "csv", "path": str(mask_path)},
+                                      "experiment": {"theta": 0.0},  # u_dagger stays inside
+                                      "solver": {"max_iter": 2}}))
+        calls = []
+        minimize = solver.minimize
+        monkeypatch.setattr(solver, "minimize",
+                            lambda *a, **k: calls.append(1) or minimize(*a, **k))
+        main(["register", "--config", str(config), "--delta", "0.0125",
+              "--out", str(tmp_path / "reg")])
+        assert len(calls) == 1
+        assert "coarse" not in capsys.readouterr().out
+        summary = json.loads((tmp_path / "reg" / "summary.json").read_text())
+        assert summary["iterations"] == 2
+
     @pytest.mark.parametrize("delta", ["-0.1", "nan", "inf"])
     def test_bad_noise_level_rejected(self, small_config, tmp_path, capsys, delta):
         out_dir = tmp_path / "reg"

@@ -22,7 +22,7 @@ from polyreg import (
     zero_subgradient,
 )
 from polyreg.config import build_experiment, load_config
-from polyreg.rates import solve_level
+from polyreg.rates import coarse_sizes, coarse_to_fine_start, solve_level
 
 
 class TestChooseAlpha:
@@ -212,6 +212,50 @@ class TestSolveLevel:
         # and with budget it can only improve on the warm objective
         _, _, warm = solve_level(exp, 0.01, 10, good.u_min)
         assert warm.objective <= good.objective + 1e-14
+
+
+class TestCoarseToFine:
+    def test_ladder_halves_down_to_16_nodes_from_128(self):
+        assert coarse_sizes(128, 128) == [(16, 16), (32, 32), (64, 64)]
+        assert coarse_sizes(200, 130) == [(25, 16), (50, 32), (100, 65)]
+        assert coarse_sizes(129, 1000) == [(16, 125), (32, 250), (64, 500)]
+        assert coarse_sizes(127, 127) == coarse_sizes(64, 64) == []
+        assert coarse_sizes(127, 4096) == []
+
+    def test_no_ladder_below_128_nodes_per_axis(self):
+        built = []
+        exp = build_experiment(load_config())
+        assert coarse_to_fine_start(exp, 0.0125, 0, built.append) == (None, [])
+        assert built == []
+
+    def test_prolonged_start_at_infinite_energy_falls_back_to_the_identity(
+            self, monkeypatch):
+        # A density with a wall at det <= 0, and coarse solves that end
+        # folded: every prolonged field has infinite energy, which would
+        # fail TikhonovProblem's feasibility check.
+        from test_cell_kernel import wall_energy
+
+        from polyreg import solver
+        from polyreg.solver import MinimizeResult
+
+        def walled(n_x, n_y):
+            cfg = load_config()
+            cfg["grid"].update(nx=n_x, ny=n_y)
+            return dataclasses.replace(build_experiment(cfg), integrand=wall_energy())
+
+        starts = []
+
+        def folding(problem, **kwargs):
+            start = problem.initial
+            starts.append(start)
+            folded = start.with_values(start.grid.node_points[..., ::-1])
+            return MinimizeResult(folded, 0.0, 1, 0.0, 1, "gradient")
+
+        monkeypatch.setattr(solver, "minimize", folding)
+        start, ladder = coarse_to_fine_start(walled(128, 128), 0.0125, 0, walled)
+        assert start is None
+        assert ladder == [(16, 16, 1), (32, 32, 1), (64, 64, 1)]
+        assert all(np.array_equal(u.values, u.grid.node_points) for u in starts)
 
 
 @pytest.mark.parametrize("n", [16, 32])

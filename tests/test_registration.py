@@ -17,6 +17,7 @@ from polyreg import (
     rotation_field,
     warp,
 )
+from polyreg.registration import prolong
 
 
 class TestScalarImage:
@@ -181,6 +182,30 @@ class TestWarp:
         for theta in rng.uniform(-np.pi, np.pi, 25):
             warp(img, rotation_field(theta, disk_grid), strict=True)
             assert admissibility_gap(rotation_field(theta, disk_grid)) == 0.0
+
+
+class TestProlong:
+    def test_identity_bit_for_bit_and_affine_fields_exactly(self):
+        bounds = ((-1.0, 1.0), (-0.5, 2.0))
+        coarse, fine = Grid(bounds, 9, 13), Grid(bounds, 33, 50)
+        assert np.array_equal(prolong(identity_field(coarse), fine).values,
+                              fine.node_points)
+
+        def affine(p):
+            return np.stack([0.3 + 1.2 * p[..., 0] - 0.7 * p[..., 1],
+                             -0.1 + 0.4 * p[..., 0] + 0.9 * p[..., 1]], axis=-1)
+
+        out = prolong(field_from_function(coarse, affine), fine)
+        assert out.grid is fine
+        assert np.max(np.abs(out.values - affine(fine.node_points))) < 1e-14
+
+    def test_coarse_nodes_keep_their_values(self, rng):
+        bounds = ((-1.0, 1.0), (-1.0, 1.0))
+        coarse, fine = Grid(bounds, 9, 9), Grid(bounds, 17, 17)
+        u = identity_field(coarse).with_values(
+            coarse.node_points + rng.uniform(-0.05, 0.05, coarse.node_points.shape))
+        assert np.allclose(prolong(u, fine).values[::2, ::2], u.values,
+                           rtol=0.0, atol=1e-15)
 
 
 class TestDataTerm:
