@@ -19,7 +19,7 @@ ch. 3 and 7:
   accuracy on every mesh.  The identity's value makes the test independent
   of the start: a rough start, such as a coarse solve prolonged to a finer
   grid, can have a gradient a thousand times the identity's, and ``tol``
-  times that ended such a solve far from the minimizer.  A start other
+  times that can end such a solve far from the minimizer.  A start other
   than the identity costs one more evaluation for it.  The same
   reason is given when the predicted decrease ``-g.d`` of the next
   quasi-Newton direction is at most ``max(tol**2, eps) * |f|``.  Near a
