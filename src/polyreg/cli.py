@@ -33,10 +33,6 @@ from .rates import run_rates, solve_level
 from .registration import admissibility_gap, rotation_field, warp
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def _noise_level(text) -> float:
     delta = float(text)
     if not (math.isfinite(delta) and delta >= 0):
@@ -56,15 +52,11 @@ def _leaves_domain(gap, grid, what) -> bool:
     return True
 
 
-def _check_grid():
-    return Grid(((-1.0, 1.0), (-1.0, 1.0)), 12, 12)
-
-
 def cmd_check_gradient(args) -> int:
     from .minors import all_minors, apply_minors_gradient, minors_gradient
 
     cfg = load_config(args.config)
-    grid = _check_grid()
+    grid = Grid(((-1.0, 1.0), (-1.0, 1.0)), 12, 12)
     densities = [
         rotation_energy(cfg["integrand"]["p"]),
         pq_energy(4.0, 2.0),
@@ -124,10 +116,8 @@ def cmd_register(args) -> int:
     cfg = load_config(args.config)
     exp = build_experiment(cfg)
     seed = exp.seeds[0]
-    start, ladder = None, []
-    if cfg["mask"]["type"] != "csv":  # a CSV mask has no coarse version: solve cold
-        start, ladder = coarse_to_fine_start(exp, args.delta, seed, lambda nx, ny: (
-            build_experiment(dict(cfg, grid=dict(cfg["grid"], nx=nx, ny=ny)))))
+    start, ladder = coarse_to_fine_start(exp, args.delta, seed, lambda nx, ny: (
+        build_experiment(dict(cfg, grid=dict(cfg["grid"], nx=nx, ny=ny)))))
     _, alpha, result = solve_level(exp, args.delta, seed, start)
     gap = admissibility_gap(result.u_min)
     os.makedirs(args.out, exist_ok=True)
@@ -155,7 +145,7 @@ def cmd_register(args) -> int:
     coarse = ", ".join(f"{nx}x{ny}: {iterations}" for nx, ny, iterations in ladder)
     if coarse:
         coarse = f", started from coarse solves {coarse} iterations"
-    print(f"objective {_fmt(result.objective)} after {result.iterations} iterations "
+    print(f"objective {float(result.objective)!r} after {result.iterations} iterations "
           f"(converged: {result.converged}, stopped on {result.stop_reason}, "
           f"initial metric {metric}{coarse})")
     if _leaves_domain(gap, result.u_min.grid, "the field"):
@@ -192,38 +182,33 @@ def cmd_verify_subgradient(args) -> int:
     grid = build_grid(cfg)
     integrand = build_integrand(cfg)
     vcfg = cfg["verify"]
-    theta = cfg["experiment"]["theta"]
+    trials, seed, radius = int(vcfg["trials"]), int(vcfg["seed"]), float(vcfg["radius"])
 
-    base_points = [("rotation", rotation_field(theta, grid)),
-                   ("identity", identity_field(grid))]
+    # (label, base field, certificate builder); each certificate is built in turn
+    rotation = rotation_field(cfg["experiment"]["theta"], grid)
+    certificates = [("rotation", rotation, poly_subgradient),
+                    ("identity", identity_field(grid), poly_subgradient)]
     for k in range(3):
-        base_points.append(
-            (f"random-{k}", random_smooth_field(grid, seed=[515, k], amplitude=0.5))
-        )
+        certificates.append((f"random-{k}",
+                             random_smooth_field(grid, seed=[515, k], amplitude=0.5),
+                             poly_subgradient))
+    if cfg["experiment"]["subgradient"] == "zero":
+        certificates.append(("rotation (zero functional)", rotation, zero_subgradient))
 
     total_violations = 0
-    for label, base in base_points:
-        w = poly_subgradient(integrand, base)
-        report = verify_subgradient(integrand, w, trials=int(vcfg["trials"]),
-                                    seed=int(vcfg["seed"]), radius=float(vcfg["radius"]))
+    for label, base, build in certificates:
+        w = build(integrand, base)
+        report = verify_subgradient(integrand, w, trials=trials, seed=seed, radius=radius)
         total_violations += report.violations
         print(f"certificate at {label}: {report.violations} violations, "
               f"worst gap {report.worst_gap:.3e}")
         if args.out and label == "rotation":
             pio.save_subgradient(args.out, w, protocol={
-                "trials": int(vcfg["trials"]),
-                "radius": float(vcfg["radius"]),
-                "seed": int(vcfg["seed"]),
+                "trials": trials,
+                "radius": radius,
+                "seed": seed,
                 "violations": report.violations,
             })
-
-    if cfg["experiment"]["subgradient"] == "zero":
-        w0 = zero_subgradient(integrand, rotation_field(theta, grid))
-        report = verify_subgradient(integrand, w0, trials=int(vcfg["trials"]),
-                                    seed=int(vcfg["seed"]), radius=float(vcfg["radius"]))
-        total_violations += report.violations
-        print(f"certificate at rotation (zero functional): {report.violations} "
-              f"violations, worst gap {report.worst_gap:.3e}")
     return 1 if total_violations else 0
 
 

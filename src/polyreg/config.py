@@ -18,7 +18,8 @@ from .bregman import SourceConditionParams, poly_subgradient, zero_subgradient
 from .fields import Grid, disk_mask
 from .integrands import detsq_energy, pq_energy, rotation_energy
 from .rates import RateExperiment, geometric_levels
-from .registration import ForwardModel, blob_image, random_blobs, rotation_field, warp
+from .registration import (DomainViolationError, ForwardModel, blob_image, random_blobs,
+                           rotation_field, warp)
 
 
 def default_config() -> dict:
@@ -101,18 +102,6 @@ def build_integrand(cfg):
     raise ValueError(f"unknown integrand {name!r}")
 
 
-def build_image(cfg, grid):
-    img = cfg["image"]
-    blobs = img["blobs"]
-    if blobs is None:
-        blobs = random_blobs(img["seed"])
-    return blob_image(grid, blobs)
-
-
-def misfit_exponent(cfg) -> float:
-    return float(cfg["integrand"]["q"])
-
-
 def _finite_positive(value) -> bool:
     return math.isfinite(float(value)) and float(value) > 0
 
@@ -162,13 +151,27 @@ def build_experiment(cfg) -> RateExperiment:
     _check_ranges(cfg)
     grid = build_grid(cfg)
     integrand = build_integrand(cfg)
-    reference = build_image(cfg, grid)
+    blobs = cfg["image"]["blobs"]
+    if blobs is None:
+        blobs = random_blobs(cfg["image"]["seed"])
+    reference = blob_image(grid, blobs)
     ecfg = cfg["experiment"]
-    q = misfit_exponent(cfg)
 
     u_dagger = rotation_field(float(ecfg["theta"]), grid)
-    exact_data = warp(reference, u_dagger, strict=True)
-    forward = ForwardModel(reference=reference, exact_data=exact_data, q=q)
+    try:
+        exact_data = warp(reference, u_dagger, strict=True)
+    except DomainViolationError as err:
+        if cfg["mask"]["type"] != "csv":
+            raise
+        # the distance is to the union of the mask's cells, whose corners a
+        # rotation moves out
+        raise ValueError(
+            f"experiment.theta = {ecfg['theta']!r} rotates the mask at mask.path "
+            f"{cfg['mask']['path']!r} out of itself ({err}); a csv mask needs "
+            "experiment.theta = 0 or a mask that the rotation maps into itself"
+        ) from err
+    forward = ForwardModel(reference=reference, exact_data=exact_data,
+                           q=float(cfg["integrand"]["q"]))
 
     which = ecfg["subgradient"]
     if which == "zero":

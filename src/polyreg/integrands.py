@@ -31,6 +31,9 @@ import numpy as np
 
 from .minors import MinorsLayout, all_minors
 
+# Half-width of the box that check_convexity and check_coercivity sample from.
+_PROBE_BOX = 3.0
+
 
 class Integrand:
     """Density on minors coordinates together with its gradient.
@@ -247,11 +250,11 @@ class ConvexityReport:
     tolerance: float
 
 
-def check_convexity(F, samples, seed, tol=1e-10, box=3.0) -> ConvexityReport:
+def check_convexity(F, samples, seed, tol=1e-10) -> ConvexityReport:
     """Midpoint-style convexity probe of ``F`` in its slot argument.
 
     Draws ``samples`` random triples (xi1, xi2, t) with slot entries uniform
-    in ``[-box, box]`` and t uniform in (0, 1), and counts how often
+    in ``[-3, 3]`` (``_PROBE_BOX``) and t uniform in (0, 1), and counts how often
 
         F(t xi1 + (1-t) xi2) > t F(xi1) + (1-t) F(xi2) + tol.
 
@@ -263,8 +266,8 @@ def check_convexity(F, samples, seed, tol=1e-10, box=3.0) -> ConvexityReport:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     tau = F.layout.tau
-    xi1 = rng.uniform(-box, box, size=(samples, tau))
-    xi2 = rng.uniform(-box, box, size=(samples, tau))
+    xi1 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, size=(samples, tau))
+    xi2 = rng.uniform(-_PROBE_BOX, _PROBE_BOX, size=(samples, tau))
     t = rng.uniform(0.0, 1.0, size=samples)
     f1 = F.value(None, None, xi1)
     f2 = F.value(None, None, xi2)
@@ -288,20 +291,20 @@ class CoercivityReport:
     violations_at_c: int
 
 
-def check_coercivity(F, p, samples, seed, c=None, box=3.0) -> CoercivityReport:
+def check_coercivity(F, p, samples, seed, c=None) -> CoercivityReport:
     """Estimate the largest c with ``F(all_minors(A)) >= c |A|^p``.
 
-    Random matrices with entries uniform in ``[-box, box]`` give a sampled
-    lower envelope of the ratio ``F / |A|^p``; ``c_estimate`` is its minimum.
-    ``violations_at_c`` counts samples falling strictly below the reference
-    bound ``c`` (the integrand's declared constant by default).
+    Random matrices with entries uniform in ``[-3, 3]`` (``_PROBE_BOX``) give a
+    sampled lower envelope of the ratio ``F / |A|^p``; ``c_estimate`` is its
+    minimum.  ``violations_at_c`` counts samples falling strictly below the
+    reference bound ``c`` (the integrand's declared constant by default).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     p = float(p)
     rng = np.random.default_rng(seed)
     layout = F.layout
-    a = rng.uniform(-box, box, size=(samples, layout.N, layout.n))
+    a = rng.uniform(-_PROBE_BOX, _PROBE_BOX, size=(samples, layout.N, layout.n))
     vals = F.value(None, None, all_minors(a))
     norm_p = np.sum(a * a, axis=(-2, -1)) ** (p / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):

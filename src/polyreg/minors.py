@@ -96,11 +96,6 @@ class MinorsLayout:
         """Slot count once the order-1 block is dropped."""
         return self.tau - self.N * self.n
 
-    def block_slice(self, s) -> slice:
-        self.check_order(s)
-        start = sum(self.block_size(r) for r in range(1, s))
-        return slice(start, start + self.block_size(s))
-
 
 def _as_matrix_stack(a):
     a = np.asarray(a, dtype=float)

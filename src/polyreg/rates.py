@@ -275,7 +275,8 @@ def coarse_sizes(nx, ny) -> list:
 def coarse_to_fine_start(exp, delta, seed, experiment_at):
     """Start of a cold solve of ``exp`` at noise level ``delta``: the last of
     a ladder of coarse solves, prolonged bilinearly onto ``exp``'s grid, or
-    None (the identity) where ``coarse_sizes`` gives no ladder.
+    None (the identity) where ``coarse_sizes`` gives no ladder or the mask is
+    a ``cells`` (CSV) mask, which has no coarse version.
 
     ``experiment_at(nx, ny)`` builds the same experiment on an ``nx`` x ``ny``
     node grid.  Each coarse level draws its own data with ``seed``, takes
@@ -296,8 +297,9 @@ def coarse_to_fine_start(exp, delta, seed, experiment_at):
         return u if np.isfinite(energy(u, target.integrand)) else None
 
     grid = exp.u_dagger.grid
+    sizes = [] if grid.mask.kind == "cells" else coarse_sizes(grid.nx, grid.ny)
     start, ladder = None, []
-    for nx, ny in coarse_sizes(grid.nx, grid.ny):
+    for nx, ny in sizes:
         coarse = experiment_at(nx, ny)
         _, _, problem = _pose_level(coarse, delta, seed, feasible_start(coarse, start))
         result = minimize(problem, tol=_COARSE_TOL, max_iter=coarse.solver_max_iter,

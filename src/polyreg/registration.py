@@ -29,6 +29,15 @@ import numpy as np
 
 from .fields import MatrixField, cell_center_values
 
+# warp(strict=True): how far a node may land outside, as a fraction of the
+# domain's diameter.
+_STRICT_TOL = 1e-9
+# random_blobs: bump count, radius of the disk of centers, width and amplitude ranges.
+_BLOB_COUNT = 3
+_BLOB_SPREAD = 0.55
+_BLOB_WIDTHS = (0.18, 0.42)
+_BLOB_AMPLITUDES = (0.6, 1.0)
+
 
 class DomainViolationError(ValueError):
     """A deformation moved a domain node outside the closed domain."""
@@ -162,11 +171,11 @@ class NoisySample:
     seed: int
 
 
-def warp(reference, u, strict=False, tol_factor=1e-9) -> ScalarImage:
+def warp(reference, u, strict=False) -> ScalarImage:
     """Deformed reference image: sample ``reference`` at the displaced nodes.
 
     With ``strict=True``, nodes that belong to the domain and land farther
-    than ``tol_factor * diameter`` outside the closed domain raise
+    than ``_STRICT_TOL * diameter`` outside the closed domain raise
     ``DomainViolationError`` carrying the worst offender.  Without it,
     samples are clamped to the bounding rectangle, the standard surrogate
     during optimization.
@@ -175,10 +184,10 @@ def warp(reference, u, strict=False, tol_factor=1e-9) -> ScalarImage:
     if strict:
         inside = grid.nodes_in_domain
         dist = grid.distance_outside(u.values[inside])
-        tol = tol_factor * grid.diameter
+        tol = _STRICT_TOL * grid.diameter
         if dist.size and np.max(dist) > tol:
             flat = int(np.argmax(dist))
-            node_idx = tuple(np.argwhere(inside)[flat])
+            node_idx = tuple(int(i) for i in np.argwhere(inside)[flat])
             raise DomainViolationError(node_idx, float(np.max(dist)), tol)
     return ScalarImage(grid, reference.sample(u.values))
 
@@ -287,20 +296,19 @@ def blob_image(grid, blobs) -> ScalarImage:
     return ScalarImage(grid, out)
 
 
-def random_blobs(seed, count=3, spread=0.55, width_range=(0.18, 0.42),
-                 amp_range=(0.6, 1.0)):
+def random_blobs(seed):
     """Deterministic bump parameters: centers spread over a disk around the
     origin, widths broad enough to stay resolved on a 64 x 64 grid."""
     rng = np.random.default_rng(seed)
     blobs = []
-    for _ in range(count):
-        radius = spread * np.sqrt(rng.uniform())
+    for _ in range(_BLOB_COUNT):
+        radius = _BLOB_SPREAD * np.sqrt(rng.uniform())
         angle = rng.uniform(0.0, 2.0 * np.pi)
         blobs.append([
-            rng.uniform(*amp_range),
+            rng.uniform(*_BLOB_AMPLITUDES),
             radius * np.cos(angle),
             radius * np.sin(angle),
-            rng.uniform(*width_range),
+            rng.uniform(*_BLOB_WIDTHS),
         ])
     return blobs
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,33 @@ class TestConfig:
         grid = build_grid(load_config(str(cfg_path)))
         assert grid.mask.kind == "cells"
         assert np.array_equal(grid.mask.active, disk_mask(base, radius=0.7).active)
+
+    @pytest.mark.filterwarnings("ignore:rotation field on a domain")
+    def test_csv_mask_the_rotation_moves_out_names_theta_and_path(self, tmp_path):
+        # the rotation moves corners of a pixelated disk out of the union of
+        # its cells, so the strict warp of the exact data fails
+        from polyreg import Grid, disk_mask
+        from polyreg.io import save_mask
+
+        mask_path = tmp_path / "mask.csv"
+        save_mask(mask_path, disk_mask(Grid(((-1.0, 1.0), (-1.0, 1.0)), 32, 32)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"nx": 32, "ny": 32},
+                                      "mask": {"type": "csv", "path": str(mask_path)}}))
+        with pytest.raises(ValueError, match=r"experiment\.theta = 0\.5235987755982988 "
+                                             r"rotates the mask at mask\.path") as err:
+            main(["register", "--config", str(config), "--delta", "0.0125",
+                  "--out", str(tmp_path / "reg")])
+        message = str(err.value)
+        assert "node (19, 31) maps 4.344e-02 outside" in message
+        assert message.endswith("needs experiment.theta = 0 or a mask that the rotation "
+                                "maps into itself")
+
+    def test_readme_schema_block_is_the_default_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("### Config schema (defaults shown)\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == default_config()
 
 
 class TestCheckGradient:

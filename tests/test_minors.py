@@ -41,14 +41,6 @@ class TestLayout:
         with pytest.raises(ValueError):
             MinorsLayout(2, 0)
 
-    def test_block_slices_partition(self):
-        lay = MinorsLayout(3, 3)
-        stops = []
-        for s in (1, 2, 3):
-            sl = lay.block_slice(s)
-            stops.append((sl.start, sl.stop))
-        assert stops == [(0, 9), (9, 18), (18, 19)]
-
 
 class TestMinorBlock:
     def test_order_one_is_row_major_flatten(self, rng):

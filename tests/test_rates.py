@@ -7,11 +7,13 @@ import pytest
 
 from polyreg import (
     ForwardModel,
+    Grid,
     RateExperiment,
     SourceConditionParams,
     blob_image,
     bregman_poly,
     choose_alpha,
+    disk_mask,
     fit_slope,
     geometric_levels,
     random_blobs,
@@ -225,6 +227,23 @@ class TestCoarseToFine:
     def test_no_ladder_below_128_nodes_per_axis(self):
         built = []
         exp = build_experiment(load_config())
+        assert coarse_to_fine_start(exp, 0.0125, 0, built.append) == (None, [])
+        assert built == []
+
+    @pytest.mark.filterwarnings("ignore:rotation field on a domain")
+    def test_no_ladder_for_a_csv_mask(self, tmp_path):
+        # a cells mask loaded from CSV has no coarse version
+        from polyreg.io import save_mask
+
+        mask_path = tmp_path / "mask.csv"
+        save_mask(mask_path, disk_mask(Grid(((-1.0, 1.0), (-1.0, 1.0)), 128, 128)))
+        cfg = load_config()
+        cfg["grid"].update(nx=128, ny=128)
+        cfg["mask"].update(type="csv", path=str(mask_path))
+        cfg["experiment"]["theta"] = 0.0  # u_dagger stays inside
+        built = []
+        exp = build_experiment(cfg)
+        assert exp.u_dagger.grid.mask.kind == "cells"
         assert coarse_to_fine_start(exp, 0.0125, 0, built.append) == (None, [])
         assert built == []
 

@@ -175,6 +175,7 @@ class TestWarp:
         with pytest.raises(DomainViolationError) as err:
             warp(img, u, strict=True)
         assert err.value.distance > 0
+        assert all(type(i) is int for i in err.value.node)  # printed as plain ints
         warp(img, u)  # clamped mode stays silent
 
     def test_rotations_always_admissible_on_disk(self, disk_grid, rng):
