@@ -161,13 +161,15 @@ def build_experiment(cfg) -> RateExperiment:
     try:
         exact_data = warp(reference, u_dagger, strict=True)
     except DomainViolationError as err:
-        if cfg["mask"]["type"] != "csv":
-            raise
-        # the distance is to the union of the mask's cells, whose corners a
-        # rotation moves out
+        # a csv mask's domain is the union of its cells, whose corners a
+        # rotation moves out; a box or an off-centre disk can leave too
+        m = cfg["mask"]
+        keys = {"disk": ("center", "radius"), "csv": ("path",)}.get(m["type"], ())
+        where = (" and ".join(f"mask.{k} {m[k]!r}" for k in keys)
+                 or f"grid.bounds {cfg['grid']['bounds']!r}")
         raise ValueError(
-            f"experiment.theta = {ecfg['theta']!r} rotates the mask at mask.path "
-            f"{cfg['mask']['path']!r} out of itself ({err}); a csv mask needs "
+            f"experiment.theta = {ecfg['theta']!r} rotates the mask at {where} out of "
+            f"itself ({err}); with mask.type {m['type']!r} this needs "
             "experiment.theta = 0 or a mask that the rotation maps into itself"
         ) from err
     forward = ForwardModel(reference=reference, exact_data=exact_data,

@@ -137,6 +137,28 @@ class TestConfig:
         assert message.endswith("needs experiment.theta = 0 or a mask that the rotation "
                                 "maps into itself")
 
+    @pytest.mark.parametrize("mask, keys, node", [
+        ({"type": "none"}, "grid.bounds [[-1.0, 1.0], [-1.0, 1.0]]",
+         "node (0, 0) maps 3.660e-01 outside"),
+        ({"center": [0.3, 0], "radius": 0.6}, "mask.center [0.3, 0] and mask.radius 0.6",
+         "node (12, 11) maps 1.043e-01 outside"),
+    ], ids=["box", "off-centre-disk"])
+    @pytest.mark.filterwarnings("ignore:rotation field on a domain")
+    def test_mask_the_rotation_moves_out_names_theta_and_mask_keys(self, mask, keys, node):
+        from polyreg.registration import DomainViolationError
+
+        cfg = default_config()
+        cfg["grid"].update(nx=16, ny=16)
+        cfg["mask"].update(mask)
+        with pytest.raises(ValueError) as err:
+            build_experiment(cfg)
+        message = str(err.value)
+        assert message.startswith(f"experiment.theta = 0.5235987755982988 rotates the mask "
+                                  f"at {keys} out of itself")
+        assert node in message
+        assert f"with mask.type {cfg['mask']['type']!r} this needs experiment.theta = 0" in message
+        assert isinstance(err.value.__cause__, DomainViolationError)
+
     def test_readme_schema_block_is_the_default_config(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
         section = readme.split("### Config schema (defaults shown)\n", 1)[1]

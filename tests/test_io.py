@@ -18,17 +18,33 @@ from polyreg import (
 )
 from polyreg.bregman import PolySubgradient
 from polyreg.io import (
-    load_field,
-    load_image_csv,
     load_mask,
-    load_pgm,
-    load_subgradient,
     save_field,
-    save_image_csv,
     save_mask,
     save_pgm,
     save_subgradient,
 )
+
+
+def _parse_table(path, shape):
+    """Header and ``c1..ck`` columns of an ``i,j,c1..ck`` CSV, checking that
+    its rows list every index of ``shape`` (n1, n2) once, j varying fastest."""
+    header, *lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    assert [(int(r[0]), int(r[1])) for r in rows] == list(np.ndindex(shape))
+    return header, np.array([[float(c) for c in r[2:]] for r in rows]).reshape(shape + (-1,))
+
+
+def _decode_pgm(path):
+    """The declared (lo, hi) range and the (height, width) raster of a 16-bit PGM."""
+    magic, scale, size, maxval, raster = path.read_bytes().split(b"\n", 4)
+    assert (magic, maxval) == (b"P5", b"65535")
+    comment, keyword, lo, hi = scale.split()
+    assert (comment, keyword) == (b"#", b"scale")
+    width, height = map(int, size.split())
+    quant = np.frombuffer(raster, dtype=">u2")
+    assert quant.size == width * height
+    return float(lo), float(hi), quant.reshape(height, width)
 
 
 class TestFieldCsv:
@@ -36,85 +52,34 @@ class TestFieldCsv:
         u = random_smooth_field(unit_grid, seed=17)
         path = tmp_path / "field.csv"
         save_field(path, u)
-        back = load_field(path, unit_grid)
-        assert np.array_equal(back.values, u.values)
+        _, table = _parse_table(path, unit_grid.node_shape)
+        assert np.array_equal(table[..., :2], unit_grid.node_points)
+        assert np.array_equal(table[..., 2:], u.values)  # repr round-trips exactly
 
     def test_header_written(self, tmp_path, unit_grid):
         path = tmp_path / "field.csv"
         save_field(path, identity_field(unit_grid))
         assert path.read_text().splitlines()[0] == "i,j,x,y,u1,u2"
 
-    def test_bad_header_rejected(self, tmp_path, unit_grid):
-        path = tmp_path / "field.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ValueError):
-            load_field(path, unit_grid)
-
-    def test_nan_entry_rejected(self, tmp_path, unit_grid):
-        path = tmp_path / "field.csv"
-        save_field(path, identity_field(unit_grid))
-        lines = path.read_text().splitlines()
-        i, j, x, y, u1, _ = lines[5].split(",")
-        lines[5] = ",".join([i, j, x, y, u1, "nan"])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="finite"):
-            load_field(path, unit_grid)
-
-    def test_negative_index_rejected(self, tmp_path, unit_grid):
-        # -1 used to wrap around to node (8, 0) and pass the coverage check
-        path = tmp_path / "field.csv"
-        save_field(path, identity_field(unit_grid))
-        lines = path.read_text().splitlines()
-        assert lines[28].startswith("3,0,")
-        lines[28] = "-1" + lines[28][1:]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 29: index (-1, 0)")):
-            load_field(path, unit_grid)
-
-    @pytest.mark.parametrize("line, edit, message", [
-        (1, lambda row: "i,j,x,y,u2,u1", "expected header"),
-        (5, lambda row: row + ",0.0", "expected 6 columns, got 7"),
-        (5, lambda row: row.rsplit(",", 1)[0], "expected 6 columns, got 5"),
-        (5, lambda row: "0.5" + row[1:], "invalid literal for int"),
-        (5, lambda row: "9" + row[1:], "index (9, 3) outside 9 x 9"),
-        (5, lambda row: "0,2" + row[3:], "repeated index (0, 2)"),
-        (5, lambda row: row.rsplit(",", 1)[0] + ",inf", "non-finite value"),
-    ], ids=["header", "extra-column", "missing-column", "non-integer-index",
-            "index-out-of-range", "repeated-index", "non-finite"])
-    def test_corrupt_line_rejected(self, tmp_path, unit_grid, line, edit, message):
-        path = tmp_path / "field.csv"
-        save_field(path, identity_field(unit_grid))
-        lines = path.read_text().splitlines()
-        lines[line - 1] = edit(lines[line - 1])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: {message}")):
-            load_field(path, unit_grid)
-
 
 class TestImageFormats:
-    def test_csv_round_trip_exact(self, tmp_path, unit_grid, rng):
-        img = ScalarImage(unit_grid, rng.uniform(-3, 5, unit_grid.node_shape))
-        path = tmp_path / "img.csv"
-        save_image_csv(path, img)
-        back = load_image_csv(path, unit_grid)
-        assert np.array_equal(back.samples, img.samples)
-
-    def test_csv_missing_rows_rejected(self, tmp_path, unit_grid, rng):
-        # the missing nodes used to load as 0.0
-        path = tmp_path / "img.csv"
-        img = ScalarImage(unit_grid, rng.uniform(-3, 5, unit_grid.node_shape))
-        save_image_csv(path, img)
-        path.write_text("\n".join(path.read_text().splitlines()[:-3]) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: no row for index (8, 6)")):
-            load_image_csv(path, unit_grid)
-
     def test_pgm_round_trip_quantized(self, tmp_path, unit_grid, rng):
         img = ScalarImage(unit_grid, rng.uniform(-1, 2, unit_grid.node_shape))
         path = tmp_path / "img.pgm"
         save_pgm(path, img)
-        back = load_pgm(path, unit_grid)
-        span = img.samples.max() - img.samples.min()
-        assert np.max(np.abs(back.samples - img.samples)) <= span / 65535.0
+        lo, hi, quant = _decode_pgm(path)
+        assert (lo, hi) == (img.samples.min(), img.samples.max())
+        assert quant.shape == (unit_grid.ny, unit_grid.nx)
+        back = lo + (hi - lo) * quant[::-1, :].T / 65535.0
+        assert np.max(np.abs(back - img.samples)) <= (hi - lo) / 65535.0
+
+    def test_pgm_rows_run_in_descending_j(self, tmp_path):
+        grid = Grid(((0.0, 1.0), (0.0, 1.0)), 3, 4)
+        img = ScalarImage(grid, grid.node_points[..., 1])  # increases with j only
+        path = tmp_path / "img.pgm"
+        save_pgm(path, img)
+        _, _, quant = _decode_pgm(path)
+        assert quant.tolist() == [[65535] * 3, [43690] * 3, [21845] * 3, [0] * 3]
 
     def test_pgm_header_structure(self, tmp_path, unit_grid):
         img = ScalarImage(unit_grid, np.zeros(unit_grid.node_shape))
@@ -128,8 +93,9 @@ class TestImageFormats:
         img = ScalarImage(unit_grid, np.full(unit_grid.node_shape, 2.5))
         path = tmp_path / "img.pgm"
         save_pgm(path, img)
-        back = load_pgm(path, unit_grid)
-        assert np.allclose(back.samples, 2.5, atol=1e-12)
+        lo, hi, quant = _decode_pgm(path)
+        assert (lo, hi) == (2.5, 2.5)
+        assert not quant.any()
 
 
 class TestMaskCsv:
@@ -161,21 +127,29 @@ class TestMaskCsv:
 
 class TestCertificateBundle:
     def test_round_trip_preserves_action(self, tmp_path, unit_grid):
-        F = pq_energy(4.0, 2.0)
         base = random_smooth_field(unit_grid, seed=23, amplitude=0.5)
-        w = save_me = poly_subgradient(F, base)
-        save_subgradient(tmp_path / "cert", save_me, protocol={"trials": 10})
-        back = load_subgradient(tmp_path / "cert")
-        assert np.array_equal(back.u0, w.u0)
-        assert np.array_equal(back.u1, w.u1)
-        assert np.array_equal(back.v2, w.v2)
-        assert back.base_energy == w.base_energy
+        w = poly_subgradient(pq_energy(4.0, 2.0), base)
+        save_subgradient(tmp_path / "cert", w, protocol={"trials": 10})
+        nodes, cells = unit_grid.node_shape, unit_grid.cell_shape
+        tables = {name: _parse_table(tmp_path / "cert" / name, shape)
+                  for name, shape in (("u0.csv", nodes), ("u1.csv", cells),
+                                      ("v2.csv", cells), ("base_field.csv", nodes))}
+        assert [head for head, _ in tables.values()] == [
+            "i,j,g1,g2", "i,j,a11,a12,a21,a22", "i,j,v1", "i,j,x,y,u1,u2"]
+        u0, u1, v2, field = (table for _, table in tables.values())
+        assert np.array_equal(u0, w.u0)
+        assert np.array_equal(u1.reshape(cells + (2, 2)), w.u1)
+        assert np.array_equal(v2, w.v2)
+        assert np.array_equal(field[..., 2:], base.values)
+        header = json.loads((tmp_path / "cert" / "header.json").read_text())
+        assert header["base_energy"] == w.base_energy
+        back = PolySubgradient(u0, u1.reshape(cells + (2, 2)), v2,
+                               base_point=MatrixField(unit_grid, field[..., 2:]),
+                               base_energy=header["base_energy"])
         probe = random_smooth_field(unit_grid, seed=29)
         assert pairing(back, probe) == pairing(w, probe)
 
     def test_header_contents(self, tmp_path, unit_grid):
-        import json
-
         w = poly_subgradient(detsq_energy(), identity_field(unit_grid))
         save_subgradient(tmp_path / "cert", w, protocol={"trials": 7, "radius": 0.5})
         header = json.loads((tmp_path / "cert" / "header.json").read_text())
@@ -183,68 +157,6 @@ class TestCertificateBundle:
         assert header["tau2"] == 1
         assert header["protocol"]["trials"] == 7
         assert header["base_energy"] == pytest.approx(1.0)
-
-    @pytest.fixture
-    def bundle(self, tmp_path, unit_grid):
-        base = random_smooth_field(unit_grid, seed=23, amplitude=0.5)
-        w = poly_subgradient(pq_energy(4.0, 2.0), base)
-        save_subgradient(tmp_path / "cert", w)
-        return tmp_path / "cert"
-
-    def test_truncated_component_rejected(self, bundle):
-        # the missing cells used to load as zeros
-        path = bundle / "u1.csv"
-        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: no row for index (7, 7)")):
-            load_subgradient(bundle)
-
-    def test_component_header_checked(self, bundle):
-        path = bundle / "u0.csv"
-        path.write_text(path.read_text().replace("i,j,g1,g2", "i,j,g2,g1", 1))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: expected header")):
-            load_subgradient(bundle)
-
-    def test_slot_count_checked_against_header(self, bundle):
-        # v2.csv has one slot column; a header claiming two used to broadcast it
-        header = json.loads((bundle / "header.json").read_text())
-        header["tau2"] = 2
-        (bundle / "header.json").write_text(json.dumps(header))
-        message = f"{bundle / 'v2.csv'}: line 1: expected header 'i,j,v1,v2'"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            load_subgradient(bundle)
-
-
-    @pytest.mark.parametrize("key", ["bounds", "nx", "ny", "tau2", "base_energy"])
-    def test_missing_header_key_rejected(self, bundle, key):
-        path = bundle / "header.json"
-        header = json.loads(path.read_text())
-        del header[key]
-        path.write_text(json.dumps(header))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: missing key {key!r}")):
-            load_subgradient(bundle)
-
-    @pytest.mark.parametrize("key, value", [
-        ("bounds", [[0.0, 1.0]]),
-        ("bounds", [[0.0, "1"], [0.0, 1.0]]),
-        ("nx", 9.0),
-        ("ny", "9"),
-        ("tau2", True),
-        ("base_energy", None),
-    ])
-    def test_mistyped_header_value_rejected(self, bundle, key, value):
-        path = bundle / "header.json"
-        header = json.loads(path.read_text())
-        header[key] = value
-        path.write_text(json.dumps(header))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: key {key!r} must be")):
-            load_subgradient(bundle)
-
-    @pytest.mark.parametrize("text", ["[1, 2]", "{\"nx\": 9,"])
-    def test_header_not_an_object_rejected(self, bundle, text):
-        path = bundle / "header.json"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
-            load_subgradient(bundle)
 
 # Full text of each writer's output on a 3 x 4 grid with non-round values, so
 # that any change to the number format, row order, header or newline shows.
@@ -262,22 +174,6 @@ GOLDEN_FIELD = (
     '2,1,0.7,0.5666666666666667,3.2714285714285714,3.280952380952381\n'
     '2,2,0.7,0.9333333333333333,3.557142857142857,3.9333333333333336\n'
     '2,3,0.7,1.3,3.8428571428571425,4.585714285714285\n'
-)
-
-GOLDEN_IMAGE = (
-    'i,j,value\n'
-    '0,0,-1.1\n'
-    '0,1,-0.7666666666666668\n'
-    '0,2,-0.43333333333333346\n'
-    '0,3,-0.10000000000000009\n'
-    '1,0,0.23333333333333317\n'
-    '1,1,0.5666666666666667\n'
-    '1,2,0.8999999999999999\n'
-    '1,3,1.2333333333333334\n'
-    '2,0,1.5666666666666664\n'
-    '2,1,1.9\n'
-    '2,2,2.2333333333333334\n'
-    '2,3,2.5666666666666664\n'
 )
 
 GOLDEN_U0 = (
@@ -349,11 +245,6 @@ class TestGoldenBytes:
     def test_field(self, tmp_path, field):
         save_field(tmp_path / "field.csv", field)
         assert (tmp_path / "field.csv").read_bytes() == GOLDEN_FIELD.encode("ascii")
-
-    def test_image(self, tmp_path, field):
-        img = ScalarImage(field.grid, np.arange(12).reshape(3, 4) / 3.0 - 1.1)
-        save_image_csv(tmp_path / "image.csv", img)
-        assert (tmp_path / "image.csv").read_bytes() == GOLDEN_IMAGE.encode("ascii")
 
     def test_certificate_bundle(self, tmp_path, field):
         w = PolySubgradient(
