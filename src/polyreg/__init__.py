@@ -11,7 +11,6 @@ from .minors import (
     MinorsLayout,
     all_minors,
     apply_minors_gradient,
-    higher_minors,
     minor_block,
     minors_gradient,
     pull_back,
@@ -33,7 +32,6 @@ from .fields import (
     MatrixField,
     UnboundedGradientError,
     cell_center_values,
-    discrete_jacobian,
     disk_mask,
     energy,
     energy_with_gradient,
@@ -61,7 +59,6 @@ from .bregman import (
     PolySubgradient,
     SourceConditionParams,
     SubgradientReport,
-    bregman_classical,
     bregman_poly,
     poly_subgradient,
     source_condition_residual,

@@ -3,7 +3,7 @@
 For energies with a convex density on minors coordinates, the pointwise
 density gradient at a base field defines a functional
 
-    w(u) = <u0, u> + <u1, grad u> + <v2, higher_minors(grad u)>
+    w(u) = <u0, u> + <u1, grad u> + <v2, higher minors of grad u>
 
 that satisfies R(v) >= R(u) + w(v) - w(u) for every field v.  The associated
 generalized Bregman distance
@@ -11,7 +11,8 @@ generalized Bregman distance
     D(v; u) = R(v) - R(u) - w(v) + w(u)
 
 is then nonnegative and vanishes at v = u.  When v2 is identically zero the
-functional is linear in u and D reduces to the classical Bregman distance.
+functional is linear in u and D reduces to the classical Bregman distance:
+``bregman_poly`` with such a certificate is that distance.
 
 On the discrete side the certificate inequality is inherited cell by cell
 from convexity of the density, provided the pairing uses exactly the same
@@ -43,6 +44,9 @@ from .fields import (
     scatter_to_corners,
 )
 
+# Bregman gaps below minus this count as certificate violations.
+_VIOLATION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PolySubgradient:
@@ -71,10 +75,6 @@ class PolySubgradient:
         if self.v2.shape[:2] != grid.cell_shape:
             raise ValueError("v2 must hold one slot block per cell")
 
-    @property
-    def is_classical(self) -> bool:
-        return not np.any(self.v2)
-
     @cached_property
     def active_values(self):
         """``u0`` at the active cell centers, ``u1`` flattened to 4 entries
@@ -87,9 +87,6 @@ class PolySubgradient:
             self.u1.reshape(-1, 4)[idx],
             self.v2.reshape(-1, self.v2.shape[-1])[idx],
         )
-
-    def __call__(self, u) -> float:
-        return pairing(self, u)
 
 
 @dataclass(frozen=True)
@@ -178,17 +175,6 @@ def bregman_poly(F, v, u, w) -> float:
     return rv - ru - wv + wu
 
 
-def bregman_classical(F, v, u, w) -> float:
-    """Classical Bregman distance; requires a certificate with ``v2 == 0``.
-
-    Computed by the same code path as :func:`bregman_poly`, so the two
-    coincide bit for bit on classical certificates.
-    """
-    if not w.is_classical:
-        raise ValueError("certificate has nonzero v2; use bregman_poly")
-    return bregman_poly(F, v, u, w)
-
-
 @dataclass(frozen=True)
 class SubgradientReport:
     trials: int
@@ -197,14 +183,14 @@ class SubgradientReport:
     tolerance: float
 
 
-def verify_subgradient(F, w, trials, seed, radius=0.5, tol=1e-8) -> SubgradientReport:
+def verify_subgradient(F, w, trials, seed, radius=0.5) -> SubgradientReport:
     """Sampled check of the certificate inequality at ``w.base_point``.
 
     Each trial perturbs the base field by a random smooth field whose size
     is drawn log-uniformly from ``[radius / 1000, radius]`` (small radii
     expose broken linear terms, large ones the far field; every eighth
     probe uses ten times the radius) and evaluates the Bregman gap; gaps
-    below ``-tol`` count as violations.  Per-trial seeds derive
+    below ``-_VIOLATION_TOL`` count as violations.  Per-trial seeds derive
     deterministically from ``seed``, so trials are order-independent and
     reproducible.  Perturbations leaving the effective domain satisfy the
     inequality trivially and are skipped, as are all trials when the base
@@ -222,12 +208,12 @@ def verify_subgradient(F, w, trials, seed, radius=0.5, tol=1e-8) -> SubgradientR
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if trials == 0:
-        return SubgradientReport(0, 0, 0.0, tol)
+        return SubgradientReport(0, 0, 0.0, _VIOLATION_TOL)
     u = w.base_point
     operands = _pairing_operands(w, u)
     ru, wu = _energy_and_pairing(u, F, operands)
     if not np.isfinite(ru):
-        return SubgradientReport(trials, 0, 0.0, tol)
+        return SubgradientReport(trials, 0, 0.0, _VIOLATION_TOL)
     worst = np.inf
     violations = 0
     for t in range(trials):
@@ -242,11 +228,11 @@ def verify_subgradient(F, w, trials, seed, radius=0.5, tol=1e-8) -> SubgradientR
             continue
         gap = rv - ru - wv + wu
         worst = min(worst, gap)
-        if gap < -tol:
+        if gap < -_VIOLATION_TOL:
             violations += 1
     if not np.isfinite(worst):
         worst = 0.0
-    return SubgradientReport(trials, violations, float(worst), tol)
+    return SubgradientReport(trials, violations, float(worst), _VIOLATION_TOL)
 
 
 def source_condition_residual(F, forward, w, u_dagger, u, params) -> float:

@@ -81,6 +81,8 @@ def build_grid(cfg) -> Grid:
     if kind == "none":
         return bare  # a grid built without a mask carries the box mask
     if kind == "disk":
+        _reject_out_of_range((("mask.radius", m["radius"], "finite and > 0",
+                               _finite_positive(m["radius"])),))
         mask = disk_mask(bare, center=tuple(m["center"]), radius=float(m["radius"]))
     elif kind == "csv":
         from .io import load_mask
@@ -117,7 +119,7 @@ def _check_ranges(cfg) -> None:
     """Reject solver, sweep and seed settings outside their ranges, naming the key."""
     sol, ecfg = cfg["solver"], cfg["experiment"]
     fit_levels = int(ecfg["fit_levels"])
-    image_seed = cfg["image"]["seed"]
+    image_seed, blobs = cfg["image"]["seed"], cfg["image"]["blobs"]
     _reject_out_of_range((
         ("solver.tol", sol["tol"], "in (0, 1)", 0 < float(sol["tol"]) < 1),
         ("solver.max_iter", sol["max_iter"], ">= 1", int(sol["max_iter"]) >= 1),
@@ -133,7 +135,8 @@ def _check_ranges(cfg) -> None:
          int(ecfg["levels"]) >= fit_levels),
         ("experiment.seeds", ecfg["seeds"], "a nonempty list of seeds >= 0",
          len(ecfg["seeds"]) >= 1 and all(int(s) >= 0 for s in ecfg["seeds"])),
-        ("image.seed", image_seed, ">= 0", image_seed is None or int(image_seed) >= 0),
+        ("image.seed", image_seed, ">= 0, or null when image.blobs lists the bumps",
+         int(image_seed) >= 0 if image_seed is not None else blobs is not None),
     ))
 
 
@@ -201,7 +204,7 @@ def build_experiment(cfg) -> RateExperiment:
         forward=forward,
         u_dagger=u_dagger,
         w=w,
-        deltas=geometric_levels(float(ecfg["delta0"]), 1, int(ecfg["levels"])),
+        deltas=geometric_levels(float(ecfg["delta0"]), int(ecfg["levels"])),
         alpha0=float(ecfg["alpha0"]),
         epsilon=float(ecfg["epsilon"]),
         seeds=tuple(int(s) for s in ecfg["seeds"]),

@@ -80,12 +80,13 @@ class CellMask:
         self.center = None if center is None else (float(center[0]), float(center[1]))
         self.radius = None if radius is None else float(radius)
 
-    def is_centered_disk(self, center=(0.0, 0.0), tol=1e-12) -> bool:
+    def is_centered_disk(self) -> bool:
+        """Whether the mask is a disk about the origin, to within 1e-12."""
         return (
             self.kind == "disk"
             and self.center is not None
-            and abs(self.center[0] - center[0]) <= tol
-            and abs(self.center[1] - center[1]) <= tol
+            and abs(self.center[0]) <= 1e-12
+            and abs(self.center[1]) <= 1e-12
         )
 
 
@@ -308,25 +309,21 @@ class MatrixField:
 
     @cached_property
     def jacobians(self) -> np.ndarray:
-        return discrete_jacobian(self)
+        """Cell-centered Jacobians, shape (nx-1, ny-1, 2, 2).
+
+        Entry [..., a, b] is the derivative of component a along axis b,
+        taken as the mean of the two forward differences across the cell;
+        this is the gradient of the bilinear interpolant at the cell center,
+        so affine fields are reproduced exactly.  The entries are the first
+        four slots of the cell kernel over every cell.
+        """
+        grid = self.grid
+        corners = _corner_nodes(grid, np.arange(grid.cell_shape[0] * grid.cell_shape[1]))
+        xi = _cell_slots(self, corners)[1]
+        return xi[:, :4].reshape(grid.cell_shape + (2, 2))
 
     def with_values(self, values) -> "MatrixField":
         return MatrixField(self.grid, values)
-
-
-def discrete_jacobian(u) -> np.ndarray:
-    """Cell-centered Jacobians, shape (nx-1, ny-1, 2, 2).
-
-    Entry [..., a, b] is the derivative of component a along axis b, taken
-    as the mean of the two forward differences across the cell; this is the
-    gradient of the bilinear interpolant at the cell center, so affine
-    fields are reproduced exactly.  The entries are the first four slots of
-    the cell kernel over every cell.
-    """
-    grid = u.grid
-    corners = _corner_nodes(grid, np.arange(grid.cell_shape[0] * grid.cell_shape[1]))
-    xi = _cell_slots(u, corners)[1]
-    return xi[:, :4].reshape(grid.cell_shape + (2, 2))
 
 
 def _cell_slots(u, corners):

@@ -51,22 +51,16 @@ class Integrand:
         g_u, g_xi)`` from one pass, the gradients of shapes ``(..., N)`` and
         ``(..., tau)`` and defined wherever the density is finite; ``g_u``
         may be None when the density does not depend on ``u`` directly.
-    params : dict, optional
-        Dimensionless parameters (exponents etc.) recorded as metadata.
     coercivity_constant : float, optional
         Analytic constant c with ``value(all_minors(A)) >= c * |A|^p``,
         if one is known.
     """
 
-    def __init__(self, layout, name, density, params=None, coercivity_constant=None):
+    def __init__(self, layout, name, density, coercivity_constant=None):
         self.layout = layout
         self.name = str(name)
-        self.params = dict(params or {})
         self.coercivity_constant = coercivity_constant
         self._density = density
-
-    def __repr__(self):
-        return f"Integrand({self.name!r}, params={self.params})"
 
     def value(self, x, u, xi):
         return self._density(x, u, self._slots(xi), False)
@@ -74,10 +68,6 @@ class Integrand:
     def gradient(self, x, u, xi):
         """``(density, g_u, g_xi)`` at the slots ``xi``, in one pass."""
         return self._density(x, u, self._slots(xi), True)
-
-    def value_at_matrix(self, a):
-        """Composed matrix-space density, ``value`` after the minors map."""
-        return self.value(None, None, all_minors(a))
 
     def _slots(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -188,11 +178,7 @@ def rotation_energy(p) -> Integrand:
         np.multiply(-p, wall, out=g_xi[:, 4])
         return value.reshape(shape)[()], None, g_xi.reshape(xi.shape)
 
-    return Integrand(
-        layout, "rotation", density,
-        params={"p": p},
-        coercivity_constant=2.0 ** (1.0 - p / 2.0),
-    )
+    return Integrand(layout, "rotation", density, coercivity_constant=2.0 ** (1.0 - p / 2.0))
 
 
 def pq_energy(p, q, n=2) -> Integrand:
@@ -221,11 +207,7 @@ def pq_energy(p, q, n=2) -> Integrand:
         g_xi[..., -1] = np.sign(d) * np.abs(d) ** (q - 1.0)
         return value, None, g_xi
 
-    return Integrand(
-        layout, "pq", density,
-        params={"p": p, "q": q, "n": n},
-        coercivity_constant=1.0 / p,
-    )
+    return Integrand(layout, "pq", density, coercivity_constant=1.0 / p)
 
 
 def detsq_energy() -> Integrand:
@@ -239,7 +221,7 @@ def detsq_energy() -> Integrand:
         g_xi[..., 4] = 2.0 * xi[..., 4]
         return value, None, g_xi
 
-    return Integrand(MinorsLayout(2, 2), "detsq", density, params={})
+    return Integrand(MinorsLayout(2, 2), "detsq", density)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ flat vector; the functions below compute the vector and its derivative:
 
 * ``minor_block(a, s)``    all s x s minors of ``a`` (one block),
 * ``all_minors(a)``        every minor, orders 1..min(N, n), concatenated,
-* ``higher_minors(a)``     the same with the order-1 block dropped,
 * ``minors_gradient(a)``   exact Jacobian of ``all_minors`` at ``a``.
 
 Determinants are expanded in closed form (cofactor expansion along the first
@@ -142,12 +141,6 @@ def all_minors(a):
     if len(blocks) == 1:
         return blocks[0]
     return np.concatenate(blocks, axis=-1)
-
-
-def higher_minors(a):
-    """Minor vector without the order-1 block (empty when min(N, n) == 1)."""
-    layout, a = _as_matrix_stack(a)
-    return all_minors(a)[..., layout.N * layout.n:]
 
 
 def minors_gradient(a):

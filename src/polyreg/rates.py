@@ -117,7 +117,6 @@ class RateRow:
     objective: float
     iterations: int
     converged: bool
-    energy: float
     wallclock: float
     admissibility_gap: float  # how far the solution leaves the domain
     exact: bool = False
@@ -194,14 +193,14 @@ class RateExperiment:
     w: object
     deltas: list
     alpha0: float
-    epsilon: float = 0.5
-    seeds: tuple = (0,)
-    source_params: object = None
-    solver_tol: float = 3e-5
-    solver_max_iter: int = 4000
-    solver_memory: int = 12
-    fit_levels: int = 4
-    exact_row: bool = True
+    epsilon: float
+    seeds: tuple
+    source_params: object
+    solver_tol: float
+    solver_max_iter: int
+    solver_memory: int
+    fit_levels: int
+    exact_row: bool
 
 
 def _precheck(exp) -> None:
@@ -355,7 +354,6 @@ def _make_row(exp, sample, alpha, seed, result, started, exact=False) -> RateRow
         objective=float(result.objective),
         iterations=result.iterations,
         converged=result.converged,
-        energy=energy(result.u_min, exp.integrand),
         wallclock=time.perf_counter() - started,
         admissibility_gap=admissibility_gap(result.u_min),
         exact=exact,
@@ -405,8 +403,8 @@ def _assemble_report(exp, rows) -> RateReport:
     )
 
 
-def geometric_levels(delta0, k_min=1, k_max=7) -> list:
-    """Noise ladder ``delta0 * 2**(-k)`` for k = k_min..k_max."""
-    if k_max < k_min:
+def geometric_levels(delta0, levels) -> list:
+    """Noise ladder ``delta0 * 2**(-k)`` for k = 1..levels."""
+    if levels < 1:
         raise ValueError("empty level range")
-    return [float(delta0) * 2.0 ** (-k) for k in range(k_min, k_max + 1)]
+    return [float(delta0) * 2.0 ** (-k) for k in range(1, levels + 1)]

@@ -507,7 +507,7 @@ def _backtrack(value_and_grad, x, f, d, gtd):
     return None, None, None, evals
 
 
-def solve_multi_start(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
+def solve_multi_start(problem, tol, max_iter, memory) -> MinimizeResult:
     """``minimize`` from ``problem.initial``: the one call every level solve of
     ``rates.solve_level`` goes through.
 

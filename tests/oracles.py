@@ -32,7 +32,7 @@ from polyreg.fields import (
     cell_center_values,
     scatter_to_corners,
 )
-from polyreg.minors import all_minors, higher_minors
+from polyreg.minors import all_minors
 
 
 def det_recursive(rows):
@@ -186,12 +186,12 @@ def assembly_energy_with_gradient(u, F):
 
 def assembly_pairing(w, u):
     """``fields.pairing`` with the certificate gathered through the mask on
-    every call and the determinant from ``higher_minors``."""
+    every call and the determinant from the last slot of ``all_minors``."""
     act, _, uc, jc = _assembly_cells(u)
     u0c = cell_center_values(w.u0)[act]
     total = np.sum(u0c * uc)
     total += np.sum(w.u1[act] * jc)
-    total += np.sum(w.v2[act] * higher_minors(jc))
+    total += np.sum(w.v2[act] * all_minors(jc)[..., 4:])
     return float(u.grid.cell_area * total)
 
 

@@ -10,13 +10,11 @@ from polyreg import (
     SourceConditionParams,
     SubgradientReport,
     blob_image,
-    bregman_classical,
     bregman_poly,
     detsq_energy,
     energy,
     field_from_function,
     identity_field,
-    pairing,
     poly_subgradient,
     pq_energy,
     random_blobs,
@@ -113,17 +111,6 @@ class TestPolySubgradient:
         assert np.allclose(w.u1, 2.0 * np.eye(2), atol=1e-14)
         assert np.allclose(w.v2, 1.0, atol=1e-14)
 
-    def test_classical_flag(self, unit_grid):
-        w = poly_subgradient(detsq_energy(), identity_field(unit_grid))
-        assert not w.is_classical
-        w0 = zero_subgradient(detsq_energy(), identity_field(unit_grid))
-        assert w0.is_classical
-
-    def test_callable_matches_pairing(self, unit_grid):
-        w = poly_subgradient(pq_energy(4.0, 2.0), identity_field(unit_grid))
-        v = random_smooth_field(unit_grid, seed=3)
-        assert w(v) == pairing(w, v)
-
     def test_shape_validation(self, unit_grid):
         base = identity_field(unit_grid)
         with pytest.raises(ValueError):
@@ -211,11 +198,7 @@ class TestBregmanPoly:
 
 
 class TestBregmanClassical:
-    def test_rejects_nonclassical(self, unit_grid):
-        F = detsq_energy()
-        w = poly_subgradient(F, identity_field(unit_grid))
-        with pytest.raises(ValueError):
-            bregman_classical(F, identity_field(unit_grid), identity_field(unit_grid), w)
+    """``bregman_poly`` with a ``v2 = 0`` certificate: the classical distance."""
 
     def test_quadratic_density_exact_quadratic_distance(self, unit_grid):
         # |A|^2 density: D = integral of |grad v - grad u|^2, exactly
@@ -226,23 +209,16 @@ class TestBregmanClassical:
             u = random_smooth_field(unit_grid, seed=[500, k], amplitude=0.7)
             v = random_smooth_field(unit_grid, seed=[600, k], amplitude=0.7)
             w = poly_subgradient(F, u)
-            assert w.is_classical
+            assert not np.any(w.v2)
             oracle = area * np.sum(((v.jacobians - u.jacobians)[act]) ** 2)
-            got = bregman_classical(F, v, u, w)
+            got = bregman_poly(F, v, u, w)
             assert abs(got - oracle) <= 1e-10 * max(1.0, oracle)
-
-    def test_bitwise_reduction_to_poly(self, unit_grid):
-        F = quadratic_gradient_density()
-        u = random_smooth_field(unit_grid, seed=51, amplitude=0.5)
-        v = random_smooth_field(unit_grid, seed=52, amplitude=0.5)
-        w = poly_subgradient(F, u)
-        assert bregman_classical(F, v, u, w) == bregman_poly(F, v, u, w)
 
     def test_reflexivity(self, unit_grid):
         F = quadratic_gradient_density()
         u = random_smooth_field(unit_grid, seed=53)
         w = poly_subgradient(F, u)
-        assert bregman_classical(F, u, u, w) == 0.0
+        assert bregman_poly(F, u, u, w) == 0.0
 
 
 class TestVerifySubgradient:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polyreg.cli import main
@@ -84,12 +85,24 @@ class TestConfig:
         ("experiment", "seeds", []),
         ("experiment", "seeds", [0, -1]),
         ("image", "seed", -1),
+        ("image", "seed", None),  # with image.blobs null: a fresh image per build
+        ("mask", "radius", 0.0),
+        ("mask", "radius", -1.0),
+        ("mask", "radius", float("nan")),
     ])
     def test_out_of_range_value_rejected(self, small_config, section, key, value):
         cfg = load_config(small_config)
         cfg[section][key] = value
         with pytest.raises(ValueError, match=rf"'{section}\.{key}'"):
             build_experiment(cfg)
+
+    def test_explicit_blobs_build_without_an_image_seed(self, small_config):
+        cfg = load_config(small_config)
+        cfg["image"] = {"blobs": [[1.0, 0.2, -0.1, 0.3], [0.5, -0.3, 0.2, 0.2]], "seed": None}
+        first, second = build_experiment(cfg), build_experiment(cfg)
+        assert np.array_equal(first.forward.reference.samples,
+                              second.forward.reference.samples)
+        assert np.any(first.forward.reference.samples)
 
     def test_fit_window_longer_than_ladder_rejected(self):
         cfg = default_config()

@@ -287,11 +287,6 @@ class TestInterface:
         v2 = F.value(np.ones(2), 5.0 * np.ones(2), xi)
         assert v1 == v2
 
-    def test_value_at_matrix_composition(self, rng):
-        F = pq_energy(4.0, 2.0)
-        a = rng.uniform(-1, 1, (7, 2, 2))
-        assert np.array_equal(F.value_at_matrix(a), F.value(None, None, all_minors(a)))
-
 
 def _edge_slots():
     """2 x 2 slots where the rotation split or the barrier degenerates."""

@@ -5,7 +5,6 @@ from polyreg import (
     MinorsLayout,
     all_minors,
     apply_minors_gradient,
-    higher_minors,
     minor_block,
     minors_gradient,
 )
@@ -98,18 +97,24 @@ class TestAllMinors:
 
 
 class TestHigherMinors:
+    """The slots past the order-1 block, ``all_minors(a)[..., N * n:]``: the
+    ``tau2`` slots a certificate's ``v2`` acts on."""
+
     def test_identity_2x2(self):
-        assert np.array_equal(higher_minors(np.eye(2)), [1.0])
+        assert np.array_equal(all_minors(np.eye(2))[4:], [1.0])
 
     def test_diag_2x2(self):
-        assert np.array_equal(higher_minors(np.diag([2.0, 1.0])), [2.0])
+        assert np.array_equal(all_minors(np.diag([2.0, 1.0]))[4:], [2.0])
 
     def test_one_row_matrix_empty(self):
-        assert higher_minors(np.array([[1.0, 2.0, 3.0]])).shape == (0,)
+        assert all_minors(np.array([[1.0, 2.0, 3.0]])).shape == (3,)
+        assert MinorsLayout(1, 3).tau2 == 0
 
     def test_consistent_with_all_minors(self, rng):
         a = rng.uniform(-2, 2, (3, 3))
-        assert np.array_equal(higher_minors(a), all_minors(a)[9:])
+        higher = np.concatenate([minor_block(a, 2), minor_block(a, 3)])
+        assert np.array_equal(all_minors(a)[9:], higher)
+        assert len(higher) == MinorsLayout(3, 3).tau2
 
 
 class TestMinorsGradient:

@@ -14,6 +14,7 @@ from polyreg import (
     bregman_poly,
     choose_alpha,
     disk_mask,
+    energy,
     fit_slope,
     geometric_levels,
     random_blobs,
@@ -23,6 +24,7 @@ from polyreg import (
     warp,
     zero_subgradient,
 )
+from polyreg import rates
 from polyreg.config import build_experiment, load_config
 from polyreg.rates import coarse_sizes, coarse_to_fine_start, solve_level
 
@@ -87,9 +89,9 @@ class TestFitSlope:
 
 class TestGeometricLevels:
     def test_ladder(self):
-        assert geometric_levels(0.2, 1, 3) == [0.1, 0.05, 0.025]
+        assert geometric_levels(0.2, 3) == [0.1, 0.05, 0.025]
         with pytest.raises(ValueError):
-            geometric_levels(0.2, 3, 1)
+            geometric_levels(0.2, 0)
 
 
 def small_experiment(grid, **overrides):
@@ -102,7 +104,7 @@ def small_experiment(grid, **overrides):
                                    rho=10 * 0.05 * w.base_energy, alpha_bar=0.05)
     kwargs = dict(
         integrand=F, forward=forward, u_dagger=u_dagger, w=w,
-        deltas=geometric_levels(0.2, 1, 4), alpha0=0.05, epsilon=0.5,
+        deltas=geometric_levels(0.2, 4), alpha0=0.05, epsilon=0.5,
         seeds=(0,), source_params=params,
         solver_tol=1e-4, solver_max_iter=4000, solver_memory=10,
         fit_levels=4, exact_row=True,
@@ -112,12 +114,26 @@ def small_experiment(grid, **overrides):
 
 
 @pytest.fixture(scope="module")
-def report():
-    from polyreg import Grid, disk_mask
-
+def sweep():
+    """The 20 x 20 sweep's experiment, its report, and the ``(delta, result)``
+    of every level solve, kept by a wrapper around ``rates.solve_level``."""
     base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 20, 20)
-    grid = base.with_mask(disk_mask(base, radius=1.0))
-    return run_rates(small_experiment(grid))
+    exp = small_experiment(base.with_mask(disk_mask(base, radius=1.0)))
+    solves = []
+
+    def keeping(experiment, delta, seed, warm_start=None, **kwargs):
+        sample, alpha, result = solve_level(experiment, delta, seed, warm_start, **kwargs)
+        solves.append((delta, result))
+        return sample, alpha, result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rates, "solve_level", keeping)
+        return exp, run_rates(exp), solves
+
+
+@pytest.fixture(scope="module")
+def report(sweep):
+    return sweep[1]
 
 
 class TestRunRates:
@@ -138,11 +154,12 @@ class TestRunRates:
         ds = [r.d_poly for r in levels]
         assert all(a >= b for a, b in zip(ds, ds[1:]))
 
-    def test_energies_approach_minimum(self, report):
+    def test_energies_approach_minimum(self, sweep):
         # regularized energies decrease toward the exact-solution energy
-        levels = [r for r in report.rows if not r.exact and r.converged]
+        exp, _, solves = sweep
+        levels = [result for delta, result in solves if delta > 0 and result.converged]
         assert len(levels) == 4
-        energies = [r.energy for r in levels]
+        energies = [energy(result.u_min, exp.integrand) for result in levels]
         floor = min(energies)
         assert all(a >= b * (1 - 0.05) for a, b in zip(energies, energies[1:]))
         assert energies[-1] == pytest.approx(floor, rel=0.05)
