@@ -22,10 +22,17 @@ cell quantities as the energy quadrature; ``poly_subgradient`` and
 Certificates cannot be proved over all fields numerically, so
 ``verify_subgradient`` samples the inequality on randomized smooth
 perturbations with deterministic per-trial seeds and reports violations.
+The trials are independent and the report keeps only their leftmost
+minimum gap and a count, so the check runs its trials in two processes
+(this one and one forked child, each taking half) and still reports the
+serial loop's bits.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -183,6 +190,93 @@ class SubgradientReport:
     tolerance: float
 
 
+def _trial_gaps(F, u, operands, ru, wu, seed, radius, start, stop):
+    """``(worst, violations)`` over trials ``[start, stop)``: the leftmost
+    minimum of the finite-energy Bregman gaps (``inf`` if there is none)
+    and the number of gaps below ``-_VIOLATION_TOL``."""
+    worst = np.inf
+    violations = 0
+    for t in range(start, stop):
+        trial_rng = np.random.default_rng([int(seed), t])
+        r = radius * 10.0 ** trial_rng.uniform(-3.0, 0.0)
+        if t % 8 == 7:
+            r = 10.0 * radius * trial_rng.uniform(0.5, 1.0)
+        phi = random_smooth_field(u.grid, rng=trial_rng, amplitude=1.0)
+        v = u.with_values(u.values + r * phi.values)
+        rv, wv = _energy_and_pairing(v, F, operands)
+        if not np.isfinite(rv):
+            continue
+        gap = rv - ru - wv + wu
+        worst = min(worst, gap)
+        if gap < -_VIOLATION_TOL:
+            violations += 1
+    return worst, violations
+
+
+def _run_forked_child(write_fd, run):
+    """In the forked child: send ``(True, run())`` or ``(False, exception)``
+    through ``write_fd`` and leave with ``os._exit``, never returning into
+    the parent's stack.  An exception that would not survive the trip is
+    sent as a ``RuntimeError`` naming its type and message."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((True, run()))
+        except BaseException as exc:  # forwarded to the parent, which raises it
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps(
+                    (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _split_in_two_processes(run, trials):
+    """``run(start, stop)`` over ``[0, trials)`` as ``run(0, trials // 2)``
+    here and ``run(trials // 2, trials)`` in one forked child, combined as
+    the serial loop would: leftmost minimum (this half first, so ties, and
+    ``-0.0`` against ``0.0``, keep the earlier trial) and summed counts.
+    The child is always reaped, and killed first if this half raises; an
+    exception from the child is raised here.  Without ``os.fork``, or with
+    other threads running (forking them is unsafe), all trials run here."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return run(0, trials)
+    half = trials // 2
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            _run_forked_child(write_fd, lambda: run(half, trials))
+        os.close(write_fd)
+        try:
+            head_worst, head_violations = run(0, half)
+            message = pipe.read()
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if not message:
+        raise RuntimeError("the certificate trial process ended without a result "
+                           f"(exit code {os.waitstatus_to_exitcode(status)})")
+    ok, tail = pickle.loads(message)
+    if not ok:
+        raise tail
+    tail_worst, tail_violations = tail
+    return min(head_worst, tail_worst), head_violations + tail_violations
+
+
 def verify_subgradient(F, w, trials, seed, radius=0.5) -> SubgradientReport:
     """Sampled check of the certificate inequality at ``w.base_point``.
 
@@ -202,6 +296,16 @@ def verify_subgradient(F, w, trials, seed, radius=0.5) -> SubgradientReport:
     both R(v) and w(v).  The gap is :func:`bregman_poly`'s expression on
     the same values, so reports equal those of calling it per trial bit for
     bit.
+
+    After the base-point pass the trials run in two processes: this one
+    takes ``[0, trials // 2)`` and one forked child ``[trials // 2,
+    trials)``.  Each trial draws from its own seed, and the halves combine
+    as the serial loop does (the leftmost minimum gap, this half first, and
+    the summed violation count), so the report cannot change.  An exception
+    in either half is raised here, and no child outlives the call.  The
+    child's work is invisible to tracing in this process: a traced run
+    counts only this half's ``integrands.value`` and
+    ``fields.random_smooth_field`` calls.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
@@ -214,22 +318,10 @@ def verify_subgradient(F, w, trials, seed, radius=0.5) -> SubgradientReport:
     ru, wu = _energy_and_pairing(u, F, operands)
     if not np.isfinite(ru):
         return SubgradientReport(trials, 0, 0.0, _VIOLATION_TOL)
-    worst = np.inf
-    violations = 0
-    for t in range(trials):
-        trial_rng = np.random.default_rng([int(seed), t])
-        r = radius * 10.0 ** trial_rng.uniform(-3.0, 0.0)
-        if t % 8 == 7:
-            r = 10.0 * radius * trial_rng.uniform(0.5, 1.0)
-        phi = random_smooth_field(u.grid, rng=trial_rng, amplitude=1.0)
-        v = u.with_values(u.values + r * phi.values)
-        rv, wv = _energy_and_pairing(v, F, operands)
-        if not np.isfinite(rv):
-            continue
-        gap = rv - ru - wv + wu
-        worst = min(worst, gap)
-        if gap < -_VIOLATION_TOL:
-            violations += 1
+    worst, violations = _split_in_two_processes(
+        lambda start, stop: _trial_gaps(F, u, operands, ru, wu, seed, radius, start, stop),
+        trials,
+    )
     if not np.isfinite(worst):
         worst = 0.0
     return SubgradientReport(trials, violations, float(worst), _VIOLATION_TOL)

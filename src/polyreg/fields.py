@@ -95,7 +95,10 @@ def full_mask(grid) -> CellMask:
 
 
 def disk_mask(grid, center=(0.0, 0.0), radius=1.0) -> CellMask:
-    """Mask whose active cells are those with center inside the disk."""
+    """Mask whose active cells are those with center inside the disk.
+    ``radius`` must be finite and positive."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     centers = grid.cell_centers
     r2 = (centers[..., 0] - center[0]) ** 2 + (centers[..., 1] - center[1]) ** 2
     return CellMask(r2 <= radius * radius, kind="disk", center=center, radius=radius)

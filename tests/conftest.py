@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -25,3 +26,15 @@ def disk_grid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "still running" if pid == 0 else f"pid {pid}, reaped only now"
+    pytest.fail(f"a child process outlived the test ({state})")

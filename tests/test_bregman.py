@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -30,19 +34,19 @@ from polyreg import (
 from oracles import density_from, random_smooth_field_reference
 
 
+def grad_sq_gradient(x, u, xi):
+    g = np.zeros_like(xi)
+    g[..., :4] = 2.0 * xi[..., :4]
+    return np.zeros(xi.shape[:-1] + (2,)), g
+
+
 def quadratic_gradient_density():
     """|A|^2 on the order-1 block: convex with a purely classical certificate."""
-    layout = MinorsLayout(2, 2)
 
     def value_fn(x, u, xi):
         return np.sum(xi[..., :4] ** 2, axis=-1)
 
-    def grad_fn(x, u, xi):
-        g = np.zeros_like(xi)
-        g[..., :4] = 2.0 * xi[..., :4]
-        return np.zeros(xi.shape[:-1] + (2,)), g
-
-    return Integrand(layout, "grad-sq", density_from(value_fn, grad_fn))
+    return Integrand(MinorsLayout(2, 2), "grad-sq", density_from(value_fn, grad_sq_gradient))
 
 
 def wall_density():
@@ -60,10 +64,11 @@ def wall_density():
     )
 
 
-def verify_subgradient_reference(F, w, trials, seed, radius, tol=1e-8):
+def verify_subgradient_reference(F, w, trials, seed, radius, tol=1e-8,
+                                 field=random_smooth_field_reference):
     """The sampled certificate protocol with one ``bregman_poly`` call per trial
-    and the full-grid field formula.  Returns the report and the number of
-    trials skipped at infinite energy."""
+    and, by default, the full-grid field formula.  Returns the report and the
+    number of trials skipped at infinite energy."""
     u = w.base_point
     worst, violations, skipped = np.inf, 0, 0
     for t in range(trials):
@@ -71,7 +76,7 @@ def verify_subgradient_reference(F, w, trials, seed, radius, tol=1e-8):
         r = radius * 10.0 ** trial_rng.uniform(-3.0, 0.0)
         if t % 8 == 7:
             r = 10.0 * radius * trial_rng.uniform(0.5, 1.0)
-        phi = random_smooth_field_reference(u.grid, rng=trial_rng, amplitude=1.0)
+        phi = field(u.grid, rng=trial_rng, amplitude=1.0)
         try:
             gap = bregman_poly(F, u.with_values(u.values + r * phi), u, w)
         except InfiniteEnergyError:
@@ -260,9 +265,10 @@ class TestVerifySubgradient:
             verify_subgradient(F, w, trials=8, seed=9, radius=radius)
 
     @staticmethod
-    def assert_matches_reference(F, w, trials, seed, radius):
+    def assert_matches_reference(F, w, trials, seed, radius,
+                                 field=random_smooth_field_reference):
         report = verify_subgradient(F, w, trials=trials, seed=seed, radius=radius)
-        ref, skipped = verify_subgradient_reference(F, w, trials, seed, radius)
+        ref, skipped = verify_subgradient_reference(F, w, trials, seed, radius, field=field)
         assert (report.trials, report.violations) == (ref.trials, ref.violations)
         assert report.worst_gap.hex() == ref.worst_gap.hex()
         assert report.tolerance == ref.tolerance
@@ -284,6 +290,124 @@ class TestVerifySubgradient:
         w = poly_subgradient(F, identity_field(unit_grid))
         report, skipped = self.assert_matches_reference(F, w, 64, 7, 5.0)
         assert 0 < skipped < 64
+        assert report.violations == 0
+
+
+class ChildTrialError(Exception):
+    """Raised by a density evaluated outside the test's process."""
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but cannot be rebuilt from its pickle."""
+
+    def __init__(self, where, what):
+        super().__init__(f"{what} in {where}")
+
+
+def density_raising_outside(pid, error=lambda: ChildTrialError("density evaluated in a fork")):
+    """The quadratic gradient density, raising ``error()`` once evaluated in a
+    process other than ``pid``: the base-point pass runs, forked trials fail."""
+
+    def value_fn(x, u, xi):
+        if os.getpid() != pid:
+            raise error()
+        return np.sum(xi[..., :4] ** 2, axis=-1)
+
+    return Integrand(MinorsLayout(2, 2), "grad-sq", density_from(value_fn, grad_sq_gradient))
+
+
+def serial_field(grid, rng, amplitude):
+    """``random_smooth_field``'s values.  The full-grid formula rounds the
+    field differently by about 1e-15, which moves the last bits of some
+    single gaps (trial 0 at seed 7 among them)."""
+    return random_smooth_field(grid, rng=rng, amplitude=amplitude).values
+
+
+class TestTrialSplit:
+    """The trials run in two processes; the report must equal the serial
+    per-trial protocol's bit for bit, on either side of the split."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 9, 16])
+    def test_valid_certificate_matches_reference_at_split_boundaries(self, disk_grid, trials):
+        F = rotation_energy(4.0)
+        w = poly_subgradient(F, random_smooth_field(disk_grid, seed=62, amplitude=0.5))
+        report, skipped = TestVerifySubgradient.assert_matches_reference(
+            F, w, trials, 7, 0.5, field=serial_field)
+        assert report.violations == 0 and skipped == 0
+
+    @pytest.mark.parametrize("trials", [1, 2, 9, 16])
+    def test_broken_certificate_matches_reference_at_split_boundaries(self, unit_grid, trials):
+        TestVerifySubgradient.assert_matches_reference(
+            detsq_energy(), broken_detsq_certificate(unit_grid), trials, 7, 0.5,
+            field=serial_field)
+
+    def test_skipped_trials_match_reference_at_odd_count(self, unit_grid):
+        F = wall_density()
+        w = poly_subgradient(F, identity_field(unit_grid))
+        _, skipped = TestVerifySubgradient.assert_matches_reference(
+            F, w, 15, 7, 5.0, field=serial_field)
+        assert 0 < skipped < 15
+
+    def test_child_exception_raised_in_parent(self, unit_grid):
+        F = density_raising_outside(os.getpid())
+        w = poly_subgradient(F, identity_field(unit_grid))
+        with pytest.raises(ChildTrialError, match="density evaluated in a fork"):
+            verify_subgradient(F, w, trials=16, seed=7)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exception_that_cannot_be_rebuilt_names_its_type(self, unit_grid):
+        F = density_raising_outside(
+            os.getpid(), error=lambda: TwoArgumentError("a fork", "density evaluated"))
+        w = poly_subgradient(F, identity_field(unit_grid))
+        with pytest.raises(RuntimeError, match="TwoArgumentError: density evaluated in a fork"):
+            verify_subgradient(F, w, trials=4, seed=7)
+
+    def test_child_dying_without_result_raises(self, unit_grid):
+        F = density_raising_outside(os.getpid(), error=lambda: os._exit(3))
+        w = poly_subgradient(F, identity_field(unit_grid))
+        with pytest.raises(RuntimeError, match="without a result .exit code 3"):
+            verify_subgradient(F, w, trials=4, seed=7)
+
+    def test_parent_exception_kills_and_reaps_child(self, unit_grid, monkeypatch):
+        import polyreg.bregman as bregman
+
+        parent = os.getpid()
+
+        def slow_in_child_failing_in_parent(*args, **kwargs):
+            if os.getpid() == parent:
+                raise ChildTrialError("raised in the parent's half")
+            time.sleep(20.0)
+            raise ChildTrialError("the child was not killed")
+
+        monkeypatch.setattr(bregman, "random_smooth_field", slow_in_child_failing_in_parent)
+        F = detsq_energy()
+        w = poly_subgradient(F, identity_field(unit_grid))
+        start = time.perf_counter()
+        with pytest.raises(ChildTrialError, match="parent's half"):
+            verify_subgradient(F, w, trials=16, seed=7)
+        assert time.perf_counter() - start < 10.0  # the sleeping child was killed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_trials_run_in_process(self, unit_grid, monkeypatch):
+        F = density_raising_outside(os.getpid())
+        w = poly_subgradient(F, identity_field(unit_grid))
+        monkeypatch.delattr(os, "fork")
+        assert verify_subgradient(F, w, trials=16, seed=7).violations == 0
+
+    def test_with_other_threads_running_trials_run_in_process(self, unit_grid):
+        F = density_raising_outside(os.getpid())
+        w = poly_subgradient(F, identity_field(unit_grid))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30.0,))
+        other.start()
+        try:
+            report = verify_subgradient(F, w, trials=16, seed=7)
+        finally:
+            release.set()
+            other.join(timeout=30.0)
+        assert not other.is_alive()
         assert report.violations == 0
 
 

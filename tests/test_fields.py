@@ -74,6 +74,12 @@ class TestGrid:
         assert g.distance_outside(np.array([2.0, 0.0])) == pytest.approx(1.0)
         assert g.diameter == 2.0
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_disk_mask_rejects_bad_radius(self, radius):
+        base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 16, 16)
+        with pytest.raises(ValueError, match="radius"):
+            disk_mask(base, radius=radius)
+
     @staticmethod
     def data_mask_grid(n):
         """Disk-shaped mask that has lost its provenance, as if loaded from CSV."""
