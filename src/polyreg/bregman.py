@@ -46,7 +46,6 @@ from .fields import (
     _pairing_operands,
     cell_center_values,
     energy,
-    pairing,
     random_smooth_field,
     scatter_to_corners,
 )
@@ -175,11 +174,16 @@ def bregman_poly(F, v, u, w) -> float:
     R and w of each field come from one pass of the cell kernel, equal to
     :func:`energy` and :func:`pairing` bit for bit.
     """
+    return _bregman_and_pairings(F, v, u, w)[0]
+
+
+def _bregman_and_pairings(F, v, u, w):
+    """``(bregman_poly(F, v, u, w), w(v), w(u))``, one kernel pass per field."""
     rv, wv = _energy_and_pairing(v, F, _pairing_operands(w, v))
     ru, wu = _energy_and_pairing(u, F, _pairing_operands(w, u))
     if not (np.isfinite(rv) and np.isfinite(ru)):
         raise InfiniteEnergyError("Bregman distance undefined at infinite energy")
-    return rv - ru - wv + wu
+    return rv - ru - wv + wu, wv, wu
 
 
 @dataclass(frozen=True)
@@ -334,7 +338,6 @@ def source_condition_residual(F, forward, w, u_dagger, u, params) -> float:
 
     Nonpositive return values mean the condition holds at ``u``.
     """
-    lhs = pairing(w, u_dagger) - pairing(w, u)
-    dist = bregman_poly(F, u, u_dagger, w)
+    dist, w_u, w_dagger = _bregman_and_pairings(F, u, u_dagger, w)
     rhs = params.beta1 * dist + params.beta2 * forward.residual_norm(u)
-    return lhs - rhs
+    return w_dagger - w_u - rhs

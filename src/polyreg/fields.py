@@ -185,11 +185,6 @@ class Grid:
         return _read_only(_corner_nodes(self, self.active_index))
 
     @property
-    def domain_measure(self) -> float:
-        """Quadrature measure of the (masked) domain."""
-        return self.cell_area * float(np.sum(self.active_cells))
-
-    @property
     def diameter(self) -> float:
         if self.mask.kind == "disk":
             return 2.0 * self.mask.radius

@@ -56,12 +56,6 @@ def save_pgm(path, image) -> None:
         fh.write(raster.tobytes())
 
 
-def save_mask(path, mask) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for row in mask.active.astype(int):
-            fh.write(",".join(str(v) for v in row) + "\n")
-
-
 def load_mask(path) -> CellMask:
     """Read a rectangular 0/1 matrix, one text row per i index."""
     rows = []

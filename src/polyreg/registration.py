@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MatrixField, cell_center_values
+from .fields import MatrixField, cell_center_values, scatter_to_corners
 
 # warp(strict=True): how far a node may land outside, as a fraction of the
 # domain's diameter.
@@ -222,6 +222,20 @@ def _check_same_geometry(a, b):
         raise ValueError("images live on different grids or masks")
 
 
+def _misfit(grid, diff, q, gradient=False):
+    """Cell area times ``sum |d|^q``, ``d`` the mean of nodal ``diff`` over
+    each active cell; with ``gradient``, also its derivative in ``diff``."""
+    idx = grid.active_index
+    d = cell_center_values(diff).reshape(-1)[idx]
+    value = grid.cell_area * np.sum(np.abs(d) ** q)
+    if not gradient:
+        return value
+    # d|d|^q/dd = q |d|^(q-1) sign(d); each cell spreads 1/4 to its corners.
+    slope = np.zeros(grid.cell_shape)
+    slope.reshape(-1)[idx] = grid.cell_area * q / 4.0 * np.sign(d) * np.abs(d) ** (q - 1.0)
+    return value, scatter_to_corners(slope, grid.node_shape)
+
+
 def data_term(warped, target, q) -> float:
     """Misfit ``||warped - target||^q`` by midpoint quadrature over active
     cells (cell value = mean of the four corner samples)."""
@@ -229,16 +243,12 @@ def data_term(warped, target, q) -> float:
     if q < 1:
         raise ValueError(f"misfit exponent must be >= 1, got {q}")
     _check_same_geometry(warped, target)
-    grid = warped.grid
-    diff = cell_center_values(warped.samples - target.samples).reshape(-1)[grid.active_index]
-    return float(grid.cell_area * np.sum(np.abs(diff) ** q))
+    return float(_misfit(warped.grid, warped.samples - target.samples, q))
 
 
 def lq_norm(image, q) -> float:
     """Quadrature norm of an image against zero."""
-    grid = image.grid
-    vals = cell_center_values(image.samples).reshape(-1)[grid.active_index]
-    return float((grid.cell_area * np.sum(np.abs(vals) ** q)) ** (1.0 / q))
+    return float(_misfit(image.grid, image.samples, q) ** (1.0 / q))
 
 
 def rotation_field(theta, grid) -> MatrixField:

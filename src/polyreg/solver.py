@@ -1,12 +1,15 @@
 """Minimization of the regularized registration objective.
 
-The objective is the clamped-warp data misfit
-``data_term(warp(reference, u), data.image, q)`` plus, when ``alpha > 0``,
-``alpha * energy(u)``.  Minimization uses a limited-memory quasi-Newton
-method (L-BFGS in the compact form of Byrd, Nocedal & Schnabel over the
-newest ``memory`` secant pairs) with a backtracking line search enforcing
-the Armijo sufficient-decrease condition, so accepted iterates never
-increase the objective.
+The objective is the data misfit ``||reference(u) - data||^q``, the
+reference image sampled at the displaced nodes (clamped to the bounding
+rectangle) against the noisy data by the midpoint quadrature of
+``registration._misfit``, plus, when ``alpha > 0``, ``alpha * energy(u)``.
+``objective`` and ``objective_and_gradient`` share that quadrature, so they
+return the same value bit for bit.  Minimization uses a limited-memory
+quasi-Newton method (L-BFGS in the compact form of Byrd, Nocedal & Schnabel
+over the newest ``memory`` secant pairs) with a backtracking line search
+enforcing the Armijo sufficient-decrease condition, so accepted iterates
+never increase the objective.
 
 A solve stops for one of four reasons (``MinimizeResult.stop_reason``),
 following the relative tests of Nocedal & Wright, *Numerical Optimization*,
@@ -105,12 +108,10 @@ from .fields import (
     InfiniteEnergyError,
     MatrixField,
     _serial_matmul,
-    cell_center_values,
     energy,
     energy_with_gradient,
-    scatter_to_corners,
 )
-from .registration import _check_same_geometry, data_term, warp
+from .registration import _check_same_geometry, _misfit
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -193,7 +194,8 @@ class TikhonovProblem:
             raise ValueError("initial field has infinite objective; no feasible witness")
 
     def objective(self, u) -> float:
-        value = data_term(warp(self.reference, u), self.data.image, self.q)
+        diff = self.reference.sample(u.values) - self.data.image.samples
+        value = float(_misfit(u.grid, diff, self.q))
         if self.alpha > 0:
             value += self.alpha * energy(u, self.integrand)
         return value
@@ -206,20 +208,12 @@ class TikhonovProblem:
         after the warp it grew the heap for glibc to trim again.  The terms
         are summed misfit first, as in ``objective``.
         """
-        grid = u.grid
-        idx = grid.active_index
         if self.alpha > 0:
             reg_value, energy_grad = energy_with_gradient(u, self.integrand)
         warped, grad = self.reference.sample_with_gradient(u.values)
-        diff_c = cell_center_values(warped - self.data.image.samples).reshape(-1)[idx]
-        value = float(grid.cell_area * np.sum(np.abs(diff_c) ** self.q))
-        # d|d|^q/dd = q |d|^(q-1) sign(d); each cell spreads 1/4 to its corners.
-        slope = np.zeros(grid.cell_shape)
-        slope.reshape(-1)[idx] = (
-            grid.cell_area * self.q / 4.0
-            * np.sign(diff_c) * np.abs(diff_c) ** (self.q - 1.0)
-        )
-        grad *= scatter_to_corners(slope, grid.node_shape)[..., None]
+        value, slope = _misfit(u.grid, warped - self.data.image.samples, self.q, gradient=True)
+        value = float(value)
+        grad *= slope[..., None]
         if self.alpha > 0:
             value += self.alpha * reg_value
             energy_grad *= self.alpha

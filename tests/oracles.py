@@ -74,6 +74,20 @@ def central_difference(fn, x, direction, h=1e-5):
     return (fn(x + h * direction) - fn(x - h * direction)) / (2.0 * h)
 
 
+def domain_measure(grid):
+    """Quadrature measure of the masked domain: the cell area times the
+    number of active cells."""
+    return grid.cell_area * float(np.sum(grid.active_cells))
+
+
+def write_mask_csv(path, mask):
+    """The cell-mask CSV that ``polyreg.io.load_mask`` reads, one row of 0/1
+    entries per i index; no command writes one."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        for row in mask.active.astype(int):
+            fh.write(",".join(str(v) for v in row) + "\n")
+
+
 def singular_values_reference(a):
     """Singular values straight from LAPACK, descending."""
     return np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)

@@ -6,7 +6,9 @@ no longer resolves makes every benchmark run fail at install, so trimming the
 API fails here first.
 """
 
+import dataclasses
 import importlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -53,6 +55,31 @@ def test_probe_targets_resolve(bench_modules):
     assert run.Probe.KEPT
     for target in run.Probe.KEPT + (("polyreg.solver", "minimize"),):
         assert callable(resolve(target)), target
+
+
+# What ``Probe``, ``evaluate`` and ``gate_problems`` in bench/run.py read from
+# the results of the calls they hook.  A missing attribute fails every run of
+# the workload that reads it (rates-32 reads RateRow.wallclock for its
+# level_s), so it too must fail here first.
+READ_BY_EVALUATE = {
+    ("polyreg.rates", "RateRow"): ("delta", "d_poly", "converged", "exact", "wallclock"),
+    ("polyreg.rates", "RateReport"): ("rows", "d_poly_fit", "residual_fit", "d_poly_monotone"),
+    ("polyreg.rates", "SlopeFit"): ("slope",),
+    ("polyreg.bregman", "SubgradientReport"): ("trials", "violations"),
+    ("polyreg.solver", "MinimizeResult"): ("u_min", "iterations", "evaluations"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(READ_BY_EVALUATE), ids=lambda t: t[1])
+def test_attributes_read_by_evaluate_exist(bench_modules, target):
+    _, run = bench_modules
+    cls = resolve(target)
+    present = {f.name for f in dataclasses.fields(cls)} | set(dir(cls))
+    source = "".join(inspect.getsource(fn) for fn in (run.Probe, run.evaluate,
+                                                      run.gate_problems))
+    for name in READ_BY_EVALUATE[target]:
+        assert f".{name}" in source, f"bench/run.py no longer reads {name}"
+        assert name in present, f"{target[1]}.{name} is gone"
 
 
 def test_every_solve_goes_through_the_probe_hook(monkeypatch, tmp_path):

@@ -19,6 +19,7 @@ from polyreg import (
     energy,
     field_from_function,
     identity_field,
+    pairing,
     poly_subgradient,
     pq_energy,
     random_blobs,
@@ -433,6 +434,29 @@ class TestSourceCondition:
         F, forward, u_dagger, w0, params = self.setup_problem(disk_grid)
         resid = source_condition_residual(F, forward, w0, u_dagger, u_dagger, params)
         assert resid == 0.0
+
+    @pytest.mark.parametrize("certificate", ["zero", "gradient"])
+    def test_residual_keeps_the_pairing_formula_bits_at_the_precheck_probes(self, certificate):
+        # w and D from one kernel pass per field, against two pairing calls
+        # plus bregman_poly, at the sweep precheck's probes
+        from polyreg.config import build_experiment, load_config
+        from polyreg.rates import _PRECHECK_SEED
+
+        cfg = load_config()
+        cfg["grid"].update(nx=16, ny=16)
+        cfg["experiment"]["subgradient"] = certificate
+        exp = build_experiment(cfg)
+        F, forward, w, u_dagger, params = (exp.integrand, exp.forward, exp.w,
+                                           exp.u_dagger, exp.source_params)
+        for t in range(8):
+            rng = np.random.default_rng([_PRECHECK_SEED, 61, t])
+            probe = random_smooth_field(u_dagger.grid, rng=rng, amplitude=0.05)
+            u = u_dagger.with_values(0.95 * u_dagger.values + probe.values)
+            lhs = pairing(w, u_dagger) - pairing(w, u)
+            rhs = (params.beta1 * bregman_poly(F, u, u_dagger, w)
+                   + params.beta2 * forward.residual_norm(u))
+            resid = source_condition_residual(F, forward, w, u_dagger, u, params)
+            assert resid.hex() == (lhs - rhs).hex()
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

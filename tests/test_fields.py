@@ -29,7 +29,7 @@ from polyreg.bregman import PolySubgradient, zero_subgradient
 from polyreg.fields import _density_pass
 from polyreg.registration import admissibility_gap
 
-from oracles import density_from, random_smooth_field_reference
+from oracles import density_from, domain_measure, random_smooth_field_reference
 from test_solver import _run_python
 
 
@@ -65,7 +65,7 @@ class TestGrid:
     def test_disk_mask_measure_close_to_area(self):
         base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 64, 64)
         g = base.with_mask(disk_mask(base, radius=1.0))
-        assert abs(g.domain_measure - np.pi) < 0.05
+        assert abs(domain_measure(g) - np.pi) < 0.05
 
     def test_disk_membership_and_distance(self):
         base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 16, 16)
@@ -205,7 +205,7 @@ class TestEnergy:
 
         u = rotation_field(0.7, disk_grid)
         value = energy(u, rotation_energy(4.0))
-        assert value == pytest.approx(6.0 * disk_grid.domain_measure, rel=1e-13)
+        assert value == pytest.approx(6.0 * domain_measure(disk_grid), rel=1e-13)
 
     def test_affine_density_is_exact(self, unit_grid, rng):
         # constant density integrates to density * measure exactly
@@ -240,7 +240,7 @@ class TestEnergy:
 
         g = base.with_mask(CellMask(half))
         u, F = identity_field(g), detsq_energy()
-        assert energy(u, F) == pytest.approx(g.domain_measure, rel=1e-14)
+        assert energy(u, F) == pytest.approx(domain_measure(g), rel=1e-14)
         # densities cover the active cells only
         assert len(_density_pass(u, F, gradient=False)[1]) == np.sum(half)
 

@@ -20,10 +20,11 @@ from polyreg.bregman import PolySubgradient
 from polyreg.io import (
     load_mask,
     save_field,
-    save_mask,
     save_pgm,
     save_subgradient,
 )
+
+from oracles import write_mask_csv
 
 
 def _parse_table(path, shape):
@@ -103,7 +104,7 @@ class TestMaskCsv:
         base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 12, 12)
         mask = disk_mask(base, radius=0.8)
         path = tmp_path / "mask.csv"
-        save_mask(path, mask)
+        write_mask_csv(path, mask)
         back = load_mask(path)
         assert np.array_equal(back.active, mask.active)
         assert back.kind == "cells"  # provenance is not serialized

@@ -250,10 +250,10 @@ class TestCoarseToFine:
     @pytest.mark.filterwarnings("ignore:rotation field on a domain")
     def test_no_ladder_for_a_csv_mask(self, tmp_path):
         # a cells mask loaded from CSV has no coarse version
-        from polyreg.io import save_mask
+        from oracles import write_mask_csv
 
         mask_path = tmp_path / "mask.csv"
-        save_mask(mask_path, disk_mask(Grid(((-1.0, 1.0), (-1.0, 1.0)), 128, 128)))
+        write_mask_csv(mask_path, disk_mask(Grid(((-1.0, 1.0), (-1.0, 1.0)), 128, 128)))
         cfg = load_config()
         cfg["grid"].update(nx=128, ny=128)
         cfg["mask"].update(type="csv", path=str(mask_path))
