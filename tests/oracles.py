@@ -320,3 +320,256 @@ def detsq_gradient_reference(xi):
     g_xi = np.zeros_like(xi)
     g_xi[..., 4] = 2.0 * xi[..., 4]
     return None, g_xi
+
+
+# Frozen hot path.  The ``frozen_*`` functions below are the cell kernel, the
+# rotation density, the gradient pull-back, the bilinear interpolation and the
+# misfit quadrature as they stood before the per-call numpy work of each was
+# cut down (stencils per component on (k, 2) corner gathers, a 4-step pull-back
+# loop, ``np.clip`` and ``np.where`` in the interpolation).  The library must
+# equal them bit for bit: the same operations on the same operands in the
+# same order, only fewer and longer numpy calls.
+
+def frozen_cell_slots(u, corners):
+    """``fields._cell_slots``: ``(uc, xi)`` of shapes (k, 2) and (k, 5)."""
+    h1, h2 = u.grid.spacing
+    n = corners.shape[1]
+    corner_values = u.values.reshape(-1, 2).take(corners, axis=0)
+    uc = np.empty((n, 2))
+    xi = np.empty((n, 5))
+    t = np.empty(n)
+    for a in range(2):
+        c00, c10, c01, c11 = corner_values[..., a]
+        np.add(c00, c10, out=t)
+        t += c01
+        t += c11
+        np.multiply(0.25, t, out=uc[:, a])
+        np.subtract(c10, c00, out=t)
+        t += c11
+        t -= c01
+        np.divide(t, 2.0 * h1, out=xi[:, 2 * a])
+        np.subtract(c01, c00, out=t)
+        t += c11
+        t -= c10
+        np.divide(t, 2.0 * h2, out=xi[:, 2 * a + 1])
+    np.multiply(xi[:, 0], xi[:, 3], out=xi[:, 4])
+    np.multiply(xi[:, 1], xi[:, 2], out=t)
+    xi[:, 4] -= t
+    return uc, xi
+
+
+def frozen_rotation_density(xi, p, gradient):
+    """``integrands.rotation_energy(p)``'s density on slots of any leading
+    shape: the value, or ``(value, None, g_xi)``."""
+    shape = xi.shape[:-1]
+    flat = xi.reshape(-1, 5)
+    a = flat[:, :4].reshape(-1, 2, 2)
+    d = flat[:, -1]
+    hs = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+    hd = 0.5 * (a[..., 0, 0] - a[..., 1, 1])
+    hk = 0.5 * (a[..., 1, 0] - a[..., 0, 1])
+    hy = 0.5 * (a[..., 1, 0] + a[..., 0, 1])
+    big, small = np.hypot(hs, hk), np.hypot(hd, hy)
+    lam1 = big + small
+    gap = big - small
+    with np.errstate(over="ignore"):
+        wall = np.subtract(1.0, d)
+        np.exp(wall, out=wall)
+        value = lam1 ** p
+        t = np.abs(gap)
+        t **= p
+        value += t
+        np.multiply(p, wall, out=t)
+        value += t
+    if not gradient:
+        return value.reshape(shape)[()]
+    top = lam1
+    top **= p - 1.0
+    low = np.abs(gap, out=t)
+    low **= p - 1.0
+    low *= np.sign(gap, out=gap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_big = np.add(top, low, out=gap)
+        by_big *= p
+        by_big /= big
+        by_small = np.subtract(top, low, out=top)
+        by_small *= p
+        by_small /= small
+    np.copyto(by_big, 0.0, where=~(big > 0))
+    np.copyto(by_small, 0.0, where=~(small > 0))
+    by_big *= 0.5
+    by_small *= 0.5
+    hs *= by_big
+    hk *= by_big
+    hd *= by_small
+    hy *= by_small
+    g_xi = np.empty((len(value), 5))
+    np.add(hs, hd, out=g_xi[:, 0])
+    np.subtract(hy, hk, out=g_xi[:, 1])
+    np.add(hk, hy, out=g_xi[:, 2])
+    np.subtract(hs, hd, out=g_xi[:, 3])
+    np.multiply(-p, wall, out=g_xi[:, 4])
+    return value.reshape(shape)[()], None, g_xi.reshape(xi.shape)
+
+
+def _frozen_density_pass(u, F, gradient, slots=None):
+    grid = u.grid
+    xc = grid.active_centers
+    uc, xi = frozen_cell_slots(u, grid.active_corners) if slots is None else slots
+    with np.errstate(over="ignore"):
+        if gradient:
+            dens, g_u, g_xi = F.gradient(xc, uc, xi)
+        else:
+            dens, g_u, g_xi = F.value(xc, uc, xi), None, None
+    dens = np.asarray(dens, dtype=float)
+    value = float(grid.cell_area * np.sum(dens))
+    if gradient:
+        if not np.isfinite(value):
+            raise InfiniteEnergyError("energy is not finite; gradient undefined")
+        if not ((g_u is None or np.all(np.isfinite(g_u))) and np.all(np.isfinite(g_xi))):
+            raise UnboundedGradientError("integrand gradient has non-finite entries")
+    return xi, dens, value, g_u, g_xi
+
+
+def frozen_energy_with_gradient(u, F):
+    """``fields.energy_with_gradient`` with the 4-step cofactor pull-back."""
+    xi, _, value, g_u, g_xi = _frozen_density_pass(u, F, gradient=True)
+    grid = u.grid
+    idx = grid.active_index
+    area = grid.cell_area
+    h1, h2 = grid.spacing
+    g_det = g_xi[:, 4]
+    gx = np.zeros((grid.cell_shape[0] * grid.cell_shape[1], 2))
+    gy = np.zeros_like(gx)
+    t = np.empty(len(idx))
+    for out, entry, sign, slot, h in ((gx[:, 0], 0, 1, 3, h1), (gy[:, 0], 1, -1, 2, h2),
+                                      (gx[:, 1], 2, -1, 1, h1), (gy[:, 1], 3, 1, 0, h2)):
+        np.multiply(g_det, xi[:, slot], out=t)
+        t *= sign
+        t += g_xi[:, entry]
+        t *= area
+        t /= 2.0 * h
+        out[idx] = t
+    gx = gx.reshape(grid.cell_shape + (2,))
+    gy = gy.reshape(grid.cell_shape + (2,))
+    grad = np.zeros_like(u.values)
+    t = np.add(gx, gy)
+    grad[:-1, :-1] -= t
+    np.subtract(gx, gy, out=t)
+    grad[1:, :-1] += t
+    grad[:-1, 1:] -= t
+    np.add(gx, gy, out=t)
+    grad[1:, 1:] += t
+    if g_u is not None and np.any(g_u):
+        gu_cells = np.zeros(grid.cell_shape + (2,))
+        gu_cells.reshape(-1, 2)[idx] = (area / 4.0) * g_u
+        grad += scatter_to_corners(gu_cells, grid.node_shape)
+    return value, grad
+
+
+def frozen_energy_and_pairing(v, F, operands):
+    """``fields._energy_and_pairing`` on the frozen kernel."""
+    uc, xi = frozen_cell_slots(v, v.grid.active_corners)
+    value = _frozen_density_pass(v, F, gradient=False, slots=(uc, xi))[2]
+    u0c, u1c, v2c = operands
+    total = np.sum(u0c * uc)
+    total += np.sum(u1c * xi[:, :4])
+    total += np.sum(v2c * xi[:, 4:])
+    return value, float(v.grid.cell_area * total)
+
+
+def _frozen_axis_coords(coords, origin, spacing, count):
+    t = (coords - origin) / spacing
+    nearest = np.rint(t)
+    t = np.where(np.abs(t - nearest) <= 1e-12 * np.maximum(1.0, np.abs(t)), nearest, t)
+    inside = (t >= 0.0) & (t <= count - 1.0)
+    t = np.clip(t, 0.0, count - 1.0)
+    i0 = t.astype(int)
+    return i0, t - i0, inside
+
+
+def frozen_interpolate(image, points, gradient):
+    """``ScalarImage._interpolate``: values, or ``(values, gradient)``."""
+    pts = np.asarray(points, dtype=float)
+    shape = pts.shape[:-1]
+    pts = pts.reshape(-1, 2)
+    if np.isnan(pts).any():
+        raise IndexError("cannot sample an image at NaN coordinates")
+    nx, ny = image.grid.nx, image.grid.ny
+    (a1, _), (a2, _) = image.grid.bounds
+    h1, h2 = image.grid.spacing
+    i0, f1, in1 = _frozen_axis_coords(pts[:, 0], a1, h1, nx)
+    j0, f2, in2 = _frozen_axis_coords(pts[:, 1], a2, h2, ny)
+    on_i, on_j = i0 == nx - 1, j0 == ny - 1
+    k = np.minimum(i0, nx - 2)
+    k *= ny
+    k += np.minimum(j0, ny - 2)
+    flat = image.samples.ravel()
+    s00, s10 = flat.take(k), flat[ny:].take(k)
+    s01, s11 = flat[1:].take(k), flat[ny + 1:].take(k)
+    c10 = np.where(on_j, s11, s10)
+    c01 = np.where(on_i, s11, s01)
+    c00 = np.where(on_i, c10, np.where(on_j, s01, s00))
+    vals = c10 - c00
+    vals *= f1
+    vals += c00
+    v1 = s11 - c01
+    v1 *= f1
+    v1 += c01
+    v1 -= vals
+    v1 *= f2
+    vals += v1
+    vals = vals.reshape(shape)[()]
+    if not gradient:
+        return vals
+    f1 += on_i
+    f2 += on_j
+    grad = np.empty(pts.shape)
+    w = np.subtract(1, f2)
+    g = s10 - s00
+    g *= w
+    t = s11 - s01
+    t *= f2
+    g += t
+    g /= h1
+    g *= in1
+    grad[:, 0] = g
+    np.subtract(1, f1, out=w)
+    np.subtract(s01, s00, out=g)
+    g *= w
+    np.subtract(s11, s10, out=t)
+    t *= f1
+    g += t
+    g /= h2
+    g *= in2
+    grad[:, 1] = g
+    return vals, grad.reshape(shape + (2,))
+
+
+def frozen_misfit(grid, diff, q, gradient=False):
+    """``registration._misfit``: the value, or ``(value, nodal slope)``."""
+    idx = grid.active_index
+    d = cell_center_values(diff).reshape(-1)[idx]
+    value = grid.cell_area * np.sum(np.abs(d) ** q)
+    if not gradient:
+        return value
+    slope = np.zeros(grid.cell_shape)
+    slope.reshape(-1)[idx] = grid.cell_area * q / 4.0 * np.sign(d) * np.abs(d) ** (q - 1.0)
+    return value, scatter_to_corners(slope, grid.node_shape)
+
+
+def frozen_objective_and_gradient(problem, u, F):
+    """``TikhonovProblem.objective_and_gradient`` on the frozen stages, with
+    ``F`` standing in for ``problem.integrand``."""
+    if problem.alpha > 0:
+        reg_value, energy_grad = frozen_energy_with_gradient(u, F)
+    warped, grad = frozen_interpolate(problem.reference, u.values, gradient=True)
+    value, slope = frozen_misfit(u.grid, warped - problem.data.image.samples, problem.q,
+                                 gradient=True)
+    value = float(value)
+    grad *= slope[..., None]
+    if problem.alpha > 0:
+        value += problem.alpha * reg_value
+        energy_grad *= problem.alpha
+        grad += energy_grad
+    return value, grad

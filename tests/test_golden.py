@@ -3,7 +3,8 @@
 The digests pin ``report.csv`` and ``report_slopes.json`` of ``polyreg rates``
 and ``deformation.csv`` and ``summary.json`` of ``polyreg register --delta
 0.0125``, each run on the default config with the grid size overridden to
-16 x 16.  Those solves all run the scalar initial metric, so the same two
+16 x 16; the two ``rates`` files are also pinned at 32 x 32, the benchmark's
+rates-32 workload.  Those solves all run the scalar initial metric, so the same two
 ``register`` files are also pinned for ``--delta 0.2`` at 32 x 32, a solve
 that runs the H1 metric.  ``polyreg verify-subgradient --out`` on the same
 16 x 16 config is pinned by its stdout and the digests of its bundle.  A
@@ -29,6 +30,10 @@ from polyreg.cli import main
 RATES = {
     "report.csv": "ef38a968961e11074812f65a5c0e465dc457e5f2d78817d1138bb30d72575ab1",
     "report_slopes.json": "e06f22738625fb797174236de9acfce7484e4aa80bd3abc47aa82eae4684a3c4",
+}
+RATES_32 = {
+    "report.csv": "e500117f541eb9ed503e80cbdd8f16ee08c2557bc7c878cde6e2f5e6d6db927e",
+    "report_slopes.json": "ac90b72ce66a6552ca9325563e86a4a44c60367f0df2d68b275136d2d9355e8e",
 }
 REGISTER = {
     "deformation.csv": "ff132eafc1706940f0fb5a8128798abb01e86497f0c0b214cf04039d0712afbb",
@@ -78,6 +83,15 @@ def test_rates_16_bytes(config_16, tmp_path, capsys):
     out.mkdir()
     assert main(["rates", "--config", config_16, "--out", str(out / "report.csv")]) == 0
     assert _digests(out, RATES) == RATES
+    assert "leaves the domain" not in capsys.readouterr().err
+
+
+def test_rates_32_bytes(tmp_path, capsys):
+    out = tmp_path / "rates"
+    out.mkdir()
+    assert main(["rates", "--config", _config(tmp_path, 32),
+                 "--out", str(out / "report.csv")]) == 0
+    assert _digests(out, RATES_32) == RATES_32
     assert "leaves the domain" not in capsys.readouterr().err
 
 
