@@ -23,7 +23,7 @@ Certificates cannot be proved over all fields numerically, so
 ``verify_subgradient`` samples the inequality on randomized smooth
 perturbations with deterministic per-trial seeds and reports violations.
 The trials are independent and the report keeps only their leftmost
-minimum gap and a count, so the check runs its trials in two processes
+minimum gap and a count, so a large check runs its trials in two processes
 (this one and one forked child, each taking half) and still reports the
 serial loop's bits.
 """
@@ -52,6 +52,12 @@ from .fields import (
 
 # Bregman gaps below minus this count as certificate violations.
 _VIOLATION_TOL = 1e-8
+# Trials times active cells from which a check's trials run in two processes.
+# Below it the fork and the child's start cost more than the half they take:
+# in medians of 7 alternating calls on a 2-vCPU Xeon, forking lost at 150K
+# (32 x 32 and 64 x 64), lost or won at 200K by turns of the host's load and
+# won from 250K on (at 625K, the 64 x 64 default, 38 ms against 65 ms).
+_SPLIT_MIN_WORK = 200_000
 
 
 @dataclass(frozen=True)
@@ -301,9 +307,10 @@ def verify_subgradient(F, w, trials, seed, radius=0.5) -> SubgradientReport:
     the same values, so reports equal those of calling it per trial bit for
     bit.
 
-    After the base-point pass the trials run in two processes: this one
+    After the base-point pass, a check of at least ``_SPLIT_MIN_WORK``
+    trials times active cells runs its trials in two processes: this one
     takes ``[0, trials // 2)`` and one forked child ``[trials // 2,
-    trials)``.  Each trial draws from its own seed, and the halves combine
+    trials)``; a smaller one runs them all here.  Each trial draws from its own seed, and the halves combine
     as the serial loop does (the leftmost minimum gap, this half first, and
     the summed violation count), so the report cannot change.  An exception
     in either half is raised here, and no child outlives the call.  The
@@ -322,10 +329,13 @@ def verify_subgradient(F, w, trials, seed, radius=0.5) -> SubgradientReport:
     ru, wu = _energy_and_pairing(u, F, operands)
     if not np.isfinite(ru):
         return SubgradientReport(trials, 0, 0.0, _VIOLATION_TOL)
-    worst, violations = _split_in_two_processes(
-        lambda start, stop: _trial_gaps(F, u, operands, ru, wu, seed, radius, start, stop),
-        trials,
-    )
+    def run(start, stop):
+        return _trial_gaps(F, u, operands, ru, wu, seed, radius, start, stop)
+
+    if trials * len(u.grid.active_index) < _SPLIT_MIN_WORK:
+        worst, violations = run(0, trials)
+    else:
+        worst, violations = _split_in_two_processes(run, trials)
     if not np.isfinite(worst):
         worst = 0.0
     return SubgradientReport(trials, violations, float(worst), _VIOLATION_TOL)

@@ -37,6 +37,7 @@ same flat cell order, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,7 +133,7 @@ class Grid:
                 f"mask shape {self.mask.active.shape} does not match cells {self.cell_shape}"
             )
 
-    @property
+    @cached_property
     def spacing(self):
         (a1, b1), (a2, b2) = self.bounds
         return ((b1 - a1) / (self.nx - 1), (b2 - a2) / (self.ny - 1))
@@ -145,7 +146,7 @@ class Grid:
     def cell_shape(self):
         return (self.nx - 1, self.ny - 1)
 
-    @property
+    @cached_property
     def cell_area(self) -> float:
         h1, h2 = self.spacing
         return h1 * h2
@@ -271,7 +272,11 @@ def _corner_nodes(grid, cells):
 def cell_center_values(node_values) -> np.ndarray:
     """Mean of the four corner values per cell (bilinear value at the center)."""
     v = np.asarray(node_values, dtype=float)
-    return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+    c = np.add(v[:-1, :-1], v[1:, :-1])
+    c += v[:-1, 1:]
+    c += v[1:, 1:]
+    c *= 0.25
+    return c
 
 
 def scatter_to_corners(cell_values, node_shape) -> np.ndarray:
@@ -300,7 +305,7 @@ class MatrixField:
             raise ValueError(
                 f"values shape {values.shape} does not match grid {grid.node_shape} + (2,)"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite; got NaN or infinite entries")
         self.grid = grid
         self.values = values
@@ -332,31 +337,32 @@ def _cell_slots(u, corners):
     the four corner values, and ``xi`` holds J00, J01, J10, J11 and
     J00 * J11 - J01 * J10, where J[a, b] is the derivative of component a
     along axis b, the mean of the two forward differences across the cell.
+    Both are slot-major: the transposes of C-ordered (2, k) and (5, k)
+    arrays, so each slot is one contiguous row.
     """
     h1, h2 = u.grid.spacing
     n = corners.shape[1]
-    corner_values = u.values.reshape(-1, 2).take(corners, axis=0)
-    uc = np.empty((n, 2))
-    xi = np.empty((n, 5))
-    t = np.empty(n)
-    for a in range(2):
-        c00, c10, c01, c11 = corner_values[..., a]
-        np.add(c00, c10, out=t)
-        t += c01
-        t += c11
-        np.multiply(0.25, t, out=uc[:, a])
-        np.subtract(c10, c00, out=t)
-        t += c11
-        t -= c01
-        np.divide(t, 2.0 * h1, out=xi[:, 2 * a])
-        np.subtract(c01, c00, out=t)
-        t += c11
-        t -= c10
-        np.divide(t, 2.0 * h2, out=xi[:, 2 * a + 1])
-    np.multiply(xi[:, 0], xi[:, 3], out=xi[:, 4])
-    np.multiply(xi[:, 1], xi[:, 2], out=t)
-    xi[:, 4] -= t
-    return uc, xi
+    # (k, 2) blocks of the four corners; each stencil runs once on both
+    # components and lands transposed in the slot rows
+    c00, c10, c01, c11 = u.values.reshape(-1, 2).take(corners, axis=0)
+    uc = np.empty((2, n))
+    xi = np.empty((5, n))
+    t = np.add(c00, c10)
+    t += c01
+    t += c11
+    np.multiply(0.25, t.T, out=uc)
+    np.subtract(c10, c00, out=t)
+    t += c11
+    t -= c01
+    np.divide(t.T, 2.0 * h1, out=xi[0:4:2])
+    np.subtract(c01, c00, out=t)
+    t += c11
+    t -= c10
+    np.divide(t.T, 2.0 * h2, out=xi[1:4:2])
+    np.multiply(xi[0], xi[3], out=xi[4])
+    det = np.multiply(xi[1], xi[2], out=t.reshape(-1)[:n])
+    xi[4] -= det
+    return uc.T, xi.T
 
 
 def _density_pass(u, F, gradient, slots=None):
@@ -384,11 +390,11 @@ def _density_pass(u, F, gradient, slots=None):
         else:
             dens, g_u, g_xi = F.value(xc, uc, xi), None, None
     dens = np.asarray(dens, dtype=float)
-    value = float(grid.cell_area * np.sum(dens))
+    value = float(grid.cell_area * dens.sum())
     if gradient:
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise InfiniteEnergyError("energy is not finite; gradient undefined")
-        if not ((g_u is None or np.all(np.isfinite(g_u))) and np.all(np.isfinite(g_xi))):
+        if not ((g_u is None or np.isfinite(g_u).all()) and np.isfinite(g_xi).all()):
             raise UnboundedGradientError("integrand gradient has non-finite entries")
     return xi, dens, value, g_u, g_xi
 
@@ -416,35 +422,37 @@ def energy_with_gradient(u, F):
     idx = grid.active_index
     area = grid.cell_area
     h1, h2 = grid.spacing
-    g_det = g_xi[:, 4]
-    # gx[k, a] and gy[k, a]: entries (a, 0) and (a, 1) of cell k's matrix
-    # gradient, times the weight area / (2 h) of the stencil along that axis;
-    # each is g_A + sign * g_det * (cofactor slot), computed in one buffer
-    # (negating exactly, then adding, equals subtracting bit for bit)
-    gx = np.zeros((grid.cell_shape[0] * grid.cell_shape[1], 2))
-    gy = np.zeros_like(gx)
-    t = np.empty(len(idx))
-    for out, entry, sign, slot, h in ((gx[:, 0], 0, 1, 3, h1), (gy[:, 0], 1, -1, 2, h2),
-                                      (gx[:, 1], 2, -1, 1, h1), (gy[:, 1], 3, 1, 0, h2)):
-        np.multiply(g_det, xi[:, slot], out=t)
-        t *= sign
-        t += g_xi[:, entry]
-        t *= area
-        t /= 2.0 * h
-        out[idx] = t
-    gx = gx.reshape(grid.cell_shape + (2,))
-    gy = gy.reshape(grid.cell_shape + (2,))
+    # Row e of t: entry e = (a, b) (row-major) of each cell's matrix gradient
+    # g_A + sign * g_det * (cofactor slot), times the weight area / (2 h) of
+    # the stencil along axis b, computed in one buffer (negating exactly,
+    # then adding, equals subtracting bit for bit).  Scattered into the
+    # columns of cell-major rows, entries (a, 0) are gx and (a, 1) gy.
+    xs, gs = xi.T, g_xi.T
+    t = np.multiply(gs[4], xs[3::-1])
+    t[1:3] *= -1
+    t += gs[:4]
+    t *= area
+    t[0::2] /= 2.0 * h1
+    t[1::2] /= 2.0 * h2
+    # Each cell's row sits at its (i, j) corner node (``_corner_nodes``), so
+    # the corner sums run along the flat node order: see ``_misfit``.
+    cells = np.zeros((grid.nx * grid.ny, 4))
+    low = grid.active_corners[0]
+    for e in range(4):  # four 1-d scatters beat one of (k, 4) rows
+        cells[:, e][low] = t[e]
+    gx, gy = cells[:, 0::2], cells[:, 1::2]
 
     # Corner weights (-1, -1), (1, -1), (-1, 1), (1, 1) on (gx, gy), added in
-    # that order; subtracting gx + gy equals adding -gx - gy bit for bit.
-    grad = np.zeros_like(u.values)
-    t = np.add(gx, gy)
-    grad[:-1, :-1] -= t
-    np.subtract(gx, gy, out=t)
-    grad[1:, :-1] += t
-    grad[:-1, 1:] -= t
-    np.add(gx, gy, out=t)
-    grad[1:, 1:] += t
+    # that order, each onto the nodes at the corner's flat offset;
+    # subtracting gx + gy equals adding -gx - gy bit for bit.
+    row = 2 * grid.ny  # one node row of the flat gradient
+    total = np.add(gx, gy).reshape(-1)
+    grad = np.subtract(0.0, total)
+    t = np.subtract(gx, gy).reshape(-1)
+    grad[row:] += t[:-row]
+    grad[2:] -= t[:-2]
+    grad[row + 2:] += total[:-row - 2]
+    grad = grad.reshape(u.values.shape)
 
     if g_u is not None and np.any(g_u):
         gu_cells = np.zeros(grid.cell_shape + (2,))

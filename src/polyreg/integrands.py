@@ -79,24 +79,6 @@ class Integrand:
         return xi
 
 
-def _rotation_split(a):
-    """Rotation/reflection split of stacked 2 x 2 matrices, closed form.
-
-    With the half sum, half difference, half skew and half sym parts
-    ``hs, hd, hk, hy`` of the entries, ``a`` is a scaled rotation with
-    parameters ``(hs, hk)`` plus a scaled reflection with ``(hd, hy)``, and
-    its singular values are ``big + small`` and ``|big - small|`` for
-    ``big = hypot(hs, hk)`` and ``small = hypot(hd, hy)``.  Exact (to
-    rounding) even at repeated singular values, where LAPACK-based routines
-    may lose the symmetry.  Returns ``(hs, hd, hk, hy, big, small)``.
-    """
-    hs = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
-    hd = 0.5 * (a[..., 0, 0] - a[..., 1, 1])
-    hk = 0.5 * (a[..., 1, 0] - a[..., 0, 1])
-    hy = 0.5 * (a[..., 1, 0] + a[..., 0, 1])
-    return hs, hd, hk, hy, np.hypot(hs, hk), np.hypot(hd, hy)
-
-
 def _split_order1_det(xi, layout):
     n2 = layout.N * layout.n
     a = xi[..., :n2].reshape(xi.shape[:-1] + (layout.N, layout.n))
@@ -112,16 +94,27 @@ def rotation_energy(p) -> Integrand:
     variables) and equal to ``2 + p`` exactly when the block is a rotation
     and ``d = 1``.  Requires ``p > 2``.
 
-    The gradient of the singular-value term comes from the same closed-form
-    split as the value (see ``_rotation_split``): with ``S = lam1^p + lam2^p``,
-    ``lam1 = big + small`` and ``lam2 = |big - small|``, the chain rule runs
+    The singular values come in closed form.  With the half sum, half
+    difference, half skew and half sym parts ``hs, hd, hk, hy`` of the
+    block's entries, the block is a scaled rotation with parameters
+    ``(hs, hk)`` plus a scaled reflection with ``(hd, hy)``, and its singular
+    values are ``lam1 = big + small`` and ``lam2 = |big - small|`` for
+    ``big = hypot(hs, hk)`` and ``small = hypot(hd, hy)``: exact (to
+    rounding) even at repeated singular values, where LAPACK-based routines
+    may lose the symmetry.  The gradient of ``S = lam1^p + lam2^p`` runs
     through ``d big = (hs dhs + hk dhk) / big`` and
     ``d small = (hd dhd + hy dhy) / small``.  At ``big = 0`` (``small = 0``)
     the factor ``dS/d big`` (``dS/d small``) is exactly 0 for ``p > 2``, so
     that term is set to 0; the result equals ``p * U diag(lam^(p-1)) V^T``
-    from an SVD, which is well defined at repeated singular values.  The
-    density computes in place on buffers of the call, reusing the split's
-    ``hs, hd, hk, hy`` as the gradient factors.
+    from an SVD, which is well defined at repeated singular values.
+
+    The density computes in place on slot-major buffers of the call: the
+    four parts are the rows ``hs, hk, hd, hy`` of one (4, k) array, the
+    ``big`` and ``small`` rows and everything paired with them share one
+    (2, k) array each, so each step is one numpy call over both, and
+    ``g_xi`` is the transpose of a (5, k) array, like the slots of
+    :mod:`polyreg.fields`.  Every entry sees the operations of the separate
+    per-part formulas, in their order.
     """
     p = float(p)
     if p <= 2:
@@ -129,54 +122,50 @@ def rotation_energy(p) -> Integrand:
     layout = MinorsLayout(2, 2)
 
     def density(x, u, xi, gradient):
-        # One row of slots per matrix, so every step below can run in place.
         shape = xi.shape[:-1]
-        a, d = _split_order1_det(xi.reshape(-1, layout.tau), layout)
-        hs, hd, hk, hy, big, small = _rotation_split(a)
-        lam1 = big + small
+        slots = xi.reshape(-1, layout.tau).T  # rows a00, a01, a10, a11, d
+        d = slots[4]
+        n = len(d)
+        # h = (hs, hk, hd, hy): sums and differences of (a00, a10) with
+        # (a11, a01), halved
+        h = np.empty((4, n))
+        np.add(slots[0:3:2], slots[3:0:-2], out=h[0:4:3])
+        np.subtract(slots[0:3:2], slots[3:0:-2], out=h[2:0:-1])
+        h *= 0.5
+        bs = np.hypot(h[0::2], h[1::2])  # big, small
+        big, small = bs
+        lam = np.empty((2, n))  # lam1 and |big - small|, then their powers p - 1
+        np.add(big, small, out=lam[0])
         gap = big - small
         with np.errstate(over="ignore"):
             wall = np.subtract(1.0, d)
             np.exp(wall, out=wall)
-            value = lam1 ** p
-            t = np.abs(gap)
-            t **= p
-            value += t
-            np.multiply(p, wall, out=t)
-            value += t
+            np.abs(gap, out=lam[1])
+            value = lam ** p
+            value = np.add(value[0], value[1], out=value[0])
+            value += np.multiply(p, wall)
         if not gradient:
             return value.reshape(shape)[()]
-        # top = lam1^(p-1) and low = sign(gap) |gap|^(p-1)
-        top = lam1
-        top **= p - 1.0
-        low = np.abs(gap, out=t)
-        low **= p - 1.0
+        lam **= p - 1.0
+        top, low = lam
         low *= np.sign(gap, out=gap)
         # dS/d big / big and dS/d small / small; 0 where big or small vanish
+        by = np.empty((2, n))
+        np.add(top, low, out=by[0])
+        np.subtract(top, low, out=by[1])
+        by *= p
         with np.errstate(divide="ignore", invalid="ignore"):
-            by_big = np.add(top, low, out=gap)
-            by_big *= p
-            by_big /= big
-            by_small = np.subtract(top, low, out=top)
-            by_small *= p
-            by_small /= small
-        np.copyto(by_big, 0.0, where=~(big > 0))
-        np.copyto(by_small, 0.0, where=~(small > 0))
-        del big, small, low, t  # room for g_xi
+            by /= bs
+        np.copyto(by, 0.0, where=~(bs > 0))
         # d(hs, hd, hk, hy) / d(a00, a01, a10, a11) is 1/2 times a sign pattern
-        by_big *= 0.5
-        by_small *= 0.5
-        hs *= by_big
-        hk *= by_big
-        hd *= by_small
-        hy *= by_small
-        g_xi = np.empty((len(value), layout.tau))
-        np.add(hs, hd, out=g_xi[:, 0])
-        np.subtract(hy, hk, out=g_xi[:, 1])
-        np.add(hk, hy, out=g_xi[:, 2])
-        np.subtract(hs, hd, out=g_xi[:, 3])
-        np.multiply(-p, wall, out=g_xi[:, 4])
-        return value.reshape(shape)[()], None, g_xi.reshape(xi.shape)
+        by *= 0.5
+        pairs = h.reshape(2, 2, n)  # (hs, hk) and (hd, hy)
+        pairs *= by[:, None]
+        g_xi = np.empty((layout.tau, n))
+        np.add(h[0:2], h[2:4], out=g_xi[0:3:2])  # hs + hd, hk + hy
+        np.subtract(h[0:4:3], h[2:0:-1], out=g_xi[3:0:-2])  # hs - hd, hy - hk
+        np.multiply(-p, wall, out=g_xi[4])
+        return value.reshape(shape)[()], None, g_xi.T.reshape(xi.shape)
 
     return Integrand(layout, "rotation", density, coercivity_constant=2.0 ** (1.0 - p / 2.0))
 

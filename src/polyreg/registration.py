@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MatrixField, cell_center_values, scatter_to_corners
+from .fields import MatrixField
 
 # warp(strict=True): how far a node may land outside, as a fraction of the
 # domain's diameter.
@@ -69,19 +69,30 @@ class ScalarImage:
         self.grid = grid
         self.samples = samples
 
-    @staticmethod
-    def _axis_coords(coords, origin, spacing, count):
+    def _axis_coords(self, pts):
         # Grid coordinates with near-integer values snapped, so node queries
-        # hit nodes exactly despite the (x - a) / h round trip.  Returns the
-        # lower node index, the fraction past it and whether the coordinate
-        # lay inside before clamping.
-        t = (coords - origin) / spacing
+        # hit nodes exactly despite the (x - a) / h round trip, one row per
+        # axis.  Returns the lower node index, the fraction past it and
+        # whether the coordinate lay inside before clamping.
+        grid = self.grid
+        (a1, _), (a2, _) = grid.bounds
+        last = np.array([[grid.nx - 1.0], [grid.ny - 1.0]])
+        t = np.empty((2, len(pts)))
+        np.subtract(pts.T, [[a1], [a2]], out=t)
+        t /= np.array(grid.spacing)[:, None]
         nearest = np.rint(t)
-        t = np.where(np.abs(t - nearest) <= 1e-12 * np.maximum(1.0, np.abs(t)), nearest, t)
-        inside = (t >= 0.0) & (t <= count - 1.0)
-        t = np.clip(t, 0.0, count - 1.0)
+        off = np.subtract(t, nearest)
+        np.abs(off, out=off)
+        tol = np.abs(t)
+        np.maximum(1.0, tol, out=tol)
+        np.multiply(1e-12, tol, out=tol)
+        np.copyto(t, nearest, where=off <= tol)
+        inside = t >= 0.0
+        inside &= t <= last
+        t.clip(0.0, last, out=t)
         i0 = t.astype(int)
-        return i0, t - i0, inside
+        t -= i0
+        return i0, t, inside
 
     def sample(self, points) -> np.ndarray:
         return self._interpolate(points, gradient=False)
@@ -91,14 +102,16 @@ class ScalarImage:
 
         The gradient is taken with respect to the unclamped query point, so
         it vanishes in coordinates that were clamped; on the far boundary it
-        is the one-sided derivative.
+        is the one-sided derivative.  It is stored component-major: the
+        transpose of a C-ordered (2, n) array of its two components.
         """
         return self._interpolate(points, gradient=True)
 
     def _interpolate(self, points, gradient):
         # The stencil cell is anchored one cell in from the far boundary.  On
         # a far edge the value reads that edge's samples twice, as the plain
-        # formula's clamped upper index does.
+        # formula's clamped upper index does.  Both axes and both terms of
+        # each step share one (2, n) call.
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1]
         pts = pts.reshape(-1, 2)
@@ -106,56 +119,41 @@ class ScalarImage:
             # a NaN cast to an index would wrap into the flat sample array
             raise IndexError("cannot sample an image at NaN coordinates")
         nx, ny = self.grid.nx, self.grid.ny
-        (a1, _), (a2, _) = self.grid.bounds
-        h1, h2 = self.grid.spacing
-        i0, f1, in1 = self._axis_coords(pts[:, 0], a1, h1, nx)
-        j0, f2, in2 = self._axis_coords(pts[:, 1], a2, h2, ny)
-        on_i, on_j = i0 == nx - 1, j0 == ny - 1
-        k = np.minimum(i0, nx - 2)
-        k *= ny
-        k += np.minimum(j0, ny - 2)
-        flat = self.samples.ravel()
-        s00, s10 = flat.take(k), flat[ny:].take(k)
-        s01, s11 = flat[1:].take(k), flat[ny + 1:].take(k)
-        c10 = np.where(on_j, s11, s10)
-        c01 = np.where(on_i, s11, s01)
-        c00 = np.where(on_i, c10, np.where(on_j, s01, s00))
+        i0, frac, inside = self._axis_coords(pts)
+        on = i0 == [[nx - 1], [ny - 1]]
+        on_i, on_j = on
+        cell = np.minimum(i0, [[nx - 2], [ny - 2]])
+        k = cell[0] * ny
+        k += cell[1]
+        # s00, s10, s01, s11 at the stencil cell's corners
+        s = self.samples.ravel().take(k + np.array([[0], [ny], [1], [ny + 1]]))
+        # the value's corners c00, c10, c01 and s11: collapsed on a far edge
+        c = s.copy()
+        np.copyto(c[1:3], s[3], where=on[::-1])
+        np.copyto(c[0], s[2], where=on_j)
+        np.copyto(c[0], c[1], where=on_i)
         # nested linear interpolation: exact on node queries and constants
-        vals = c10 - c00
-        vals *= f1
-        vals += c00
-        v1 = s11 - c01
-        v1 *= f1
-        v1 += c01
+        v = np.subtract(c[1::2], c[0::2])  # along axis 0 at j0 and at j0 + 1
+        v *= frac[0]
+        v += c[0::2]
+        vals, v1 = v
         v1 -= vals
-        v1 *= f2
+        v1 *= frac[1]
         vals += v1
         vals = vals.reshape(shape)[()]  # a scalar for a single point
         if not gradient:
             return vals
-        # the derivative stencil's fractions: 1 on a far edge
-        f1 += on_i
-        f2 += on_j
-        grad = np.empty(pts.shape)
-        w = np.subtract(1, f2)
-        g = s10 - s00
-        g *= w
-        t = s11 - s01
-        t *= f2
+        # the derivative stencil's fractions (f1, f2): 1 on a far edge
+        frac += on
+        g = np.subtract(s[1:3], s[0])  # s10 - s00, s01 - s00
+        g *= np.subtract(1, frac[::-1])
+        t = np.subtract(s[3], s[2:0:-1])  # s11 - s01, s11 - s10
+        t *= frac[::-1]
         g += t
-        g /= h1
-        g *= in1
-        grad[:, 0] = g
-        np.subtract(1, f1, out=w)
-        np.subtract(s01, s00, out=g)
-        g *= w
-        np.subtract(s11, s10, out=t)
-        t *= f1
-        g += t
-        g /= h2
-        g *= in2
-        grad[:, 1] = g
-        return vals, grad.reshape(shape + (2,))
+        g /= np.array(self.grid.spacing)[:, None]
+        g *= inside
+        # component-major: the transpose of the (2, n) rows
+        return vals, g.T.reshape(shape + (2,))
 
     def min_max(self):
         return float(np.min(self.samples)), float(np.max(self.samples))
@@ -224,16 +222,38 @@ def _check_same_geometry(a, b):
 
 def _misfit(grid, diff, q, gradient=False):
     """Cell area times ``sum |d|^q``, ``d`` the mean of nodal ``diff`` over
-    each active cell; with ``gradient``, also its derivative in ``diff``."""
-    idx = grid.active_index
-    d = cell_center_values(diff).reshape(-1)[idx]
-    value = grid.cell_area * np.sum(np.abs(d) ** q)
+    each active cell; with ``gradient``, also its derivative in ``diff``.
+
+    Cell means and corner sums run along the flat node order, cell values
+    sitting at their (i, j) corner node.  They also reach the last node row
+    and column, which start no cell, and wrap from one row's end to the next
+    row's start; there they read or add 0.0, which leaves every node as the
+    2-d sums leave it (a node sum starts at 0.0, so it is never -0.0, and
+    x + 0.0 is x for every other x)."""
+    ny = grid.ny
+    low = grid.active_corners[0]
+    v = diff.reshape(-1)
+    d = np.add(v[:-ny - 1], v[ny:-1])
+    d += v[1:-ny]
+    d += v[ny + 1:]
+    d = d.take(low)
+    d *= 0.25
+    size = np.abs(d)
+    value = grid.cell_area * (size ** q).sum()
     if not gradient:
         return value
     # d|d|^q/dd = q |d|^(q-1) sign(d); each cell spreads 1/4 to its corners.
-    slope = np.zeros(grid.cell_shape)
-    slope.reshape(-1)[idx] = grid.cell_area * q / 4.0 * np.sign(d) * np.abs(d) ** (q - 1.0)
-    return value, scatter_to_corners(slope, grid.node_shape)
+    np.sign(d, out=d)
+    d *= grid.cell_area * q / 4.0
+    size **= q - 1.0
+    d *= size
+    cells = np.zeros(grid.nx * ny)
+    cells[low] = d
+    slope = np.add(0.0, cells)
+    slope[ny:] += cells[:-ny]
+    slope[1:] += cells[:-1]
+    slope[ny + 1:] += cells[:-ny - 1]
+    return value, slope.reshape(grid.node_shape)
 
 
 def data_term(warped, target, q) -> float:

@@ -100,6 +100,7 @@ OpenBLAS also runs on the calling thread; threaded, one 64 x 64 apply took
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,9 @@ _DOT_BLOCK = 8192
 def _blocked_dot(a, b):
     """``a . b`` for 1-d arrays, as ``np.dot`` over ``_DOT_BLOCK``-entry
     slices summed strictly left to right; equal to ``np.dot(a, b)`` when
-    the arrays fit in one slice."""
+    the arrays fit in one slice, and then just that."""
+    if a.size <= _DOT_BLOCK:
+        return np.dot(a, b)
     total = np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK])
     for i in range(_DOT_BLOCK, a.size, _DOT_BLOCK):
         total += np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK])
@@ -142,6 +145,8 @@ def _blocked_dot(a, b):
 def _blocked_product(a, v):
     """``a @ v`` for a 2-d ``a`` and 1-d ``v``, as one ``np.matmul`` per
     ``_DOT_BLOCK``-column slice of ``a``, summed strictly left to right."""
+    if v.size <= _DOT_BLOCK:
+        return a @ v
     total = a[:, :_DOT_BLOCK] @ v[:_DOT_BLOCK]
     for i in range(_DOT_BLOCK, v.size, _DOT_BLOCK):
         total += a[:, i:i + _DOT_BLOCK] @ v[i:i + _DOT_BLOCK]
@@ -151,6 +156,8 @@ def _blocked_product(a, v):
 def _blocked_combination(a, c):
     """``c @ a`` for a 2-d ``a`` and 1-d ``c``, as one ``np.matmul`` per
     ``_DOT_BLOCK``-column slice of ``a``."""
+    if a.shape[1] <= _DOT_BLOCK:
+        return c @ a
     out = np.empty(a.shape[1])
     for i in range(0, a.shape[1], _DOT_BLOCK):
         np.matmul(c, a[:, i:i + _DOT_BLOCK], out=out[i:i + _DOT_BLOCK])
@@ -210,10 +217,13 @@ class TikhonovProblem:
         """
         if self.alpha > 0:
             reg_value, energy_grad = energy_with_gradient(u, self.integrand)
-        warped, grad = self.reference.sample_with_gradient(u.values)
+        warped, image_grad = self.reference.sample_with_gradient(u.values)
         value, slope = _misfit(u.grid, warped - self.data.image.samples, self.q, gradient=True)
         value = float(value)
-        grad *= slope[..., None]
+        # the image gradient's component rows times the slope, interleaved
+        # into the nodal layout as they are written
+        grad = np.empty_like(u.values)
+        np.multiply(image_grad.reshape(-1, 2).T, slope.reshape(-1), out=grad.reshape(-1, 2).T)
         if self.alpha > 0:
             value += self.alpha * reg_value
             energy_grad *= self.alpha
@@ -360,7 +370,7 @@ class _CompactMemory:
         sy = _blocked_dot(s, y)
         yy = _blocked_dot(y, y)
         # sqrt(v . v) is bit-identical to np.linalg.norm of a 1-d float array.
-        if not sy > 1e-12 * np.sqrt(_blocked_dot(s, s)) * np.sqrt(yy):
+        if not sy > 1e-12 * math.sqrt(_blocked_dot(s, s)) * math.sqrt(yy):
             self.products = self._products(g)
             return
         yz = _blocked_dot(y, z)
@@ -405,11 +415,11 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
     x = problem.initial.values.ravel().copy()
     f, g = value_and_grad(x)
     evals = 1
-    g_sup = float(np.max(np.abs(g))) if g.size else 0.0
+    g_sup = float(np.abs(g).max()) if g.size else 0.0
     g_stop = tol * g_sup
     if g.size and not np.array_equal(x, grid.node_points.ravel()):
         # not the identity: a rough start's large gradient must not set the test
-        g_stop = min(g_stop, tol * float(np.max(np.abs(value_and_grad(grid.node_points)[1]))))
+        g_stop = min(g_stop, tol * float(np.abs(value_and_grad(grid.node_points)[1]).max()))
         evals += 1
     rounding = np.finfo(float).eps
     decrease_stop = max(tol ** 2, rounding)  # relative to |f|, once a pair is stored
@@ -440,12 +450,12 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
 
         if pairs.stored:
             d = pairs.direction(pg)
-            gtd = _blocked_dot(g, d)
+            gtd = float(_blocked_dot(g, d))
             if gtd >= 0.0:  # not a descent direction: start the memory afresh
                 pairs.clear()
         if not pairs.stored:
             d = -g / max(1.0, g_sup)
-            gtd = _blocked_dot(g, d)
+            gtd = float(_blocked_dot(g, d))
         if -gtd <= (decrease_stop if pairs.stored else rounding) * abs(f):
             reason = "gradient"  # predicted decrease below tol**2 (rounding) of f
             break
@@ -463,7 +473,7 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
         decrease = (f - f_new) / max(1.0, abs(f_new))
         small_decreases = small_decreases + 1 if decrease < _DECREASE_RTOL else 0
         x, f, g, pg = x_new, f_new, g_new, pg_new
-        g_sup = float(np.max(np.abs(g)))
+        g_sup = float(np.abs(g).max())
         iterations += 1
 
     return MinimizeResult(
@@ -489,13 +499,13 @@ def _backtrack(value_and_grad, x, f, d, gtd):
     step = 1.0
     evals = 0
     while step > 1e-20:
-        x_try = x + step * d
+        x_try = x + d if step == 1.0 else x + step * d  # 1.0 * d is d, bit for bit
         evals += 1
         try:
             f_try, g_try = value_and_grad(x_try)
         except InfiniteEnergyError:
-            f_try = np.inf
-        if np.isfinite(f_try) and f_try <= f + _ARMIJO * step * gtd:
+            f_try = math.inf
+        if math.isfinite(f_try) and f_try <= f + _ARMIJO * step * gtd:
             return x_try, f_try, g_try, evals
         step *= _SHRINK
     return None, None, None, evals

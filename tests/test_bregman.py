@@ -326,7 +326,31 @@ def serial_field(grid, rng, amplitude):
 
 class TestTrialSplit:
     """The trials run in two processes; the report must equal the serial
-    per-trial protocol's bit for bit, on either side of the split."""
+    per-trial protocol's bit for bit, on either side of the split.  These
+    grids are far below ``_SPLIT_MIN_WORK``, so each test lowers it to force
+    the split, except the one that checks that no fork happens below it."""
+
+    @pytest.fixture(autouse=True)
+    def split_every_check(self, monkeypatch):
+        import polyreg.bregman as bregman
+
+        monkeypatch.setattr(bregman, "_SPLIT_MIN_WORK", 0)
+
+    def test_below_the_work_threshold_no_fork_happens(self, unit_grid, monkeypatch):
+        import polyreg.bregman as bregman
+
+        monkeypatch.setattr(bregman, "_SPLIT_MIN_WORK", 16 * 64 + 1)  # 16 trials, 64 cells
+
+        def no_fork():
+            raise OSError("fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        F = density_raising_outside(os.getpid())
+        w = poly_subgradient(F, identity_field(unit_grid))
+        assert verify_subgradient(F, w, trials=16, seed=7).violations == 0
+        monkeypatch.setattr(bregman, "_SPLIT_MIN_WORK", 16 * 64)
+        with pytest.raises(OSError, match="fork called"):  # at the threshold, it forks
+            verify_subgradient(F, w, trials=16, seed=7)
 
     @pytest.mark.parametrize("trials", [1, 2, 9, 16])
     def test_valid_certificate_matches_reference_at_split_boundaries(self, disk_grid, trials):

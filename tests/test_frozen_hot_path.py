@@ -27,11 +27,13 @@ from polyreg import (
     rotation_energy,
 )
 from polyreg.fields import _energy_and_pairing, _pairing_operands
+from polyreg.registration import _misfit
 
 from oracles import (
     frozen_energy_and_pairing,
     frozen_energy_with_gradient,
     frozen_interpolate,
+    frozen_misfit,
     frozen_objective_and_gradient,
     frozen_rotation_density,
 )
@@ -139,3 +141,26 @@ def test_objective_and_gradient_equals_frozen(mask, q, alpha):
         value, grad = problem.objective_and_gradient(u)
         want_value, want_grad = frozen_objective_and_gradient(problem, u, frozen_rotation(P))
         assert same_bytes(value, want_value) and same_bytes(grad, want_grad)
+
+
+def signed_zero_density(x, u, xi, gradient):
+    """Zero density whose slot gradient is -0.0 in every entry: the pull-back
+    then mixes 0.0 and -0.0, whose sums depend on what each node is added to."""
+    value = np.zeros(xi.shape[:-1])
+    return (value, None, np.full(xi.shape, -0.0)) if gradient else value
+
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_signed_zeros_reach_the_corners_as_in_the_frozen_sums(mask):
+    grid = make_grid(mask)
+    F = Integrand(MinorsLayout(2, 2), "signed-zero", signed_zero_density)
+    for u in fields_on(grid) + [identity_field(grid).with_values(-identity_field(grid).values)]:
+        value, grad = energy_with_gradient(u, F)
+        want_value, want_grad = frozen_energy_with_gradient(u, F)
+        assert same_bytes(value, want_value) and same_bytes(grad, want_grad)
+    rows = np.arange(grid.nx)[:, None] % 2 == 1
+    for diff in (np.full(grid.node_shape, -0.0), np.repeat(np.where(rows, -0.0, 0.0), grid.ny, axis=1)):
+        for q in (1.5, 2.0):
+            value, slope = _misfit(grid, diff, q, gradient=True)
+            want_value, want_slope = frozen_misfit(grid, diff, q, gradient=True)
+            assert same_bytes(value, want_value) and same_bytes(slope, want_slope)
