@@ -494,9 +494,17 @@ def _pairing_operands(w, u):
 
 
 def _pairing_sum(operands, uc, xi, area):
+    """The pairing's quadrature from the certificate's active-cell operands
+    and the kernel's ``(uc, xi)``.  Each product fills a C-ordered (k, width)
+    buffer along the slot-major rows of ``uc`` and ``xi``, so its sum runs in
+    the order of the plain product of (k, width) arrays."""
     u0c, u1c, v2c = operands
-    total = np.sum(u0c * uc)
-    total += np.sum(u1c * xi[:, :4])
+    terms = np.empty(u0c.shape)
+    np.multiply(u0c.T, uc.T, out=terms.T)
+    total = terms.sum()
+    terms = np.empty(u1c.shape)
+    np.multiply(u1c.T, xi[:, :4].T, out=terms.T)
+    total += terms.sum()
     total += np.sum(v2c * xi[:, 4:])
     return float(area * total)
 

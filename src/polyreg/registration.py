@@ -72,14 +72,16 @@ class ScalarImage:
     def _axis_coords(self, pts):
         # Grid coordinates with near-integer values snapped, so node queries
         # hit nodes exactly despite the (x - a) / h round trip, one row per
-        # axis.  Returns the lower node index, the fraction past it and
-        # whether the coordinate lay inside before clamping.
+        # axis.  Returns the lower node index, the fraction past it, whether
+        # the coordinate lay inside before clamping and whether it is on the
+        # far edge after, and the (2, 1) column of spacings.
         grid = self.grid
         (a1, _), (a2, _) = grid.bounds
-        last = np.array([[grid.nx - 1.0], [grid.ny - 1.0]])
+        (h1, h2), nx, ny = grid.spacing, grid.nx, grid.ny
+        origin, spacing, last = np.array([[[a1], [a2]], [[h1], [h2]], [[nx - 1.0], [ny - 1.0]]])
         t = np.empty((2, len(pts)))
-        np.subtract(pts.T, [[a1], [a2]], out=t)
-        t /= np.array(grid.spacing)[:, None]
+        np.subtract(pts.T, origin, out=t)
+        t /= spacing
         nearest = np.rint(t)
         off = np.subtract(t, nearest)
         np.abs(off, out=off)
@@ -90,9 +92,10 @@ class ScalarImage:
         inside = t >= 0.0
         inside &= t <= last
         t.clip(0.0, last, out=t)
+        on_edge = t == last
         i0 = t.astype(int)
         t -= i0
-        return i0, t, inside
+        return i0, t, inside, on_edge, spacing
 
     def sample(self, points) -> np.ndarray:
         return self._interpolate(points, gradient=False)
@@ -118,15 +121,17 @@ class ScalarImage:
         if np.isnan(pts).any():
             # a NaN cast to an index would wrap into the flat sample array
             raise IndexError("cannot sample an image at NaN coordinates")
-        nx, ny = self.grid.nx, self.grid.ny
-        i0, frac, inside = self._axis_coords(pts)
-        on = i0 == [[nx - 1], [ny - 1]]
+        ny = self.grid.ny
+        i0, frac, inside, on, spacing = self._axis_coords(pts)
         on_i, on_j = on
-        cell = np.minimum(i0, [[nx - 2], [ny - 2]])
+        cell = np.subtract(i0, on, out=i0)  # min(i0, count - 2)
         k = cell[0] * ny
         k += cell[1]
         # s00, s10, s01, s11 at the stencil cell's corners
-        s = self.samples.ravel().take(k + np.array([[0], [ny], [1], [ny + 1]]))
+        flat = self.samples.ravel()
+        s = np.empty((4, len(k)))
+        for row, offset in enumerate((0, ny, 1, ny + 1)):
+            flat[offset:].take(k, out=s[row])
         # the value's corners c00, c10, c01 and s11: collapsed on a far edge
         c = s.copy()
         np.copyto(c[1:3], s[3], where=on[::-1])
@@ -150,7 +155,7 @@ class ScalarImage:
         t = np.subtract(s[3], s[2:0:-1])  # s11 - s01, s11 - s10
         t *= frac[::-1]
         g += t
-        g /= np.array(self.grid.spacing)[:, None]
+        g /= spacing
         g *= inside
         # component-major: the transpose of the (2, n) rows
         return vals, g.T.reshape(shape + (2,))

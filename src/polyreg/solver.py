@@ -373,7 +373,7 @@ class _CompactMemory:
         if not sy > 1e-12 * math.sqrt(_blocked_dot(s, s)) * math.sqrt(yy):
             self.products = self._products(g)
             return
-        yz = _blocked_dot(y, z)
+        yz = yy if z is y else _blocked_dot(y, z)
         self.gamma = sy / yz
         k, before = self.stored, self.products
         if k == self.memory:  # the oldest pair leaves
