@@ -28,7 +28,17 @@ the transpose of the difference stencil.
 
 Kernel and pull-back compute into a few buffers allocated per call and
 updated in place, with the operations and operands of the plain expressions.
-No buffer outlives its call, so every function here stays pure.
+No buffer outlives its call, so every function here stays pure.  The
+buffers are slot-major: the kernel's ``uc`` and ``xi`` are the transposes
+of C-ordered (2, k) and (5, k) arrays, one contiguous row per slot, and the
+rotation density returns its ``g_xi`` the same way, so each stencil,
+density step and pull-back step is one numpy call over whole rows rather
+than one per component over strided columns.  They keep the (k, 2) and
+(k, 5) shapes of the ``Integrand`` contract; what is summed (densities,
+pairing products) is summed from C-ordered arrays in the order of the
+plain expressions.  The pull-back stores each cell's gradient entries at
+its (i, j) corner node, so the four corner sums run along the flat node
+order.
 
 Non-rectangular domains are handled by a cell mask; inactive cells contribute
 nothing to energies, gradients or pairings.  Summation always runs over the
@@ -272,11 +282,7 @@ def _corner_nodes(grid, cells):
 def cell_center_values(node_values) -> np.ndarray:
     """Mean of the four corner values per cell (bilinear value at the center)."""
     v = np.asarray(node_values, dtype=float)
-    c = np.add(v[:-1, :-1], v[1:, :-1])
-    c += v[:-1, 1:]
-    c += v[1:, 1:]
-    c *= 0.25
-    return c
+    return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
 
 
 def scatter_to_corners(cell_values, node_shape) -> np.ndarray:
@@ -434,8 +440,12 @@ def energy_with_gradient(u, F):
     t *= area
     t[0::2] /= 2.0 * h1
     t[1::2] /= 2.0 * h2
-    # Each cell's row sits at its (i, j) corner node (``_corner_nodes``), so
-    # the corner sums run along the flat node order: see ``_misfit``.
+    # Each cell's entries sit in the row of its (i, j) corner node, so each
+    # corner sum below is one slice of the flat nodes.  The slices also reach
+    # the last node row and column, which start no cell, and wrap from one
+    # row's end to the next row's start; those rows hold 0.0, which leaves
+    # every node as the 2-d sums over the cells leave it (a node sum starts
+    # at 0.0, so it is never -0.0, and x + 0.0 and x - 0.0 are x otherwise).
     cells = np.zeros((grid.nx * grid.ny, 4))
     low = grid.active_corners[0]
     for e in range(4):  # four 1-d scatters beat one of (k, 4) rows
@@ -443,14 +453,13 @@ def energy_with_gradient(u, F):
     gx, gy = cells[:, 0::2], cells[:, 1::2]
 
     # Corner weights (-1, -1), (1, -1), (-1, 1), (1, 1) on (gx, gy), added in
-    # that order, each onto the nodes at the corner's flat offset;
-    # subtracting gx + gy equals adding -gx - gy bit for bit.
+    # that order; subtracting gx + gy equals adding -gx - gy bit for bit.
     row = 2 * grid.ny  # one node row of the flat gradient
     total = np.add(gx, gy).reshape(-1)
     grad = np.subtract(0.0, total)
-    t = np.subtract(gx, gy).reshape(-1)
-    grad[row:] += t[:-row]
-    grad[2:] -= t[:-2]
+    diff = np.subtract(gx, gy).reshape(-1)
+    grad[row:] += diff[:-row]
+    grad[2:] -= diff[:-2]
     grad[row + 2:] += total[:-row - 2]
     grad = grad.reshape(u.values.shape)
 

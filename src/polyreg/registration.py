@@ -229,12 +229,10 @@ def _misfit(grid, diff, q, gradient=False):
     """Cell area times ``sum |d|^q``, ``d`` the mean of nodal ``diff`` over
     each active cell; with ``gradient``, also its derivative in ``diff``.
 
-    Cell means and corner sums run along the flat node order, cell values
-    sitting at their (i, j) corner node.  They also reach the last node row
-    and column, which start no cell, and wrap from one row's end to the next
-    row's start; there they read or add 0.0, which leaves every node as the
-    2-d sums leave it (a node sum starts at 0.0, so it is never -0.0, and
-    x + 0.0 is x for every other x)."""
+    Cell means and corner sums are slices of the flat nodes, each cell at
+    its (i, j) corner node, as in ``fields.energy_with_gradient``: the means
+    of the rows that start no cell are computed and never gathered, and
+    those rows add 0.0 to the corner sums."""
     ny = grid.ny
     low = grid.active_corners[0]
     v = diff.reshape(-1)

@@ -67,10 +67,12 @@ start, as they do under the scalar metric.  The shift
 ``mbar`` being the mean of ``|grad I_ref|^2`` over the domain nodes, with
 the regularizer's; the metric is used when ``0 < c <= 1``
 (``metric_shift``), and ``MinimizeResult.metric_shift`` reports the ``c``
-used.  Where the misfit dominates the metric does not pay (the default
-32 x 32 sweep, c from 3.9 to 246, took 2,867 iterations with it against
-2,739 without), while a cold 128 x 128 solve at the default weight (c about
-0.9) takes half the iterations with it.
+used.  Where the misfit dominates the metric does not pay: forced on the
+default 32 x 32 sweep (noise seed 0, c from 3.9 to 246), it takes 2,734
+iterations against 2,814 without, but its solves take 1.18 to 1.27 s
+against 1.09 to 1.25 s (three alternating runs each, 2-vCPU Xeon), each
+iteration paying for an apply.  A cold 128 x 128 solve at the default
+weight (c about 0.9) takes half the iterations with it.
 
 The direction comes from the compact form of the inverse-BFGS matrix
 (``_CompactMemory``).  Each iteration applies the metric once, to the new
