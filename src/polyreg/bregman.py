@@ -310,13 +310,13 @@ def verify_subgradient(F, w, trials, seed, radius=0.5) -> SubgradientReport:
     After the base-point pass, a check of at least ``_SPLIT_MIN_WORK``
     trials times active cells runs its trials in two processes: this one
     takes ``[0, trials // 2)`` and one forked child ``[trials // 2,
-    trials)``; a smaller one runs them all here.  Each trial draws from its own seed, and the halves combine
-    as the serial loop does (the leftmost minimum gap, this half first, and
-    the summed violation count), so the report cannot change.  An exception
-    in either half is raised here, and no child outlives the call.  The
-    child's work is invisible to tracing in this process: a traced run
-    counts only this half's ``integrands.value`` and
-    ``fields.random_smooth_field`` calls.
+    trials)``; a smaller one runs them all here.  Each trial draws from its
+    own seed, and the halves combine as the serial loop does (the leftmost
+    minimum gap, this half first, and the summed violation count), so the
+    report cannot change.  An exception in either half is raised here, and
+    no child outlives the call.  The child's work is invisible to tracing
+    in this process: a traced run counts only this half's
+    ``integrands.value`` and ``fields.random_smooth_field`` calls.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
@@ -329,6 +329,7 @@ def verify_subgradient(F, w, trials, seed, radius=0.5) -> SubgradientReport:
     ru, wu = _energy_and_pairing(u, F, operands)
     if not np.isfinite(ru):
         return SubgradientReport(trials, 0, 0.0, _VIOLATION_TOL)
+
     def run(start, stop):
         return _trial_gaps(F, u, operands, ru, wu, seed, radius, start, stop)
 
