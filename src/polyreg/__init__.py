@@ -31,7 +31,6 @@ from .fields import (
     InfiniteEnergyError,
     MatrixField,
     UnboundedGradientError,
-    cell_center_values,
     disk_mask,
     energy,
     energy_with_gradient,

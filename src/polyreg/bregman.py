@@ -41,13 +41,13 @@ import numpy as np
 from .fields import (
     InfiniteEnergyError,
     MatrixField,
+    _cell_means,
+    _corner_sums,
     _density_pass,
     _energy_and_pairing,
     _pairing_operands,
-    cell_center_values,
     energy,
     random_smooth_field,
-    scatter_to_corners,
 )
 
 # Bregman gaps below minus this count as certificate violations.
@@ -95,7 +95,7 @@ class PolySubgradient:
         grid = self.base_point.grid
         idx = grid.active_index
         return (
-            cell_center_values(self.u0).reshape(-1, 2)[idx],
+            _cell_means(grid, self.u0),
             self.u1.reshape(-1, 4)[idx],
             self.v2.reshape(-1, self.v2.shape[-1])[idx],
         )
@@ -150,10 +150,8 @@ def poly_subgradient(F, u) -> PolySubgradient:
     if g_u is None:  # no direct u dependence
         u0 = np.zeros(grid.node_shape + (2,))
     else:
-        gu_cells = np.zeros(grid.cell_shape + (2,))
-        gu_cells.reshape(-1, 2)[idx] = g_u
-        counts = scatter_to_corners(grid.active_cells.astype(float), grid.node_shape)
-        summed = scatter_to_corners(gu_cells, grid.node_shape)
+        counts = _corner_sums(grid, np.ones(len(idx)))
+        summed = _corner_sums(grid, g_u)
         u0 = np.where(counts[..., None] > 0, summed / np.maximum(counts, 1.0)[..., None], 0.0)
     return PolySubgradient(u0, u1, v2, base_point=u, base_energy=base_energy)
 

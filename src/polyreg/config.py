@@ -82,7 +82,7 @@ def build_grid(cfg) -> Grid:
         return bare  # a grid built without a mask carries the box mask
     if kind == "disk":
         _reject_out_of_range((("mask.radius", m["radius"], "finite and > 0",
-                               _finite_positive(m["radius"])),))
+                               _finite_positive(_real("mask.radius", m["radius"]))),))
         mask = disk_mask(bare, center=tuple(m["center"]), radius=float(m["radius"]))
     elif kind == "csv":
         from .io import load_mask
@@ -105,7 +105,27 @@ def build_integrand(cfg):
 
 
 def _finite_positive(value) -> bool:
-    return math.isfinite(float(value)) and float(value) > 0
+    return math.isfinite(value) and value > 0
+
+
+def _real(key, value) -> float:
+    """``float(value)``, or an error naming the key when it does not convert."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}") from None
+
+
+def _integer(key, value) -> int:
+    """``int(value)``, or an error naming the key when it does not convert or
+    would drop a fraction."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return number
 
 
 def _reject_out_of_range(checks) -> None:
@@ -118,25 +138,28 @@ def _reject_out_of_range(checks) -> None:
 def _check_ranges(cfg) -> None:
     """Reject solver, sweep and seed settings outside their ranges, naming the key."""
     sol, ecfg = cfg["solver"], cfg["experiment"]
-    fit_levels = int(ecfg["fit_levels"])
+    fit_levels = _integer("experiment.fit_levels", ecfg["fit_levels"])
     image_seed, blobs = cfg["image"]["seed"], cfg["image"]["blobs"]
     _reject_out_of_range((
-        ("solver.tol", sol["tol"], "in (0, 1)", 0 < float(sol["tol"]) < 1),
-        ("solver.max_iter", sol["max_iter"], ">= 1", int(sol["max_iter"]) >= 1),
-        ("solver.memory", sol["memory"], ">= 1", int(sol["memory"]) >= 1),
+        ("solver.tol", sol["tol"], "in (0, 1)", 0 < _real("solver.tol", sol["tol"]) < 1),
+        ("solver.max_iter", sol["max_iter"], ">= 1",
+         _integer("solver.max_iter", sol["max_iter"]) >= 1),
+        ("solver.memory", sol["memory"], ">= 1", _integer("solver.memory", sol["memory"]) >= 1),
         ("experiment.delta0", ecfg["delta0"], "finite and > 0",
-         _finite_positive(ecfg["delta0"])),
+         _finite_positive(_real("experiment.delta0", ecfg["delta0"]))),
         ("experiment.alpha0", ecfg["alpha0"], "finite and > 0",
-         _finite_positive(ecfg["alpha0"])),
+         _finite_positive(_real("experiment.alpha0", ecfg["alpha0"]))),
         ("experiment.epsilon", ecfg["epsilon"], "in [0, 1)",
-         0 <= float(ecfg["epsilon"]) < 1),
+         0 <= _real("experiment.epsilon", ecfg["epsilon"]) < 1),
         ("experiment.fit_levels", fit_levels, ">= 3", fit_levels >= 3),
         ("experiment.levels", ecfg["levels"], f">= experiment.fit_levels = {fit_levels}",
-         int(ecfg["levels"]) >= fit_levels),
+         _integer("experiment.levels", ecfg["levels"]) >= fit_levels),
         ("experiment.seeds", ecfg["seeds"], "a nonempty list of seeds >= 0",
-         len(ecfg["seeds"]) >= 1 and all(int(s) >= 0 for s in ecfg["seeds"])),
+         isinstance(ecfg["seeds"], (list, tuple)) and len(ecfg["seeds"]) >= 1
+         and all(_integer("experiment.seeds", s) >= 0 for s in ecfg["seeds"])),
         ("image.seed", image_seed, ">= 0, or null when image.blobs lists the bumps",
-         int(image_seed) >= 0 if image_seed is not None else blobs is not None),
+         _integer("image.seed", image_seed) >= 0 if image_seed is not None
+         else blobs is not None),
     ))
 
 
@@ -144,9 +167,11 @@ def _check_verify_ranges(cfg) -> None:
     """Reject certificate protocol settings that would make the check vacuous."""
     vcfg = cfg["verify"]
     _reject_out_of_range((
-        ("verify.trials", vcfg["trials"], ">= 1", int(vcfg["trials"]) >= 1),
-        ("verify.radius", vcfg["radius"], "finite and > 0", _finite_positive(vcfg["radius"])),
-        ("verify.seed", vcfg["seed"], ">= 0", int(vcfg["seed"]) >= 0),
+        ("verify.trials", vcfg["trials"], ">= 1",
+         _integer("verify.trials", vcfg["trials"]) >= 1),
+        ("verify.radius", vcfg["radius"], "finite and > 0",
+         _finite_positive(_real("verify.radius", vcfg["radius"]))),
+        ("verify.seed", vcfg["seed"], ">= 0", _integer("verify.seed", vcfg["seed"]) >= 0),
     ))
 
 

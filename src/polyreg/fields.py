@@ -36,9 +36,14 @@ density step and pull-back step is one numpy call over whole rows rather
 than one per component over strided columns.  They keep the (k, 2) and
 (k, 5) shapes of the ``Integrand`` contract; what is summed (densities,
 pairing products) is summed from C-ordered arrays in the order of the
-plain expressions.  The pull-back stores each cell's gradient entries at
-its (i, j) corner node, so the four corner sums run along the flat node
-order.
+plain expressions.
+
+``_cell_means`` (nodes to cells) and ``_corner_sums`` (cells to nodes) are
+the one home of the grid's flat corner layout: each cell sits at its (i, j)
+corner node, so every corner term is one slice of the flat nodes.  The
+misfit, the certificates and the grid's own centres and node marker move
+values through these two; only the pull-back's signed corner sums slice the
+flat nodes themselves.
 
 Non-rectangular domains are handled by a cell mask; inactive cells contribute
 nothing to energies, gradients or pairings.  Summation always runs over the
@@ -171,7 +176,8 @@ class Grid:
 
     @cached_property
     def cell_centers(self) -> np.ndarray:
-        return cell_center_values(self.node_points)
+        low = _corner_nodes(self, np.arange((self.nx - 1) * (self.ny - 1)))[0]
+        return _cell_means(self, self.node_points, low).reshape(self.cell_shape + (2,))
 
     @cached_property
     def active_cells(self) -> np.ndarray:
@@ -215,7 +221,7 @@ class Grid:
             cx, cy = self.mask.center
             r2 = (pts[..., 0] - cx) ** 2 + (pts[..., 1] - cy) ** 2
             return r2 <= self.mask.radius ** 2 * (1.0 + 1e-12)
-        return scatter_to_corners(self.mask.active.astype(float), self.node_shape) > 0
+        return _corner_sums(self, np.ones(len(self.active_index))) > 0
 
     def distance_outside(self, points) -> np.ndarray:
         """Euclidean distance from each point to the (masked) closed domain."""
@@ -279,22 +285,38 @@ def _corner_nodes(grid, cells):
     return np.stack([low, low + grid.ny, low + 1, low + grid.ny + 1])
 
 
-def cell_center_values(node_values) -> np.ndarray:
-    """Mean of the four corner values per cell (bilinear value at the center)."""
-    v = np.asarray(node_values, dtype=float)
-    return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+def _cell_means(grid, nodal, low=None):
+    """Mean of the four corner values of each active cell, in
+    ``Grid.active_index`` order, for ``nodal`` of shape (nx, ny, ...);
+    ``low`` names other cells by the flat index of their (i, j) corner node.
+    The means of the rows that start no cell are computed, never gathered."""
+    ny = grid.ny
+    v = nodal.reshape((-1,) + nodal.shape[2:])
+    mean = np.add(v[:-ny - 1], v[ny:-1])
+    mean += v[1:-ny]
+    mean += v[ny + 1:]
+    mean = mean.take(grid.active_corners[0] if low is None else low, axis=0)
+    mean *= 0.25
+    return mean
 
 
-def scatter_to_corners(cell_values, node_shape) -> np.ndarray:
-    """Transpose of ``cell_center_values`` without the 1/4 weight: adds each
-    cell value onto its four corner nodes."""
-    c = np.asarray(cell_values, dtype=float)
-    out = np.zeros(node_shape + c.shape[2:], dtype=float)
-    out[:-1, :-1] += c
-    out[1:, :-1] += c
-    out[:-1, 1:] += c
-    out[1:, 1:] += c
-    return out
+def _corner_sums(grid, cell_values):
+    """Each active cell's value (rows of ``cell_values``, in
+    ``Grid.active_index`` order) added onto its four corner nodes, shape
+    (nx, ny, ...), bit for bit as four 2-d sums over the cells.
+
+    The slices also reach the rows that start no cell (the last node row
+    and column, and the wrap from one row's end to the next row's start).
+    Those rows hold 0.0, which changes nothing: a node sum starts at
+    0.0 + c, so it is never -0.0, and x + 0.0 is x otherwise."""
+    ny = grid.ny
+    cells = np.zeros((grid.nx * ny,) + cell_values.shape[1:])
+    cells[grid.active_corners[0]] = cell_values
+    sums = np.add(0.0, cells)
+    sums[ny:] += cells[:-ny]
+    sums[1:] += cells[:-1]
+    sums[ny + 1:] += cells[:-ny - 1]
+    return sums.reshape(grid.node_shape + cell_values.shape[1:])
 
 
 class MatrixField:
@@ -425,7 +447,6 @@ def energy_with_gradient(u, F):
     """
     xi, _, value, g_u, g_xi = _density_pass(u, F, gradient=True)
     grid = u.grid
-    idx = grid.active_index
     area = grid.cell_area
     h1, h2 = grid.spacing
     # Row e of t: entry e = (a, b) (row-major) of each cell's matrix gradient
@@ -441,11 +462,9 @@ def energy_with_gradient(u, F):
     t[0::2] /= 2.0 * h1
     t[1::2] /= 2.0 * h2
     # Each cell's entries sit in the row of its (i, j) corner node, so each
-    # corner sum below is one slice of the flat nodes.  The slices also reach
-    # the last node row and column, which start no cell, and wrap from one
-    # row's end to the next row's start; those rows hold 0.0, which leaves
-    # every node as the 2-d sums over the cells leave it (a node sum starts
-    # at 0.0, so it is never -0.0, and x + 0.0 and x - 0.0 are x otherwise).
+    # corner sum below is one slice of the flat nodes, and the rows that
+    # start no cell hold 0.0 and change nothing, as in ``_corner_sums``
+    # (x - 0.0 is x as x + 0.0 is).
     cells = np.zeros((grid.nx * grid.ny, 4))
     low = grid.active_corners[0]
     for e in range(4):  # four 1-d scatters beat one of (k, 4) rows
@@ -464,9 +483,7 @@ def energy_with_gradient(u, F):
     grad = grad.reshape(u.values.shape)
 
     if g_u is not None and np.any(g_u):
-        gu_cells = np.zeros(grid.cell_shape + (2,))
-        gu_cells.reshape(-1, 2)[idx] = (area / 4.0) * g_u
-        grad += scatter_to_corners(gu_cells, grid.node_shape)
+        grad += _corner_sums(grid, (area / 4.0) * g_u)
     return value, grad
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MatrixField
+from .fields import MatrixField, _cell_means, _corner_sums
 
 # warp(strict=True): how far a node may land outside, as a fraction of the
 # domain's diameter.
@@ -227,20 +227,8 @@ def _check_same_geometry(a, b):
 
 def _misfit(grid, diff, q, gradient=False):
     """Cell area times ``sum |d|^q``, ``d`` the mean of nodal ``diff`` over
-    each active cell; with ``gradient``, also its derivative in ``diff``.
-
-    Cell means and corner sums are slices of the flat nodes, each cell at
-    its (i, j) corner node, as in ``fields.energy_with_gradient``: the means
-    of the rows that start no cell are computed and never gathered, and
-    those rows add 0.0 to the corner sums."""
-    ny = grid.ny
-    low = grid.active_corners[0]
-    v = diff.reshape(-1)
-    d = np.add(v[:-ny - 1], v[ny:-1])
-    d += v[1:-ny]
-    d += v[ny + 1:]
-    d = d.take(low)
-    d *= 0.25
+    each active cell; with ``gradient``, also its derivative in ``diff``."""
+    d = _cell_means(grid, diff)
     size = np.abs(d)
     value = grid.cell_area * (size ** q).sum()
     if not gradient:
@@ -250,13 +238,7 @@ def _misfit(grid, diff, q, gradient=False):
     d *= grid.cell_area * q / 4.0
     size **= q - 1.0
     d *= size
-    cells = np.zeros(grid.nx * ny)
-    cells[low] = d
-    slope = np.add(0.0, cells)
-    slope[ny:] += cells[:-ny]
-    slope[1:] += cells[:-1]
-    slope[ny + 1:] += cells[:-ny - 1]
-    return value, slope.reshape(grid.node_shape)
+    return value, _corner_sums(grid, d)
 
 
 def data_term(warped, target, q) -> float:

@@ -12,6 +12,11 @@ cell mask, the general ``all_minors`` and a (cells, 2, 2) cofactor pull-back
 scattered back through the mask.  The kernel performs the same floating-point
 operations in the same order, so the two agree bit for bit.
 
+``cell_center_values`` and ``scatter_to_corners`` are the node-to-cell mean
+and its transpose over full 2-d arrays, the form the library's transfers had
+before they became slices of the flat nodes; every library transfer equals
+them bit for bit.
+
 ``interpolate_reference`` is the bilinear warp as eight two-index gathers,
 the form ``ScalarImage`` had before it read one stencil cell by flat index;
 ``sample`` and ``sample_with_gradient`` equal it bit for bit.
@@ -26,12 +31,7 @@ import itertools
 
 import numpy as np
 
-from polyreg.fields import (
-    InfiniteEnergyError,
-    UnboundedGradientError,
-    cell_center_values,
-    scatter_to_corners,
-)
+from polyreg.fields import InfiniteEnergyError, UnboundedGradientError
 from polyreg.minors import all_minors
 
 
@@ -72,6 +72,25 @@ def relative_error(value, reference, floor=1e-30):
 def central_difference(fn, x, direction, h=1e-5):
     """Directional derivative of a scalar function by central differences."""
     return (fn(x + h * direction) - fn(x - h * direction)) / (2.0 * h)
+
+
+def cell_center_values(node_values):
+    """Mean of the four corner values per cell over the full (nx, ny, ...)
+    node array: the 2-d form of the library's node-to-cell transfer."""
+    v = np.asarray(node_values, dtype=float)
+    return 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:])
+
+
+def scatter_to_corners(cell_values, node_shape):
+    """Transpose of ``cell_center_values`` without the 1/4 weight: adds each
+    value of a full (nx-1, ny-1, ...) cell array onto its four corner nodes."""
+    c = np.asarray(cell_values, dtype=float)
+    out = np.zeros(node_shape + c.shape[2:], dtype=float)
+    out[:-1, :-1] += c
+    out[1:, :-1] += c
+    out[:-1, 1:] += c
+    out[1:, 1:] += c
+    return out
 
 
 def domain_measure(grid):
@@ -207,6 +226,18 @@ def assembly_pairing(w, u):
     total += np.sum(w.u1[act] * jc)
     total += np.sum(w.v2[act] * all_minors(jc)[..., 4:])
     return float(u.grid.cell_area * total)
+
+
+def assembly_node_average(u, F):
+    """``poly_subgradient``'s ``u0``: each node's mean of the direct u
+    gradient over its active cells, from scatters of full cell arrays."""
+    act, _, _, _, g_u, _ = _assembly_pass(u, F, gradient=True)
+    grid = u.grid
+    gu_cells = np.zeros(grid.cell_shape + (2,))
+    gu_cells[act] = g_u
+    counts = scatter_to_corners(act.astype(float), grid.node_shape)
+    summed = scatter_to_corners(gu_cells, grid.node_shape)
+    return np.where(counts[..., None] > 0, summed / np.maximum(counts, 1.0)[..., None], 0.0)
 
 
 def _axis_coords_reference(coords, origin, spacing, count):

@@ -32,9 +32,12 @@ from oracles import (
     assembly_densities,
     assembly_energy,
     assembly_energy_with_gradient,
+    assembly_node_average,
     assembly_pairing,
+    cell_center_values,
     density_from,
     jacobian_stack,
+    scatter_to_corners,
 )
 
 # nx != ny, so a transposed index would show
@@ -202,11 +205,9 @@ def test_unbounded_gradient_raises_like_the_assembly(mask):
             assemble(u, F)
 
 
-@pytest.mark.parametrize("mask", MASKS)
-def test_position_and_value_arguments_equal_the_assembly(mask):
-    # a density that reads x and u: the kernel's cell centers and centre values
-    # are the assembly's, and the direct u gradient is scattered the same way
-    F = Integrand(
+def spatial_energy():
+    """Density that reads x and u, so its direct u gradient is nonzero."""
+    return Integrand(
         MinorsLayout(2, 2), "spatial", density_from(
             lambda x, u, xi: xi[..., 4] ** 2 * (1.0 + x[..., 0] ** 2) + np.sum(u * u, axis=-1),
             lambda x, u, xi: (2.0 * u, np.concatenate(
@@ -214,8 +215,55 @@ def test_position_and_value_arguments_equal_the_assembly(mask):
                  (2.0 * xi[..., 4] * (1.0 + x[..., 0] ** 2))[..., None]], axis=-1)),
         ),
     )
+
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_position_and_value_arguments_equal_the_assembly(mask):
+    # a density that reads x and u: the kernel's cell centers and centre values
+    # are the assembly's, and the direct u gradient is scattered the same way
+    F = spatial_energy()
     u = make_field("random", make_grid(mask))
     value, grad = energy_with_gradient(u, F)
     ref, ref_grad = assembly_energy_with_gradient(u, F)
     assert value == ref
     assert np.array_equal(grad, ref_grad)
+
+
+# The node <-> cell transfers of every caller outside the hot path, bit for
+# bit against the 2-d formulas of ``oracles``.
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_node_average_of_the_u_gradient_equals_the_scatters(mask):
+    u = make_field("random", make_grid(mask))
+    w = poly_subgradient(spatial_energy(), u)
+    ref = assembly_node_average(u, spatial_energy())
+    assert np.any(ref)
+    assert w.u0.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("name", ["spatial", "random"])
+def test_active_values_equal_the_boolean_gathers(name, mask):
+    u = make_field("random", make_grid(mask))
+    w = random_covector(u, seed=4) if name == "random" else poly_subgradient(spatial_energy(), u)
+    act = u.grid.active_cells
+    u0c, u1c, v2c = w.active_values
+    assert u0c.tobytes() == cell_center_values(w.u0)[act].tobytes()
+    assert u1c.tobytes() == w.u1[act].reshape(-1, 4).tobytes()
+    assert v2c.tobytes() == w.v2[act].tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_nodes_in_a_cells_mask_are_the_corners_of_its_cells(seed):
+    rng = np.random.default_rng(seed)
+    grid = BASE.with_mask(CellMask(rng.uniform(size=BASE.cell_shape) < 0.3, kind="cells"))
+    ref = scatter_to_corners(grid.active_cells.astype(float), grid.node_shape) > 0
+    assert not ref.all()
+    assert grid.nodes_in_domain.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_cell_centers_are_the_corner_means_of_the_nodes(mask):
+    grid = make_grid(mask)
+    assert grid.cell_centers.shape == grid.cell_shape + (2,)
+    assert grid.cell_centers.tobytes() == cell_center_values(grid.node_points).tobytes()

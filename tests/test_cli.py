@@ -91,6 +91,17 @@ class TestConfig:
         ("mask", "radius", 0.0),
         ("mask", "radius", -1.0),
         ("mask", "radius", float("nan")),
+        # values that do not convert, or would be truncated to an integer
+        ("solver", "tol", None),
+        ("solver", "max_iter", "many"),
+        ("solver", "memory", 12.5),
+        ("experiment", "seeds", [0.5]),
+        ("experiment", "seeds", 0),
+        ("experiment", "levels", 7.9),
+        ("experiment", "fit_levels", float("inf")),
+        ("experiment", "alpha0", "small"),
+        ("image", "seed", 7.5),
+        ("mask", "radius", None),
     ])
     def test_out_of_range_value_rejected(self, small_config, section, key, value):
         cfg = load_config(small_config)
@@ -340,6 +351,10 @@ class TestVerifySubgradient:
         ("radius", -0.5),
         ("radius", float("nan")),
         ("seed", -1),
+        ("trials", None),
+        ("trials", 2.5),
+        ("radius", "wide"),
+        ("seed", "eleven"),
     ])
     def test_vacuous_protocol_rejected(self, small_config, tmp_path, capsys, key, value):
         with open(small_config, encoding="utf-8") as fh:

@@ -11,7 +11,6 @@ from polyreg import (
     MatrixField,
     MinorsLayout,
     all_minors,
-    cell_center_values,
     detsq_energy,
     disk_mask,
     energy,
@@ -397,9 +396,13 @@ class TestFieldBasics:
         assert np.array_equal(a.values, b.values)
 
     def test_cell_center_values_linear_exact(self, unit_grid):
-        vals = unit_grid.node_points[..., 0] * 2.0 + 1.0
-        centers = cell_center_values(vals)
-        assert np.allclose(centers, unit_grid.cell_centers[..., 0] * 2.0 + 1.0, atol=1e-14)
+        # the centres are the corner means of the (affine) node points
+        (a1, _), (a2, _) = unit_grid.bounds
+        h1, h2 = unit_grid.spacing
+        i, j = np.indices(unit_grid.cell_shape)
+        centers = unit_grid.cell_centers
+        assert np.allclose(centers[..., 0], a1 + (i + 0.5) * h1, atol=1e-14)
+        assert np.allclose(centers[..., 1], a2 + (j + 0.5) * h2, atol=1e-14)
 
 
 # Prints the peak entry and the hash of a 256 x 256 random field's bytes.
