@@ -19,8 +19,7 @@ import numpy as np
 
 from . import io as pio
 from .bregman import poly_subgradient, verify_subgradient, zero_subgradient, bregman_poly
-from .config import (_check_verify_ranges, build_experiment, build_grid, build_integrand,
-                     load_config)
+from .config import build_experiment, build_grid, build_integrand, load_config
 from .fields import (
     Grid,
     energy,
@@ -178,11 +177,10 @@ def cmd_rates(args) -> int:
 
 def cmd_verify_subgradient(args) -> int:
     cfg = load_config(args.config)
-    _check_verify_ranges(cfg)
     grid = build_grid(cfg)
     integrand = build_integrand(cfg)
     vcfg = cfg["verify"]
-    trials, seed, radius = int(vcfg["trials"]), int(vcfg["seed"]), float(vcfg["radius"])
+    trials, seed, radius = vcfg["trials"], vcfg["seed"], vcfg["radius"]
 
     # (label, base field, certificate builder); each certificate is built in turn
     rotation = rotation_field(cfg["experiment"]["theta"], grid)

@@ -2,10 +2,12 @@
 
 The config describes the grid and domain mask, the regularization density,
 the synthetic reference image, the noise sweep and the solver settings.
-Unknown keys are rejected early, so typos fail loudly rather than silently
-falling back to defaults; out-of-range solver and sweep settings are rejected,
-naming the key, when the experiment is built, and out-of-range ``verify``
-settings before the certificate protocol runs.
+Unknown keys fail when a file is merged onto the defaults.  ``_RULES`` gives
+every leaf key of ``default_config()`` its kind (a JSON number, real or
+integer, a bool, a string, a choice or a list) and, where it has one, its
+range; ``_typed`` walks it once, in order, and returns a typed copy or names
+the first key that fails.  ``load_config`` returns that copy and each builder
+walks the dict it is given, so every command checks every key before it runs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 
 from .bregman import SourceConditionParams, poly_subgradient, zero_subgradient
 from .fields import Grid, disk_mask
@@ -50,193 +53,190 @@ def default_config() -> dict:
     }
 
 
-def _merge(base, override, path=""):
+def _merge(base, override, name, prefix=""):
+    if not isinstance(override, dict):
+        raise ValueError(f"{name} must be a JSON object, got {override!r}")
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
-            raise ValueError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, path + key + ".")
+            raise ValueError(f"unknown config key {prefix + key!r}")
+        if isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, f"config key {prefix + key!r}",
+                              prefix + key + ".")
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
 def load_config(path=None) -> dict:
-    """Defaults overlaid with the JSON file at ``path`` (if given)."""
+    """Defaults overlaid with the JSON file at ``path`` (if given), typed and checked."""
     cfg = default_config()
-    if path is None:
-        return cfg
-    with open(path, encoding="utf-8") as fh:
-        user = json.load(fh)
-    return _merge(cfg, user)
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            cfg = _merge(cfg, json.load(fh), f"config file {str(path)!r}")
+    return _typed(cfg)
+
+
+_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _as(kind, value):
+    """``value`` as ``kind`` (a type in ``_NAMES``, a tuple of choices or a
+    ``[what, item kind, length or None]`` list), or a ``ValueError`` saying what it wants."""
+    if isinstance(kind, list):
+        what, item, length = kind
+        if isinstance(value, (list, tuple)) and length in (None, len(value)):
+            try:
+                return [_as(item, v) for v in value]
+            except ValueError:
+                pass
+        raise ValueError(what)
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        raise ValueError("one of " + ", ".join(map(repr, kind)))
+    if kind in (bool, str):
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return kind(value)  # a JSON number; an integer has no fraction
+    raise ValueError(_NAMES[kind])
+
+
+_POSITIVE = "finite and > 0", lambda v: math.isfinite(v) and v > 0
+_AT_LEAST_1 = ">= 1", lambda v: v >= 1
+_PAIRS = ["2 pairs of numbers", ["a pair of numbers", float, 2], 2]
+
+# key -> (kind,) or (kind, rule, ok), in the order of default_config()
+_RULES = {
+    "grid.bounds": (_PAIRS,), "grid.nx": (int,), "grid.ny": (int,),
+    "mask.type": (("disk", "csv", "none"),),
+    "mask.center": (["2 numbers", float, 2],),
+    "mask.radius": (float, *_POSITIVE),
+    "mask.path": (str,),
+    "integrand.name": (("rotation", "pq", "detsq"),),
+    "integrand.p": (float,),
+    "integrand.q": (float, ">= 1", lambda v: v >= 1),
+    "image.blobs": (["rows of 4 numbers", ["4 numbers", float, 4], None],),
+    "image.seed": (int, ">= 0, or null when image.blobs lists the bumps", lambda v: v >= 0),
+    "experiment.theta": (float,),
+    "experiment.delta0": (float, *_POSITIVE),
+    "experiment.levels": (int,),
+    "experiment.alpha0": (float, *_POSITIVE),
+    "experiment.epsilon": (float, "in [0, 1)", lambda v: 0 <= v < 1),
+    "experiment.seeds": (["a list of integers", int, None], "a nonempty list of seeds >= 0",
+                         lambda v: len(v) >= 1 and min(v) >= 0),
+    "experiment.subgradient": (("zero", "gradient"),),
+    "experiment.fit_levels": (int, ">= 3", lambda v: v >= 3),
+    "experiment.exact_row": (bool,),
+    "solver.tol": (float, "in (0, 1)", lambda v: 0 < v < 1),
+    "solver.max_iter": (int, *_AT_LEAST_1),
+    "solver.memory": (int, *_AT_LEAST_1),
+    "source_condition.beta1": (float,),
+    "source_condition.beta2": (float, *_POSITIVE),
+    "source_condition.alpha_bar": (float, *_POSITIVE),
+    "source_condition.rho": (float, *_POSITIVE),
+    "verify.trials": (int, *_AT_LEAST_1),
+    "verify.radius": (float, *_POSITIVE),
+    "verify.seed": (int, ">= 0", lambda v: v >= 0),
+}
+_NULLABLE = {"image.blobs", "image.seed", "source_condition.alpha_bar", "source_condition.rho"}
+# mask keys that one mask type reads; other types keep them unchecked (a null path)
+_MASK_ONLY = {"mask.center": "disk", "mask.radius": "disk", "mask.path": "csv"}
+
+
+def _reject(key, rule, value):
+    raise ValueError(f"config key {key!r} must be {rule}, got {value!r}") from None
+
+
+def _typed(cfg) -> dict:
+    """A typed copy of ``cfg``; a ``ValueError`` names the first key that fails."""
+    out = {}
+    for key, (kind, *limit) in _RULES.items():
+        section, leaf = key.split(".")
+        value = typed = cfg[section][leaf]
+        only = _MASK_ONLY.get(key)  # "mask.type" is walked before these
+        if (only is None or out["mask"]["type"] == only) and not (
+                value is None and key in _NULLABLE):
+            try:
+                typed = _as(kind, value)
+            except ValueError as err:
+                _reject(key, err, value)
+            if limit and not limit[1](typed):
+                _reject(key, limit[0], value)
+        out.setdefault(section, {})[leaf] = typed
+    ecfg = out["experiment"]
+    if ecfg["levels"] < ecfg["fit_levels"]:
+        _reject("experiment.levels", f">= experiment.fit_levels = {ecfg['fit_levels']}",
+                cfg["experiment"]["levels"])
+    if out["image"]["seed"] is None and out["image"]["blobs"] is None:
+        _reject("image.seed", _RULES["image.seed"][1], None)
+    return out
 
 
 def build_grid(cfg) -> Grid:
-    g = cfg["grid"]
-    bounds = tuple(tuple(float(v) for v in b) for b in g["bounds"])
-    bare = Grid(bounds, int(g["nx"]), int(g["ny"]))
-    m = cfg["mask"]
-    kind = m["type"]
-    if kind == "none":
+    cfg = _typed(cfg)
+    g, m = cfg["grid"], cfg["mask"]
+    bare = Grid(tuple(map(tuple, g["bounds"])), g["nx"], g["ny"])
+    if m["type"] == "none":
         return bare  # a grid built without a mask carries the box mask
-    if kind == "disk":
-        _reject_out_of_range((("mask.radius", m["radius"], "finite and > 0",
-                               _finite_positive(_real("mask.radius", m["radius"]))),))
-        mask = disk_mask(bare, center=tuple(m["center"]), radius=float(m["radius"]))
-    elif kind == "csv":
+    if m["type"] == "disk":
+        mask = disk_mask(bare, center=tuple(m["center"]), radius=m["radius"])
+    else:
         from .io import load_mask
         mask = load_mask(m["path"])
-    else:
-        raise ValueError(f"unknown mask type {kind!r}")
     return bare.with_mask(mask)
 
 
 def build_integrand(cfg):
-    spec = cfg["integrand"]
-    name = spec["name"]
-    if name == "rotation":
+    spec = _typed(cfg)["integrand"]
+    if spec["name"] == "rotation":
         return rotation_energy(spec["p"])
-    if name == "pq":
+    if spec["name"] == "pq":
         return pq_energy(spec["p"], spec["q"])
-    if name == "detsq":
-        return detsq_energy()
-    raise ValueError(f"unknown integrand {name!r}")
-
-
-def _finite_positive(value) -> bool:
-    return math.isfinite(value) and value > 0
-
-
-def _real(key, value) -> float:
-    """``float(value)``, or an error naming the key when it does not convert."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}") from None
-
-
-def _integer(key, value) -> int:
-    """``int(value)``, or an error naming the key when it does not convert or
-    would drop a fraction."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (isinstance(value, float) and number != value):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return number
-
-
-def _reject_out_of_range(checks) -> None:
-    """Raise on the first ``(key, value, rule, ok)`` check that fails, naming the key."""
-    for key, value, rule, ok in checks:
-        if not ok:
-            raise ValueError(f"config key {key!r} must be {rule}, got {value!r}")
-
-
-def _check_ranges(cfg) -> None:
-    """Reject solver, sweep and seed settings outside their ranges, naming the key."""
-    sol, ecfg = cfg["solver"], cfg["experiment"]
-    fit_levels = _integer("experiment.fit_levels", ecfg["fit_levels"])
-    image_seed, blobs = cfg["image"]["seed"], cfg["image"]["blobs"]
-    _reject_out_of_range((
-        ("solver.tol", sol["tol"], "in (0, 1)", 0 < _real("solver.tol", sol["tol"]) < 1),
-        ("solver.max_iter", sol["max_iter"], ">= 1",
-         _integer("solver.max_iter", sol["max_iter"]) >= 1),
-        ("solver.memory", sol["memory"], ">= 1", _integer("solver.memory", sol["memory"]) >= 1),
-        ("experiment.delta0", ecfg["delta0"], "finite and > 0",
-         _finite_positive(_real("experiment.delta0", ecfg["delta0"]))),
-        ("experiment.alpha0", ecfg["alpha0"], "finite and > 0",
-         _finite_positive(_real("experiment.alpha0", ecfg["alpha0"]))),
-        ("experiment.epsilon", ecfg["epsilon"], "in [0, 1)",
-         0 <= _real("experiment.epsilon", ecfg["epsilon"]) < 1),
-        ("experiment.fit_levels", fit_levels, ">= 3", fit_levels >= 3),
-        ("experiment.levels", ecfg["levels"], f">= experiment.fit_levels = {fit_levels}",
-         _integer("experiment.levels", ecfg["levels"]) >= fit_levels),
-        ("experiment.seeds", ecfg["seeds"], "a nonempty list of seeds >= 0",
-         isinstance(ecfg["seeds"], (list, tuple)) and len(ecfg["seeds"]) >= 1
-         and all(_integer("experiment.seeds", s) >= 0 for s in ecfg["seeds"])),
-        ("image.seed", image_seed, ">= 0, or null when image.blobs lists the bumps",
-         _integer("image.seed", image_seed) >= 0 if image_seed is not None
-         else blobs is not None),
-    ))
-
-
-def _check_verify_ranges(cfg) -> None:
-    """Reject certificate protocol settings that would make the check vacuous."""
-    vcfg = cfg["verify"]
-    _reject_out_of_range((
-        ("verify.trials", vcfg["trials"], ">= 1",
-         _integer("verify.trials", vcfg["trials"]) >= 1),
-        ("verify.radius", vcfg["radius"], "finite and > 0",
-         _finite_positive(_real("verify.radius", vcfg["radius"]))),
-        ("verify.seed", vcfg["seed"], ">= 0", _integer("verify.seed", vcfg["seed"]) >= 0),
-    ))
+    return detsq_energy()
 
 
 def build_experiment(cfg) -> RateExperiment:
-    _check_ranges(cfg)
+    raw, cfg = cfg, _typed(cfg)
     grid = build_grid(cfg)
     integrand = build_integrand(cfg)
-    blobs = cfg["image"]["blobs"]
-    if blobs is None:
-        blobs = random_blobs(cfg["image"]["seed"])
+    image = cfg["image"]
+    blobs = random_blobs(image["seed"]) if image["blobs"] is None else image["blobs"]
     reference = blob_image(grid, blobs)
     ecfg = cfg["experiment"]
 
-    u_dagger = rotation_field(float(ecfg["theta"]), grid)
+    u_dagger = rotation_field(ecfg["theta"], grid)
     try:
         exact_data = warp(reference, u_dagger, strict=True)
     except DomainViolationError as err:
-        # a csv mask's domain is the union of its cells, whose corners a
-        # rotation moves out; a box or an off-centre disk can leave too
-        m = cfg["mask"]
+        # a csv mask's domain is the union of its cells, whose corners a rotation
+        # moves out; a box or an off-centre disk can leave too.  Quote raw values.
+        m = raw["mask"]
         keys = {"disk": ("center", "radius"), "csv": ("path",)}.get(m["type"], ())
         where = (" and ".join(f"mask.{k} {m[k]!r}" for k in keys)
-                 or f"grid.bounds {cfg['grid']['bounds']!r}")
+                 or f"grid.bounds {raw['grid']['bounds']!r}")
         raise ValueError(
-            f"experiment.theta = {ecfg['theta']!r} rotates the mask at {where} out of "
-            f"itself ({err}); with mask.type {m['type']!r} this needs "
+            f"experiment.theta = {raw['experiment']['theta']!r} rotates the mask at {where} "
+            f"out of itself ({err}); with mask.type {m['type']!r} this needs "
             "experiment.theta = 0 or a mask that the rotation maps into itself"
         ) from err
-    forward = ForwardModel(reference=reference, exact_data=exact_data,
-                           q=float(cfg["integrand"]["q"]))
-
-    which = ecfg["subgradient"]
-    if which == "zero":
-        w = zero_subgradient(integrand, u_dagger)
-    elif which == "gradient":
-        w = poly_subgradient(integrand, u_dagger)
-    else:
-        raise ValueError(f"unknown subgradient choice {which!r}")
+    forward = ForwardModel(reference=reference, exact_data=exact_data, q=cfg["integrand"]["q"])
+    build = zero_subgradient if ecfg["subgradient"] == "zero" else poly_subgradient
+    w = build(integrand, u_dagger)
 
     scfg = cfg["source_condition"]
-    alpha_bar = scfg["alpha_bar"]
-    if alpha_bar is None:
-        alpha_bar = float(ecfg["alpha0"])
-    rho = scfg["rho"]
-    if rho is None:
-        rho = 10.0 * alpha_bar * w.base_energy
-    params = SourceConditionParams(
-        beta1=float(scfg["beta1"]), beta2=float(scfg["beta2"]),
-        rho=float(rho), alpha_bar=float(alpha_bar),
-    )
+    alpha_bar = ecfg["alpha0"] if scfg["alpha_bar"] is None else scfg["alpha_bar"]
+    rho = 10.0 * alpha_bar * w.base_energy if scfg["rho"] is None else scfg["rho"]
+    params = SourceConditionParams(beta1=scfg["beta1"], beta2=scfg["beta2"],
+                                   rho=rho, alpha_bar=alpha_bar)
 
     sol = cfg["solver"]
     return RateExperiment(
-        integrand=integrand,
-        forward=forward,
-        u_dagger=u_dagger,
-        w=w,
-        deltas=geometric_levels(float(ecfg["delta0"]), int(ecfg["levels"])),
-        alpha0=float(ecfg["alpha0"]),
-        epsilon=float(ecfg["epsilon"]),
-        seeds=tuple(int(s) for s in ecfg["seeds"]),
-        source_params=params,
-        solver_tol=float(sol["tol"]),
-        solver_max_iter=int(sol["max_iter"]),
-        solver_memory=int(sol["memory"]),
-        fit_levels=int(ecfg["fit_levels"]),
-        exact_row=bool(ecfg["exact_row"]),
+        integrand=integrand, forward=forward, u_dagger=u_dagger, w=w,
+        deltas=geometric_levels(ecfg["delta0"], ecfg["levels"]), alpha0=ecfg["alpha0"],
+        epsilon=ecfg["epsilon"], seeds=tuple(ecfg["seeds"]), source_params=params,
+        solver_tol=sol["tol"], solver_max_iter=sol["max_iter"], solver_memory=sol["memory"],
+        fit_levels=ecfg["fit_levels"], exact_row=ecfg["exact_row"],
     )
