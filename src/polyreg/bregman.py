@@ -106,7 +106,7 @@ class SourceConditionParams:
     """Constants of the variational source condition.
 
     ``beta1`` must lie in [0, 1); ``beta2``, ``rho`` and ``alpha_bar`` must
-    be positive, and the sublevel-set restriction requires
+    be finite and positive, and the sublevel-set restriction requires
     ``alpha_bar * R(minimizer) < rho``.
     """
 
@@ -118,8 +118,9 @@ class SourceConditionParams:
     def __post_init__(self):
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
-        if self.beta2 <= 0 or self.rho <= 0 or self.alpha_bar <= 0:
-            raise ValueError("beta2, rho and alpha_bar must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.beta2, self.rho, self.alpha_bar)):
+            raise ValueError("beta2, rho and alpha_bar must be finite and positive, got "
+                             f"{self.beta2}, {self.rho}, {self.alpha_bar}")
 
     def check_sublevel(self, minimizer_energy) -> None:
         if not self.alpha_bar * minimizer_energy < self.rho:

@@ -77,9 +77,6 @@ def load_config(path=None) -> dict:
     return _typed(cfg)
 
 
-_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
-
-
 def _as(kind, value):
     """``value`` as ``kind`` (a type in ``_NAMES``, a tuple of choices or a
     ``[what, item kind, length or None]`` list), or a ``ValueError`` saying what it wants."""
@@ -104,8 +101,10 @@ def _as(kind, value):
     raise ValueError(_NAMES[kind])
 
 
+_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 _POSITIVE = "finite and > 0", lambda v: math.isfinite(v) and v > 0
 _AT_LEAST_1 = ">= 1", lambda v: v >= 1
+_UNIT = "in [0, 1)", lambda v: 0 <= v < 1
 _PAIRS = ["2 pairs of numbers", ["a pair of numbers", float, 2], 2]
 
 # key -> (kind,) or (kind, rule, ok), in the order of default_config()
@@ -124,7 +123,7 @@ _RULES = {
     "experiment.delta0": (float, *_POSITIVE),
     "experiment.levels": (int,),
     "experiment.alpha0": (float, *_POSITIVE),
-    "experiment.epsilon": (float, "in [0, 1)", lambda v: 0 <= v < 1),
+    "experiment.epsilon": (float, *_UNIT),
     "experiment.seeds": (["a list of integers", int, None], "a nonempty list of seeds >= 0",
                          lambda v: len(v) >= 1 and min(v) >= 0),
     "experiment.subgradient": (("zero", "gradient"),),
@@ -133,7 +132,7 @@ _RULES = {
     "solver.tol": (float, "in (0, 1)", lambda v: 0 < v < 1),
     "solver.max_iter": (int, *_AT_LEAST_1),
     "solver.memory": (int, *_AT_LEAST_1),
-    "source_condition.beta1": (float,),
+    "source_condition.beta1": (float, *_UNIT),
     "source_condition.beta2": (float, *_POSITIVE),
     "source_condition.alpha_bar": (float, *_POSITIVE),
     "source_condition.rho": (float, *_POSITIVE),
@@ -212,7 +211,7 @@ def build_experiment(cfg) -> RateExperiment:
         exact_data = warp(reference, u_dagger, strict=True)
     except DomainViolationError as err:
         # a csv mask's domain is the union of its cells, whose corners a rotation
-        # moves out; a box or an off-centre disk can leave too.  Quote raw values.
+        # moves out; a box or an off-centre disk can leave too.  Quote values as given.
         m = raw["mask"]
         keys = {"disk": ("center", "radius"), "csv": ("path",)}.get(m["type"], ())
         where = (" and ".join(f"mask.{k} {m[k]!r}" for k in keys)

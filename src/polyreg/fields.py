@@ -53,6 +53,7 @@ same flat cell order, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,6 +140,9 @@ class Grid:
         (a1, b1), (a2, b2) = self.bounds
         if not (b1 > a1 and b2 > a2):
             raise ValueError(f"degenerate bounds {self.bounds}")
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in (self.nx, self.ny)):
+            raise ValueError(f"node counts must be integers, got {self.nx!r}, {self.ny!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need at least two nodes per axis")
         if self.mask is None:

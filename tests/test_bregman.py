@@ -491,3 +491,12 @@ class TestSourceCondition:
         with pytest.raises(ValueError):
             params.check_sublevel(2.0)
         params.check_sublevel(0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("key", ["beta2", "rho", "alpha_bar"])
+    def test_params_reject_non_finite_constants(self, key, value):
+        # a NaN beta2 would make every source-condition residual test pass
+        constants = {"beta1": 0.5, "beta2": 1.0, "rho": 1.0, "alpha_bar": 1.0}
+        constants[key] = value
+        with pytest.raises(ValueError, match="finite and positive"):
+            SourceConditionParams(**constants)

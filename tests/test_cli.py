@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,57 @@ def small_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _leaves(tree, prefix=""):
+    """(dotted key, value) for every leaf of a nested config dict, in order."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+def _base_config():
+    cfg = default_config()
+    cfg["grid"].update(nx=16, ny=16)
+    return cfg
+
+
+def _first_entry_replaced(value, entry):
+    """A copy of a (nested) list with its first innermost entry replaced."""
+    if not isinstance(value, list):
+        return entry
+    return [_first_entry_replaced(value[0], entry)] + value[1:]
+
+
+def _innermost(value):
+    return _innermost(value[0]) if isinstance(value, list) else value
+
+
+def _wrong_kinds(key, default):
+    """Values of the wrong kind for a leaf: null where the default is not null,
+    a numeric string, ``true`` for a number, a fraction for an integer."""
+    if key == "mask.path":  # read for a csv mask, where any string names a file
+        return [None, True, 1]
+    if default is None:  # alpha_bar and rho (numbers), image.blobs (rows of numbers)
+        return ["1", True, ["1"]]
+    wrong = [None]
+    if isinstance(default, bool):
+        wrong += ["no", 0]
+    elif isinstance(default, (int, float)):
+        wrong += [str(default), True] + ([default + 0.5] if isinstance(default, int) else [])
+    elif isinstance(default, str):
+        wrong += [1]
+    else:
+        wrong += [json.dumps(default), _first_entry_replaced(default, True),
+                  _first_entry_replaced(default, str(_innermost(default)))]
+    return wrong
+
+
+WRONG_KINDS = [pytest.param(key, value, id=f"{key}={value!r}")
+               for key, default in _leaves(_base_config())
+               for value in _wrong_kinds(key, default)]
 
 
 class TestConfig:
@@ -108,6 +160,77 @@ class TestConfig:
         cfg[section][key] = value
         with pytest.raises(ValueError, match=rf"'{section}\.{key}'"):
             build_experiment(cfg)
+
+    def test_rules_cover_every_leaf_in_order(self):
+        from polyreg.config import _RULES
+
+        assert list(_RULES) == [key for key, _ in _leaves(default_config())]
+
+    @pytest.mark.parametrize("key, value", WRONG_KINDS)
+    def test_wrong_kind_rejected_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = _base_config()
+        section, leaf = key.split(".")
+        cfg[section][leaf] = value
+        if key == "mask.path":
+            cfg["mask"]["type"] = "csv"
+        name = rf"config key '{re.escape(key)}' must be "
+        if section != "verify":
+            with pytest.raises(ValueError, match=name):
+                build_experiment(cfg)
+            return
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "cert"
+        with pytest.raises(ValueError, match=name):
+            main(["verify-subgradient", "--config", str(path), "--out", str(out_dir)])
+        assert capsys.readouterr().out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "nx", 16.7),
+        ("mask", "center", [0.0]),
+        ("image", "blobs", [[1.0, 0.2, -0.1]]),
+        ("integrand", "q", 0.5),
+        ("source_condition", "beta1", 1.0),
+        ("source_condition", "beta1", -0.5),
+        ("source_condition", "beta2", float("nan")),
+        ("source_condition", "beta2", float("inf")),
+        ("source_condition", "beta2", 0.0),
+        ("source_condition", "rho", float("nan")),
+        ("source_condition", "rho", -1.0),
+        ("source_condition", "alpha_bar", float("inf")),
+        ("source_condition", "alpha_bar", 0.0),
+    ])
+    def test_value_outside_its_rule_rejected(self, section, key, value):
+        cfg = _base_config()
+        cfg[section][key] = value
+        with pytest.raises(ValueError, match=rf"config key '{section}\.{key}' must be "):
+            build_experiment(cfg)
+
+    def test_loaded_values_are_typed(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"nx": 20.0, "bounds": [[-1, 1], [-1, 1]]},
+                                    "integrand": {"p": 4}, "verify": {"radius": 1}}))
+        cfg = load_config(str(path))
+        assert type(cfg["grid"]["nx"]) is int and cfg["grid"]["nx"] == 20
+        assert cfg["grid"]["bounds"] == [[-1.0, 1.0], [-1.0, 1.0]]
+        assert all(type(v) is float for pair in cfg["grid"]["bounds"] for v in pair)
+        assert type(cfg["integrand"]["p"]) is float
+        assert type(cfg["verify"]["radius"]) is float
+
+    def test_mask_keys_checked_only_for_their_mask_type(self, small_config):
+        cfg = load_config(small_config)
+        cfg["mask"].update(type="none", center=None, radius="wide")
+        assert build_grid(cfg).mask.kind == "box"
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for overlay, name in (([], rf"config file '{re.escape(str(path))}'"),
+                              ({"grid": 5}, "config key 'grid'"),
+                              ({"grid": {"nx": 16}, "verify": []}, "config key 'verify'")):
+            path.write_text(json.dumps(overlay))
+            with pytest.raises(ValueError, match=rf"{name} must be a JSON object"):
+                load_config(str(path))
 
     def test_explicit_blobs_build_without_an_image_seed(self, small_config):
         cfg = load_config(small_config)
@@ -198,6 +321,14 @@ class TestCheckGradient:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7  # minors + 3 density + 3 energy checks
         assert "FAIL" not in out
+
+
+    def test_null_exponent_rejected_before_any_check(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"integrand": {"p": None}}))
+        with pytest.raises(ValueError, match=r"config key 'integrand\.p' must be a number"):
+            main(["check-gradient", "--config", str(path)])
+        assert capsys.readouterr().out == ""
 
 
 class TestRegister:

@@ -61,6 +61,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(((0.0, 1.0), (0.0, 1.0)), 1, 4)
 
+    @pytest.mark.parametrize("nx", [16.7, 16.0, "16", True], ids=repr)
+    def test_node_counts_must_be_integers(self, nx):
+        with pytest.raises(ValueError, match="node counts must be integers"):
+            Grid(((0.0, 1.0), (0.0, 1.0)), nx, 16)
+
+    def test_numpy_integer_node_counts_build(self):
+        g = Grid(((0.0, 1.0), (0.0, 1.0)), np.int64(5), np.int32(3))
+        assert g.node_points.shape == (5, 3, 2)
+
     def test_disk_mask_measure_close_to_area(self):
         base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 64, 64)
         g = base.with_mask(disk_mask(base, radius=1.0))
