@@ -104,12 +104,15 @@ def _as(kind, value):
 _NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 _POSITIVE = "finite and > 0", lambda v: math.isfinite(v) and v > 0
 _AT_LEAST_1 = ">= 1", lambda v: v >= 1
+_AT_LEAST_2 = ">= 2", lambda v: v >= 2
 _UNIT = "in [0, 1)", lambda v: 0 <= v < 1
 _PAIRS = ["2 pairs of numbers", ["a pair of numbers", float, 2], 2]
 
 # key -> (kind,) or (kind, rule, ok), in the order of default_config()
 _RULES = {
-    "grid.bounds": (_PAIRS,), "grid.nx": (int,), "grid.ny": (int,),
+    "grid.bounds": (_PAIRS, "2 finite pairs [low, high] with low < high",
+                    lambda v: all(math.isfinite(a) and a < b and math.isfinite(b) for a, b in v)),
+    "grid.nx": (int, *_AT_LEAST_2), "grid.ny": (int, *_AT_LEAST_2),
     "mask.type": (("disk", "csv", "none"),),
     "mask.center": (["2 numbers", float, 2],),
     "mask.radius": (float, *_POSITIVE),
@@ -119,7 +122,7 @@ _RULES = {
     "integrand.q": (float, ">= 1", lambda v: v >= 1),
     "image.blobs": (["rows of 4 numbers", ["4 numbers", float, 4], None],),
     "image.seed": (int, ">= 0, or null when image.blobs lists the bumps", lambda v: v >= 0),
-    "experiment.theta": (float,),
+    "experiment.theta": (float, "finite", math.isfinite),
     "experiment.delta0": (float, *_POSITIVE),
     "experiment.levels": (int,),
     "experiment.alpha0": (float, *_POSITIVE),
@@ -171,6 +174,12 @@ def _typed(cfg) -> dict:
                 cfg["experiment"]["levels"])
     if out["image"]["seed"] is None and out["image"]["blobs"] is None:
         _reject("image.seed", _RULES["image.seed"][1], None)
+    spec = out["integrand"]  # the exponents each density reads
+    if spec["name"] in ("rotation", "pq") and not (math.isfinite(spec["p"]) and spec["p"] > 2):
+        _reject("integrand.p", f"finite and > 2 for integrand.name {spec['name']!r}",
+                cfg["integrand"]["p"])
+    if spec["name"] == "pq" and not spec["q"] > 1:
+        _reject("integrand.q", "> 1 for integrand.name 'pq'", cfg["integrand"]["q"])
     return out
 
 
@@ -182,10 +191,16 @@ def build_grid(cfg) -> Grid:
         return bare  # a grid built without a mask carries the box mask
     if m["type"] == "disk":
         mask = disk_mask(bare, center=tuple(m["center"]), radius=m["radius"])
+        where = f"mask.center {m['center']!r} and mask.radius {m['radius']!r}"
     else:
         from .io import load_mask
         mask = load_mask(m["path"])
-    return bare.with_mask(mask)
+        where = f"mask.path {m['path']!r}"
+    grid = bare.with_mask(mask)
+    if not mask.active.any():
+        raise ValueError(f"the mask at {where} has no active cell on the "
+                         f"{g['nx']} x {g['ny']} grid")
+    return grid
 
 
 def build_integrand(cfg):

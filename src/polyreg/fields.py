@@ -332,7 +332,17 @@ class MatrixField:
     """
 
     def __init__(self, grid, values):
-        values = np.array(values, dtype=float)
+        self._hold(grid, np.array(values, dtype=float))
+
+    @classmethod
+    def _on(cls, grid, values) -> "MatrixField":
+        """A field on the float array ``values`` itself, not a copy, for a
+        caller that never writes to ``values`` again; the checks still run."""
+        field = cls.__new__(cls)
+        field._hold(grid, values)
+        return field
+
+    def _hold(self, grid, values):
         if values.shape != grid.node_shape + (2,):
             raise ValueError(
                 f"values shape {values.shape} does not match grid {grid.node_shape} + (2,)"

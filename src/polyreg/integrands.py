@@ -25,6 +25,8 @@ after construction, so evaluation is pure and concurrently callable.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +94,7 @@ def rotation_energy(p) -> Integrand:
     singular values of the order-1 block of ``xi`` and ``d`` is the
     determinant slot.  Convex in ``xi`` (each term is convex in its own
     variables) and equal to ``2 + p`` exactly when the block is a rotation
-    and ``d = 1``.  Requires ``p > 2``.
+    and ``d = 1``.  Requires a finite ``p > 2``.
 
     The singular values come in closed form.  With the half sum, half
     difference, half skew and half sym parts ``hs, hd, hk, hy`` of the
@@ -103,23 +105,33 @@ def rotation_energy(p) -> Integrand:
     rounding) even at repeated singular values, where LAPACK-based routines
     may lose the symmetry.  The gradient of ``S = lam1^p + lam2^p`` runs
     through ``d big = (hs dhs + hk dhk) / big`` and
-    ``d small = (hd dhd + hy dhy) / small``.  At ``big = 0`` (``small = 0``)
-    the factor ``dS/d big`` (``dS/d small``) is exactly 0 for ``p > 2``, so
-    that term is set to 0; the result equals ``p * U diag(lam^(p-1)) V^T``
-    from an SVD, which is well defined at repeated singular values.
+    ``d small = (hd dhd + hy dhy) / small``; the result equals
+    ``p * U diag(lam^(p-1)) V^T`` from an SVD, which is well defined at
+    repeated singular values.
+
+    At ``p = 4`` (the default) ``S`` is a polynomial in ``B = big**2`` and
+    ``C = small**2``: ``S = 2 (B^2 + 6 B C + C^2)``, evaluated as
+    ``2 (hi (hi + 6 lo) + lo^2)`` with ``hi, lo`` the larger and smaller of
+    ``B, C`` so that an overflowed ``B`` next to ``C = 0`` gives ``inf``, not
+    ``inf * 0``; ``dS/d big / big = 8 (B + 3 C)`` and
+    ``dS/d small / small = 8 (3 B + C)``.  No square root, power or division
+    runs.  Any other ``p`` takes the singular-value path, where at
+    ``big = 0`` (``small = 0``) the factor ``dS/d big`` (``dS/d small``) is
+    exactly 0 for ``p > 2``, so that term is set to 0.
 
     The density computes in place on slot-major buffers of the call: the
     four parts are the rows ``hs, hk, hd, hy`` of one (4, k) array, the
-    ``big`` and ``small`` rows and everything paired with them share one
-    (2, k) array each, so each step is one numpy call over both, and
-    ``g_xi`` is the transpose of a (5, k) array, like the slots of
+    ``big`` and ``small`` rows (or their squares) and everything paired with
+    them share one (2, k) array each, so each step is one numpy call over
+    both, and ``g_xi`` is the transpose of a (5, k) array, like the slots of
     :mod:`polyreg.fields`.  Every entry sees the operations of the separate
     per-part formulas, in their order.
     """
     p = float(p)
-    if p <= 2:
-        raise ValueError(f"exponent must exceed 2, got p={p}")
+    if not (math.isfinite(p) and p > 2):
+        raise ValueError(f"exponent must be finite and exceed 2, got p={p}")
     layout = MinorsLayout(2, 2)
+    spectrum = _quartic_spectrum if p == 4.0 else functools.partial(_singular_spectrum, p)
 
     def density(x, u, xi, gradient):
         shape = xi.shape[:-1]
@@ -132,33 +144,15 @@ def rotation_energy(p) -> Integrand:
         np.add(slots[0:3:2], slots[3:0:-2], out=h[0:4:3])
         np.subtract(slots[0:3:2], slots[3:0:-2], out=h[2:0:-1])
         h *= 0.5
-        bs = np.hypot(h[0::2], h[1::2])  # big, small
-        big, small = bs
-        lam = np.empty((2, n))  # lam1 and |big - small|, then their powers p - 1
-        np.add(big, small, out=lam[0])
-        gap = big - small
+        value, by = spectrum(h, gradient)
         with np.errstate(over="ignore"):
             wall = np.subtract(1.0, d)
             np.exp(wall, out=wall)
-            np.abs(gap, out=lam[1])
-            value = lam ** p
-            value = np.add(value[0], value[1], out=value[0])
             value += np.multiply(p, wall)
         if not gradient:
             return value.reshape(shape)[()]
-        lam **= p - 1.0
-        top, low = lam
-        low *= np.sign(gap, out=gap)
-        # dS/d big / big and dS/d small / small; 0 where big or small vanish
-        by = np.empty((2, n))
-        np.add(top, low, out=by[0])
-        np.subtract(top, low, out=by[1])
-        by *= p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            by /= bs
-        np.copyto(by, 0.0, where=~(bs > 0))
-        # d(hs, hd, hk, hy) / d(a00, a01, a10, a11) is 1/2 times a sign pattern
-        by *= 0.5
+        # d(hs, hd, hk, hy) / d(a00, a01, a10, a11) is 1/2 times a sign pattern,
+        # folded into by
         pairs = h.reshape(2, 2, n)  # (hs, hk) and (hd, hy)
         pairs *= by[:, None]
         g_xi = np.empty((layout.tau, n))
@@ -168,6 +162,58 @@ def rotation_energy(p) -> Integrand:
         return value.reshape(shape)[()], None, g_xi.T.reshape(xi.shape)
 
     return Integrand(layout, "rotation", density, coercivity_constant=2.0 ** (1.0 - p / 2.0))
+
+
+def _quartic_spectrum(h, gradient):
+    """``lam1^4 + lam2^4`` of the blocks with parts ``h`` and, with
+    ``gradient``, half of ``(dS/d big / big, dS/d small / small)``, shape (2, k)."""
+    with np.errstate(over="ignore"):
+        sq = np.multiply(h, h)
+        bc = np.add(sq[0::2], sq[1::2])  # big**2, small**2
+        lo = np.minimum(bc[0], bc[1])
+        value = np.maximum(bc[0], bc[1])  # hi, then 2 (hi (hi + 6 lo) + lo^2)
+        t = np.multiply(6.0, lo)
+        t += value
+        value *= t
+        lo *= lo
+        value += lo
+        value *= 2.0
+    if not gradient:
+        return value, None
+    by = np.multiply(bc[::-1], 3.0)
+    by += bc
+    by *= 4.0
+    return value, by
+
+
+def _singular_spectrum(p, h, gradient):
+    """``lam1^p + lam2^p`` of the blocks with parts ``h`` and, with
+    ``gradient``, half of ``(dS/d big / big, dS/d small / small)``, shape (2, k)."""
+    n = h.shape[1]
+    bs = np.hypot(h[0::2], h[1::2])  # big, small
+    big, small = bs
+    lam = np.empty((2, n))  # lam1 and |big - small|, then their powers p - 1
+    np.add(big, small, out=lam[0])
+    gap = big - small
+    with np.errstate(over="ignore"):
+        np.abs(gap, out=lam[1])
+        value = lam ** p
+        value = np.add(value[0], value[1], out=value[0])
+    if not gradient:
+        return value, None
+    lam **= p - 1.0
+    top, low = lam
+    low *= np.sign(gap, out=gap)
+    # dS/d big / big and dS/d small / small; 0 where big or small vanish
+    by = np.empty((2, n))
+    np.add(top, low, out=by[0])
+    np.subtract(top, low, out=by[1])
+    by *= p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by /= bs
+    np.copyto(by, 0.0, where=~(bs > 0))
+    by *= 0.5
+    return value, by
 
 
 def pq_energy(p, q, n=2) -> Integrand:

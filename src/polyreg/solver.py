@@ -411,7 +411,8 @@ def minimize(problem, tol=3e-5, max_iter=500, memory=10) -> MinimizeResult:
     shape = problem.initial.values.shape
 
     def value_and_grad(x):
-        f, g = problem.objective_and_gradient(MatrixField(grid, x.reshape(shape)))
+        # every trial point is a new array that the solver never writes to again
+        f, g = problem.objective_and_gradient(MatrixField._on(grid, x.reshape(shape)))
         return f, g.ravel()
 
     x = problem.initial.values.ravel().copy()

@@ -326,6 +326,39 @@ def rotation_gradient_reference(xi, p):
     return None, g_xi
 
 
+def _quartic_split_reference(xi):
+    hs, hd, hk, hy = _rotation_split_reference(xi)[:4]
+    return hs, hd, hk, hy, hs * hs + hk * hk, hd * hd + hy * hy
+
+
+def quartic_rotation_value_reference(xi):
+    """``rotation_value_reference(xi, 4.0)`` as the polynomial
+    ``2 (B^2 + 6 B C + C^2) + 4 exp(1 - d)`` in ``B = big**2``, ``C = small**2``,
+    with the larger of the two factored out."""
+    with np.errstate(over="ignore"):
+        big2, small2 = _quartic_split_reference(xi)[4:]
+        hi, lo = np.maximum(big2, small2), np.minimum(big2, small2)
+        return 2.0 * (hi * (hi + 6.0 * lo) + lo * lo) + 4.0 * np.exp(1.0 - xi[..., 4])
+
+
+def quartic_rotation_gradient_reference(xi):
+    """``rotation_gradient_reference(xi, 4.0)`` with ``dS/d big / big =
+    8 (B + 3 C)`` and ``dS/d small / small = 8 (3 B + C)``."""
+    hs, hd, hk, hy, big2, small2 = _quartic_split_reference(xi)
+    by_big = 4.0 * (big2 + 3.0 * small2)
+    by_small = 4.0 * (3.0 * big2 + small2)
+    g_xi = np.zeros_like(xi)
+    gs, gd = by_big * hs, by_small * hd
+    gk, gy = by_big * hk, by_small * hy
+    g_xi[..., 0] = gs + gd
+    g_xi[..., 1] = gy - gk
+    g_xi[..., 2] = gk + gy
+    g_xi[..., 3] = gs - gd
+    with np.errstate(over="ignore"):
+        g_xi[..., 4] = -4.0 * np.exp(1.0 - xi[..., 4])
+    return None, g_xi
+
+
 def pq_value_reference(xi, p, q, n):
     a = xi[..., :n * n].reshape(xi.shape[:-1] + (n, n))
     fro2 = np.sum(a * a, axis=(-2, -1))
@@ -357,9 +390,10 @@ def detsq_gradient_reference(xi):
 # rotation density, the gradient pull-back, the bilinear interpolation and the
 # misfit quadrature as they stood before the per-call numpy work of each was
 # cut down (stencils per component on (k, 2) corner gathers, a 4-step pull-back
-# loop, ``np.clip`` and ``np.where`` in the interpolation).  The library must
-# equal them bit for bit: the same operations on the same operands in the
-# same order, only fewer and longer numpy calls.
+# loop, ``np.clip`` and ``np.where`` in the interpolation), with the p = 4
+# closed form of the rotation density in the same one-part-per-array style.
+# The library must equal them bit for bit: the same operations on the same
+# operands in the same order, only fewer and longer numpy calls.
 
 def frozen_cell_slots(u, corners):
     """``fields._cell_slots``: ``(uc, xi)`` of shapes (k, 2) and (k, 5)."""
@@ -440,6 +474,53 @@ def frozen_rotation_density(xi, p, gradient):
     np.add(hk, hy, out=g_xi[:, 2])
     np.subtract(hs, hd, out=g_xi[:, 3])
     np.multiply(-p, wall, out=g_xi[:, 4])
+    return value.reshape(shape)[()], None, g_xi.reshape(xi.shape)
+
+
+def frozen_quartic_rotation_density(xi, gradient):
+    """``integrands.rotation_energy(4.0)``'s closed form on slots of any
+    leading shape, one part per array: the value, or ``(value, None, g_xi)``."""
+    shape = xi.shape[:-1]
+    flat = xi.reshape(-1, 5)
+    a = flat[:, :4].reshape(-1, 2, 2)
+    d = flat[:, -1]
+    hs = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+    hd = 0.5 * (a[..., 0, 0] - a[..., 1, 1])
+    hk = 0.5 * (a[..., 1, 0] - a[..., 0, 1])
+    hy = 0.5 * (a[..., 1, 0] + a[..., 0, 1])
+    with np.errstate(over="ignore"):
+        big2 = hs * hs
+        big2 += hk * hk
+        small2 = hd * hd
+        small2 += hy * hy
+        hi, lo = np.maximum(big2, small2), np.minimum(big2, small2)
+        value = np.multiply(6.0, lo)
+        value += hi
+        value *= hi
+        lo *= lo
+        value += lo
+        value *= 2.0
+        wall = np.subtract(1.0, d)
+        np.exp(wall, out=wall)
+        value += np.multiply(4.0, wall)
+    if not gradient:
+        return value.reshape(shape)[()]
+    by_big = np.multiply(3.0, small2)
+    by_big += big2
+    by_big *= 4.0
+    by_small = np.multiply(3.0, big2)
+    by_small += small2
+    by_small *= 4.0
+    hs *= by_big
+    hk *= by_big
+    hd *= by_small
+    hy *= by_small
+    g_xi = np.empty((len(value), 5))
+    np.add(hs, hd, out=g_xi[:, 0])
+    np.subtract(hy, hk, out=g_xi[:, 1])
+    np.add(hk, hy, out=g_xi[:, 2])
+    np.subtract(hs, hd, out=g_xi[:, 3])
+    np.multiply(-4.0, wall, out=g_xi[:, 4])
     return value.reshape(shape)[()], None, g_xi.reshape(xi.shape)
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from polyreg.cli import main
-from polyreg.config import build_experiment, build_grid, default_config, load_config
+from polyreg.config import (build_experiment, build_grid, build_integrand, default_config,
+                             load_config)
 
 from oracles import domain_measure
 
@@ -188,9 +189,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("grid", "nx", 16.7),
+        ("grid", "nx", 1),
+        ("grid", "ny", 0),
+        ("grid", "bounds", [[1.0, -1.0], [-1.0, 1.0]]),
+        ("grid", "bounds", [[-1.0, 1.0], [-1.0, float("nan")]]),
+        ("grid", "bounds", [[float("-inf"), 1.0], [-1.0, 1.0]]),
+        ("experiment", "theta", float("nan")),
+        ("experiment", "theta", float("inf")),
         ("mask", "center", [0.0]),
         ("image", "blobs", [[1.0, 0.2, -0.1]]),
         ("integrand", "q", 0.5),
+        ("integrand", "p", float("nan")),
+        ("integrand", "p", float("inf")),
+        ("integrand", "p", 2.0),
         ("source_condition", "beta1", 1.0),
         ("source_condition", "beta1", -0.5),
         ("source_condition", "beta2", float("nan")),
@@ -206,6 +217,15 @@ class TestConfig:
         cfg[section][key] = value
         with pytest.raises(ValueError, match=rf"config key '{section}\.{key}' must be "):
             build_experiment(cfg)
+
+    @pytest.mark.parametrize("key, value", [("p", 2.0), ("p", float("inf")), ("q", 1.0)])
+    def test_pq_exponent_outside_its_rule_rejected(self, key, value):
+        cfg = _base_config()
+        cfg["integrand"].update({"name": "pq", key: value})
+        with pytest.raises(ValueError, match=rf"config key 'integrand\.{key}' must be .* 'pq'"):
+            build_experiment(cfg)
+        cfg["integrand"]["name"] = "detsq"  # reads neither exponent
+        assert build_integrand(cfg).name == "detsq"
 
     def test_loaded_values_are_typed(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -264,6 +284,24 @@ class TestConfig:
         grid = build_grid(load_config(str(cfg_path)))
         assert grid.mask.kind == "cells"
         assert np.array_equal(grid.mask.active, disk_mask(base, radius=0.7).active)
+
+    @pytest.mark.parametrize("center", [[float("inf"), 0.0], [3.0, 0.0]])
+    def test_empty_disk_mask_rejected_naming_its_keys(self, center):
+        cfg = _base_config()
+        cfg["mask"]["center"] = center
+        with pytest.raises(ValueError, match=r"mask at mask\.center .* and mask\.radius 1\.0 "
+                                             r"has no active cell on the 16 x 16 grid"):
+            build_experiment(cfg)
+
+    def test_empty_csv_mask_rejected_naming_its_path(self, tmp_path):
+        mask_path = tmp_path / "mask.csv"
+        mask_path.write_text("0,0,0\n" * 3)
+        cfg = _base_config()
+        cfg["grid"].update(nx=4, ny=4)
+        cfg["mask"].update(type="csv", path=str(mask_path))
+        where = re.escape(f"mask at mask.path {str(mask_path)!r} has no active cell")
+        with pytest.raises(ValueError, match=where):
+            build_experiment(cfg)
 
     @pytest.mark.filterwarnings("ignore:rotation field on a domain")
     def test_csv_mask_the_rotation_moves_out_names_theta_and_path(self, tmp_path):

@@ -387,6 +387,7 @@ class TestFieldBasics:
         u = MatrixField(unit_grid, vals)
         vals[0, 0, 0] = 99.0
         assert u.values[0, 0, 0] == 0.0
+        assert MatrixField._on(unit_grid, vals).values is vals  # the solver's trial points
 
     def test_shape_guard(self, unit_grid):
         with pytest.raises(ValueError):
@@ -396,8 +397,9 @@ class TestFieldBasics:
     def test_non_finite_values_rejected(self, unit_grid, bad):
         vals = unit_grid.node_points.copy()
         vals[3, 4, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            MatrixField(unit_grid, vals)
+        for build in (MatrixField, MatrixField._on):
+            with pytest.raises(ValueError, match="finite"):
+                build(unit_grid, vals)
 
     def test_random_smooth_field_deterministic(self, unit_grid):
         a = random_smooth_field(unit_grid, seed=123)

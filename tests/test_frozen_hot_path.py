@@ -2,7 +2,10 @@
 (``oracles.frozen_*``): the cell kernel, the rotation density, the gradient
 pull-back, the bilinear interpolation, the misfit quadrature and the
 objective they make up must give the same bytes, on box, disk and cell-list
-masks, at misfit exponents 1.5 and 2 and with and without the energy term."""
+masks, at misfit exponents 1.5 and 2 and with and without the energy term.
+Every rotation-density case runs at both of its paths: p = 2.5 (singular
+values, ``frozen_rotation_density``) and p = 4 (the closed form,
+``frozen_quartic_rotation_density``)."""
 
 import numpy as np
 import pytest
@@ -35,13 +38,14 @@ from oracles import (
     frozen_interpolate,
     frozen_misfit,
     frozen_objective_and_gradient,
+    frozen_quartic_rotation_density,
     frozen_rotation_density,
 )
 
 # nx != ny, so a transposed index would show
 BASE = Grid(((-1.0, 1.0), (-1.0, 0.8)), 19, 14)
 MASKS = ("box", "disk", "cells")
-P = 4.0
+EXPONENTS = (2.5, 4.0)
 
 
 def make_grid(kind):
@@ -53,9 +57,15 @@ def make_grid(kind):
     return BASE.with_mask(CellMask(rng.uniform(size=BASE.cell_shape) < 0.6, kind="cells"))
 
 
+def frozen_density(xi, p, gradient):
+    if p == 4.0:
+        return frozen_quartic_rotation_density(xi, gradient)
+    return frozen_rotation_density(xi, p, gradient)
+
+
 def frozen_rotation(p):
     return Integrand(MinorsLayout(2, 2), "rotation",
-                     lambda x, u, xi, gradient: frozen_rotation_density(xi, p, gradient))
+                     lambda x, u, xi, gradient: frozen_density(xi, p, gradient))
 
 
 def fields_on(grid):
@@ -80,36 +90,38 @@ def test_rotation_density_equals_frozen(shape, gradient):
     if shape:
         xi.reshape(-1, 5)[0, :4] = 0.0  # big = small = 0
         xi.reshape(-1, 5)[-1, :4] = (1.0, 0.0, 0.0, 1.0)  # small = 0
-    got = rotation_energy(P)._density(None, None, xi, gradient)
-    want = frozen_rotation_density(xi, P, gradient)
-    if gradient:
-        assert got[1] is None
-        assert same_bytes(got[0], want[0]) and same_bytes(got[2], want[2])
-    else:
-        assert same_bytes(got, want)
+    for p in EXPONENTS:
+        got = rotation_energy(p)._density(None, None, xi, gradient)
+        want = frozen_density(xi, p, gradient)
+        if gradient:
+            assert got[1] is None
+            assert same_bytes(got[0], want[0]) and same_bytes(got[2], want[2]), p
+        else:
+            assert same_bytes(got, want), p
 
 
 @pytest.mark.parametrize("mask", MASKS)
 def test_energy_with_gradient_equals_frozen(mask):
     grid = make_grid(mask)
+    pairs = [(rotation_energy(p), frozen_rotation(p)) for p in EXPONENTS]
     for u in fields_on(grid):
-        for F, frozen in ((rotation_energy(P), frozen_rotation(P)),
-                          (pq_energy(3.0, 2.0), pq_energy(3.0, 2.0))):
+        for F, frozen in pairs + [(pq_energy(3.0, 2.0), pq_energy(3.0, 2.0))]:
             value, grad = energy_with_gradient(u, F)
             want_value, want_grad = frozen_energy_with_gradient(u, frozen)
-            assert same_bytes(value, want_value) and same_bytes(grad, want_grad)
+            assert same_bytes(value, want_value) and same_bytes(grad, want_grad), F.name
 
 
 @pytest.mark.parametrize("mask", MASKS)
 def test_energy_and_pairing_equals_frozen(mask):
     grid = make_grid(mask)
-    F = rotation_energy(P)
-    w = poly_subgradient(F, random_smooth_field(grid, seed=2, amplitude=0.3))
-    for v in fields_on(grid):
-        operands = _pairing_operands(w, v)
-        got = _energy_and_pairing(v, F, operands)
-        want = frozen_energy_and_pairing(v, frozen_rotation(P), operands)
-        assert all(same_bytes(a, b) for a, b in zip(got, want))
+    for p in EXPONENTS:
+        F = rotation_energy(p)
+        w = poly_subgradient(F, random_smooth_field(grid, seed=2, amplitude=0.3))
+        for v in fields_on(grid):
+            operands = _pairing_operands(w, v)
+            got = _energy_and_pairing(v, F, operands)
+            want = frozen_energy_and_pairing(v, frozen_rotation(p), operands)
+            assert all(same_bytes(a, b) for a, b in zip(got, want)), p
 
 
 @pytest.mark.parametrize("mask", MASKS)
@@ -135,12 +147,13 @@ def test_objective_and_gradient_equals_frozen(mask, q, alpha):
     reference = blob_image(grid, random_blobs(7))
     noisy = reference.samples + 0.01 * np.random.default_rng(4).standard_normal(grid.node_shape)
     data = NoisySample(image=ScalarImage(grid, noisy), delta=0.01, seed=4)
-    problem = TikhonovProblem(rotation_energy(P), reference, data, q, alpha,
-                              identity_field(grid))
-    for u in fields_on(grid):
-        value, grad = problem.objective_and_gradient(u)
-        want_value, want_grad = frozen_objective_and_gradient(problem, u, frozen_rotation(P))
-        assert same_bytes(value, want_value) and same_bytes(grad, want_grad)
+    for p in EXPONENTS:
+        problem = TikhonovProblem(rotation_energy(p), reference, data, q, alpha,
+                                  identity_field(grid))
+        for u in fields_on(grid):
+            value, grad = problem.objective_and_gradient(u)
+            want_value, want_grad = frozen_objective_and_gradient(problem, u, frozen_rotation(p))
+            assert same_bytes(value, want_value) and same_bytes(grad, want_grad), p
 
 
 def signed_zero_density(x, u, xi, gradient):

@@ -27,22 +27,24 @@ import pytest
 
 from polyreg.cli import main
 
+# Recorded with the closed-form p = 4 rotation density; earlier digests came
+# from its singular-value path, which rounds differently.
 RATES = {
-    "report.csv": "ef38a968961e11074812f65a5c0e465dc457e5f2d78817d1138bb30d72575ab1",
-    "report_slopes.json": "e06f22738625fb797174236de9acfce7484e4aa80bd3abc47aa82eae4684a3c4",
+    "report.csv": "82691e7903f069c3020c31f74f58dd8fd117a5aef3bc778dd9da78bf82ae1cbf",
+    "report_slopes.json": "ea8f474e3f3327f13a160b091c834b9c1b436c0ce0ffa11b3c70d75f23eb6f26",
 }
 RATES_32 = {
-    "report.csv": "e500117f541eb9ed503e80cbdd8f16ee08c2557bc7c878cde6e2f5e6d6db927e",
-    "report_slopes.json": "ac90b72ce66a6552ca9325563e86a4a44c60367f0df2d68b275136d2d9355e8e",
+    "report.csv": "01ba2e746a49c19b4a519317d3c722117321b97eb8c0be1a1e5a3182dfb58c26",
+    "report_slopes.json": "26df67520bd744486832498a9c23701105e34f2d3aaa926bd46458b7caf89201",
 }
 REGISTER = {
-    "deformation.csv": "ff132eafc1706940f0fb5a8128798abb01e86497f0c0b214cf04039d0712afbb",
-    "summary.json": "fc5773b27d44f7a6b68b3ed9c2789941adc3e6fa4caaeffe192d31417b0cb1e2",
+    "deformation.csv": "039dbfd3777afa1d52f7027b71299e8fac6423cc4def674450d75aace4bada94",
+    "summary.json": "baafd2d46409456c36dcd86d057694e1e411e3e2daf70b9fe7f05bc54101f03b",
 }
 
 REGISTER_H1 = {
-    "deformation.csv": "9e94cb37323a206b6dcf9c7e51511dccb9b8645d694468267456d3c7e4a11031",
-    "summary.json": "cafd0de93bb93e022ce79279a4bbe4c9aec9ec0108edb959ee4f4f303facd78b",
+    "deformation.csv": "cd8434990e963a898845e1fd6d4d93c5e0b81f371c35f31dce193293ab978473",
+    "summary.json": "3e975373eeaa4c580276f125b58fc5b768822e207cfa75a881d52da2f93febd5",
 }
 
 VERIFY_STDOUT = """\
@@ -57,7 +59,7 @@ VERIFY_BUNDLE = {
     "base_field.csv": "1b36213f0314152f3fe215ce1dbbe936f6f483da03bf214db0d8c548c9145f76",
     "header.json": "36bdd6a04774a19f1c443888ea8c52b3a6a04b34372c35d36b0b3bb9680013da",
     "u0.csv": "07d8d428baf5aa3ef2215cc4967640bbc8e920690d94e90a5ea2b5572a56506c",
-    "u1.csv": "bc054832b21a97df224fd07a1a7fa09159ebc4ef516aa072c82fde0783a3919f",
+    "u1.csv": "29676f4bb51744355176f79edb154bd2de32335fce03be5bb1397ab47414488d",
     "v2.csv": "3e7a8950d5c0b843caf8892eaeffb9cbbb5cf74bbd90463377cf117b08798bd1",
 }
 

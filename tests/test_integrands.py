@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from oracles import (
     detsq_value_reference,
     pq_gradient_reference,
     pq_value_reference,
+    quartic_rotation_gradient_reference,
+    quartic_rotation_value_reference,
     relative_error,
     rotation_gradient_reference,
     rotation_value_reference,
@@ -50,10 +53,9 @@ def nonconvex_control():
 
 class TestRotationEnergy:
     def test_exponent_guard(self):
-        with pytest.raises(ValueError):
-            rotation_energy(2.0)
-        with pytest.raises(ValueError):
-            rotation_energy(1.5)
+        for p in (2.0, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and exceed 2"):
+                rotation_energy(p)
 
     def test_identity_value(self):
         F = rotation_energy(4.0)
@@ -156,6 +158,40 @@ class TestRotationEnergy:
         scale = np.maximum(np.max(np.abs(want), axis=1), 1.0)
         err = np.max(np.abs(g[:, :4] - want), axis=1) / scale
         assert np.max(err) <= 1e-12
+
+    def test_quartic_closed_form_within_ulps_of_svd(self, rng):
+        # at p = 4 value and gradient are polynomials in the entries: within a
+        # few ulps of the largest term of LAPACK's, on blocks over six decades
+        # and where singular values repeat (scaled rotation, reflection, a
+        # near-multiple of the identity) or vanish (zero block, rank one)
+        c, s = np.cos(0.7), np.sin(0.7)
+        edges = [np.zeros((2, 2)), 2.5 * rotation_matrix(0.7),
+                 3.0 * np.array([[c, s], [s, -c]]), np.diag([1.0, 1.0 + 1e-9]),
+                 np.outer([1.0, 2.0], [3.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])]
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1, 1))
+        a = np.concatenate([edges, scales * rng.uniform(-3, 3, (2000, 2, 2))])
+        xi = all_minors(a)
+        xi[:, 4] = rng.uniform(-2.0, 2.0, len(a))  # a barrier term of moderate size
+        value, _, g = rotation_energy(4.0).gradient(None, None, xi)
+        lam = singular_values_reference(a)
+        wall = 4.0 * np.exp(1.0 - xi[:, 4])
+        ulps = 16.0 * np.finfo(float).eps
+        want = np.sum(lam ** 4, axis=1) + wall
+        assert np.all(np.abs(value - want) <= ulps * np.maximum(lam[:, 0] ** 4, wall))
+        want = schatten_gradient_reference(a, 4.0).reshape(-1, 4)
+        assert np.all(np.abs(g[:, :4] - want) <= ulps * 4.0 * lam[:, :1] ** 3)
+        assert np.array_equal(g[:, 4], -wall)
+
+    def test_quartic_overflow_gives_inf_not_nan(self):
+        # big**2 overflows next to small = 0 and the mirror case: an unsorted
+        # product big**2 * small**2 would be inf * 0 = NaN, with a RuntimeWarning
+        xi = np.array([[1e200, 0.0, 0.0, 1e200, 1.0],
+                       [1e200, 0.0, 0.0, -1e200, 1.0],
+                       [1e200, 0.0, 0.0, 1e199, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = rotation_energy(4.0).value(None, None, xi)
+        assert np.array_equal(value, np.full(3, np.inf))
 
     def test_declared_coercivity_constant(self):
         assert rotation_energy(4.0).coercivity_constant == pytest.approx(0.5)
@@ -303,8 +339,8 @@ def _edge_slots():
 @pytest.mark.parametrize("F, value_ref, grad_ref", [
     (rotation_energy(2.5), functools.partial(rotation_value_reference, p=2.5),
      functools.partial(rotation_gradient_reference, p=2.5)),
-    (rotation_energy(4.0), functools.partial(rotation_value_reference, p=4.0),
-     functools.partial(rotation_gradient_reference, p=4.0)),
+    (rotation_energy(4.0), quartic_rotation_value_reference,
+     quartic_rotation_gradient_reference),
     (pq_energy(4.0, 2.0), functools.partial(pq_value_reference, p=4.0, q=2.0, n=2),
      functools.partial(pq_gradient_reference, p=4.0, q=2.0, n=2)),
     (pq_energy(3.0, 1.5), functools.partial(pq_value_reference, p=3.0, q=1.5, n=2),

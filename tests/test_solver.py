@@ -409,9 +409,9 @@ class TestMinimize:
 
     def test_trajectory_matches_the_replaced_hot_path(self, monkeypatch):
         # Every layer of one evaluation through its old, allocating form: the
-        # two-index warp, the assembly and the separate rotation value and
-        # gradient formulas.  The in-place forms perform the same operations
-        # in the same order.
+        # two-index warp, the assembly and the separate p = 4 rotation value
+        # and gradient formulas.  The in-place forms perform the same
+        # operations in the same order.
         import oracles
         from polyreg import fields, solver
         from polyreg.integrands import Integrand
@@ -426,8 +426,8 @@ class TestMinimize:
         monkeypatch.setattr(ScalarImage, "_interpolate", oracles.interpolate_reference)
         problem = small_problem()
         problem.integrand = Integrand(MinorsLayout(2, 2), "rotation", oracles.density_from(
-            lambda x, u, xi: oracles.rotation_value_reference(xi, 4.0),
-            lambda x, u, xi: oracles.rotation_gradient_reference(xi, 4.0)))
+            lambda x, u, xi: oracles.quartic_rotation_value_reference(xi),
+            lambda x, u, xi: oracles.quartic_rotation_gradient_reference(xi)))
         old = minimize(problem, max_iter=400)
         assert fast.iterations == old.iterations > 50
         assert fast.evaluations == old.evaluations
