@@ -189,19 +189,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("grid", "nx", 16.7),
-        ("grid", "nx", 1),
-        ("grid", "ny", 0),
-        ("grid", "bounds", [[1.0, -1.0], [-1.0, 1.0]]),
-        ("grid", "bounds", [[-1.0, 1.0], [-1.0, float("nan")]]),
-        ("grid", "bounds", [[float("-inf"), 1.0], [-1.0, 1.0]]),
-        ("experiment", "theta", float("nan")),
-        ("experiment", "theta", float("inf")),
         ("mask", "center", [0.0]),
         ("image", "blobs", [[1.0, 0.2, -0.1]]),
         ("integrand", "q", 0.5),
-        ("integrand", "p", float("nan")),
-        ("integrand", "p", float("inf")),
-        ("integrand", "p", 2.0),
         ("source_condition", "beta1", 1.0),
         ("source_condition", "beta1", -0.5),
         ("source_condition", "beta2", float("nan")),
@@ -211,6 +201,16 @@ class TestConfig:
         ("source_condition", "rho", -1.0),
         ("source_condition", "alpha_bar", float("inf")),
         ("source_condition", "alpha_bar", 0.0),
+        ("grid", "nx", 1),
+        ("grid", "ny", 0),
+        ("grid", "bounds", [[1.0, -1.0], [-1.0, 1.0]]),
+        ("grid", "bounds", [[-1.0, 1.0], [-1.0, float("nan")]]),
+        ("grid", "bounds", [[float("-inf"), 1.0], [-1.0, 1.0]]),
+        ("experiment", "theta", float("nan")),
+        ("experiment", "theta", float("inf")),
+        ("integrand", "p", float("nan")),
+        ("integrand", "p", float("inf")),
+        ("integrand", "p", 2.0),
     ])
     def test_value_outside_its_rule_rejected(self, section, key, value):
         cfg = _base_config()
