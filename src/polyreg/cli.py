@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .bregman import poly_subgradient, verify_subgradient, zero_subgradient, bregman_poly
+from .bregman import poly_subgradient, verify_subgradient, zero_subgradient
 from .config import build_experiment, build_grid, build_integrand, load_config
 from .fields import (
     Grid,
@@ -28,8 +28,8 @@ from .fields import (
     random_smooth_field,
 )
 from .integrands import detsq_energy, pq_energy, rotation_energy
-from .rates import run_rates, solve_level
-from .registration import admissibility_gap, rotation_field, warp
+from .rates import coarse_to_fine_start, run_rates, solve_level
+from .registration import rotation_field, warp
 
 
 def _noise_level(text) -> float:
@@ -109,47 +109,35 @@ def cmd_check_gradient(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_register(args) -> int:
-    from .rates import coarse_to_fine_start
+# The RateRow fields that ``register`` writes to summary.json.
+_SUMMARY_FIELDS = ("delta", "alpha", "seed", "objective", "iterations", "converged",
+                   "stop_reason", "grad_sup", "energy", "d_poly", "admissibility_gap")
 
+
+def cmd_register(args) -> int:
     cfg = load_config(args.config)
     exp = build_experiment(cfg)
     seed = exp.seeds[0]
     start, ladder = coarse_to_fine_start(exp, args.delta, seed, lambda nx, ny: (
         build_experiment(dict(cfg, grid=dict(cfg["grid"], nx=nx, ny=ny)))))
-    _, alpha, result = solve_level(exp, args.delta, seed, start)
-    gap = admissibility_gap(result.u_min)
+    row, u_min = solve_level(exp, args.delta, seed, start)
     os.makedirs(args.out, exist_ok=True)
-    pio.save_field(os.path.join(args.out, "deformation.csv"), result.u_min)
-    pio.save_pgm(os.path.join(args.out, "warped.pgm"),
-                 warp(exp.forward.reference, result.u_min))
-    summary = {
-        "delta": args.delta,
-        "alpha": alpha,
-        "seed": int(seed),
-        "objective": result.objective,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "stop_reason": result.stop_reason,
-        "grad_sup": result.grad_sup,
-        "energy": energy(result.u_min, exp.integrand),
-        "d_poly": bregman_poly(exp.integrand, result.u_min, exp.u_dagger, exp.w),
-        "admissibility_gap": gap,
-    }
+    pio.save_field(os.path.join(args.out, "deformation.csv"), u_min)
+    pio.save_pgm(os.path.join(args.out, "warped.pgm"), warp(exp.forward.reference, u_min))
     with open(os.path.join(args.out, "summary.json"), "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump({key: getattr(row, key) for key in _SUMMARY_FIELDS}, fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
-    metric = ("scalar" if result.metric_shift is None
-              else f"H1 with shift {result.metric_shift:.3g}")
+    metric = "scalar" if row.metric_shift is None else f"H1 with shift {row.metric_shift:.3g}"
     coarse = ", ".join(f"{nx}x{ny}: {iterations}" for nx, ny, iterations in ladder)
     if coarse:
         coarse = f", started from coarse solves {coarse} iterations"
-    print(f"objective {float(result.objective)!r} after {result.iterations} iterations "
-          f"(converged: {result.converged}, stopped on {result.stop_reason}, "
+    print(f"objective {row.objective!r} after {row.iterations} iterations "
+          f"(converged: {row.converged}, stopped on {row.stop_reason}, "
           f"initial metric {metric}{coarse})")
-    if _leaves_domain(gap, result.u_min.grid, "the field"):
+    if _leaves_domain(row.admissibility_gap, u_min.grid, "the field"):
         return 1
-    return 0 if result.converged else 1
+    return 0 if row.converged else 1
 
 
 def cmd_rates(args) -> int:

@@ -178,8 +178,8 @@ def _typed(cfg) -> dict:
     if spec["name"] in ("rotation", "pq") and not (math.isfinite(spec["p"]) and spec["p"] > 2):
         _reject("integrand.p", f"finite and > 2 for integrand.name {spec['name']!r}",
                 cfg["integrand"]["p"])
-    if spec["name"] == "pq" and not spec["q"] > 1:
-        _reject("integrand.q", "> 1 for integrand.name 'pq'", cfg["integrand"]["q"])
+    if spec["name"] == "pq" and not (math.isfinite(spec["q"]) and spec["q"] > 1):
+        _reject("integrand.q", "finite and > 1 for integrand.name 'pq'", cfg["integrand"]["q"])
     return out
 
 
@@ -196,6 +196,9 @@ def build_grid(cfg) -> Grid:
         from .io import load_mask
         mask = load_mask(m["path"])
         where = f"mask.path {m['path']!r}"
+        if mask.active.shape != bare.cell_shape:
+            raise ValueError(f"the mask at {where} has shape {mask.active.shape}, but the "
+                             f"{g['nx']} x {g['ny']} grid has {bare.cell_shape} cells")
     grid = bare.with_mask(mask)
     if not mask.active.any():
         raise ValueError(f"the mask at {where} has no active cell on the "

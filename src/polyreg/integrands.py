@@ -218,15 +218,15 @@ def _singular_spectrum(p, h, gradient):
 
 def pq_energy(p, q, n=2) -> Integrand:
     """``|A|^p / p + |d|^q / q`` on square layouts, Frobenius norm on the
-    order-1 block and the determinant slot ``d``.  Requires ``p > n`` and
-    ``q > 1``; the gradient is ``(|A|^(p-2) A, |d|^(q-2) d)`` and any
+    order-1 block and the determinant slot ``d``.  Requires finite ``p > n``
+    and ``q > 1``; the gradient is ``(|A|^(p-2) A, |d|^(q-2) d)`` and any
     intermediate minor blocks (n = 3) receive zero weight."""
     p, q = float(p), float(q)
     n = int(n)
-    if not p > n:
-        raise ValueError(f"need p > n, got p={p}, n={n}")
-    if not q > 1:
-        raise ValueError(f"need q > 1, got q={q}")
+    if not (math.isfinite(p) and p > n):
+        raise ValueError(f"need a finite p > n, got p={p}, n={n}")
+    if not (math.isfinite(q) and q > 1):
+        raise ValueError(f"need a finite q > 1, got q={q}")
     layout = MinorsLayout(n, n)
     n2 = n * n
 

@@ -15,6 +15,8 @@ noise-free exact row warm-starts from the last level at the smallest level's
 weight, so it too is a regularized minimizer (for the default rotation
 density and zero certificate, the exact solution itself).  With fixed seeds
 the sweep is fully deterministic and two runs produce byte-identical reports.
+Each solve is reported once, as the ``RateRow`` that ``solve_level`` returns;
+the sweep's report and ``register``'s ``summary.json`` are both read from it.
 
 A cold ``register`` solve on a grid of at least 128 nodes per axis starts
 from a ladder of coarse solves of the same experiment instead of the
@@ -109,6 +111,10 @@ def fit_slope(rows) -> SlopeFit:
 
 @dataclass(frozen=True)
 class RateRow:
+    """One level solve as reported; ``solve_level`` alone builds it.  Its
+    ``wallclock`` spans posing the problem, the solve, the distance and the
+    residual."""
+
     delta: float
     alpha: float
     seed: int
@@ -119,7 +125,15 @@ class RateRow:
     converged: bool
     wallclock: float
     admissibility_gap: float  # how far the solution leaves the domain
-    exact: bool = False
+    stop_reason: str
+    grad_sup: float
+    energy: float
+    metric_shift: float | None  # c of the H1 initial metric; None: scalar
+
+    @property
+    def exact(self) -> bool:
+        """The noise-free row: ``run_rates`` refuses levels <= 0."""
+        return self.delta == 0.0
 
 
 @dataclass
@@ -245,17 +259,39 @@ def _pose_level(exp, delta, seed, start, weight_delta=None):
 
 
 def solve_level(exp, delta, seed, warm_start=None, *, weight_delta=None):
-    """One regularized solve at noise level ``delta``.
+    """One regularized solve at noise level ``delta``, and its report.
 
     Draws the noisy data with ``seed``, picks the weight by the a-priori
     rule at ``weight_delta`` (default ``delta``; ``alpha = 0`` at zero: the
     exact, unregularized solve) and solves once from ``warm_start``, or from
-    the identity when there is none.  Returns ``(sample, alpha, result)``.
+    the identity when there is none.  Returns ``(row, u_min)``: the solve's
+    ``RateRow`` and its minimizer.
     """
+    started = time.perf_counter()
     sample, alpha, problem = _pose_level(exp, delta, seed, warm_start, weight_delta)
     result = solve_multi_start(problem, tol=exp.solver_tol, max_iter=exp.solver_max_iter,
                                memory=exp.solver_memory)
-    return sample, alpha, result
+    u_min = result.u_min
+    dist = bregman_poly(exp.integrand, u_min, exp.u_dagger, exp.w)
+    residual = data_term(warp(exp.forward.reference, u_min), sample.image,
+                         exp.forward.q) ** (1.0 / exp.forward.q)
+    row = RateRow(
+        delta=sample.delta,
+        alpha=float(alpha),
+        seed=int(seed),
+        d_poly=float(dist),
+        residual=float(residual),
+        objective=float(result.objective),
+        iterations=result.iterations,
+        converged=result.converged,
+        wallclock=time.perf_counter() - started,
+        admissibility_gap=admissibility_gap(u_min),
+        stop_reason=result.stop_reason,
+        grad_sup=result.grad_sup,
+        energy=energy(u_min, exp.integrand),
+        metric_shift=result.metric_shift,
+    )
+    return row, u_min
 
 
 def coarse_sizes(nx, ny) -> list:
@@ -322,42 +358,14 @@ def run_rates(exp) -> RateReport:
     rows = []
     warm = None
     for delta in levels:
-        best_of_level = None
-        for seed in exp.seeds:
-            started = time.perf_counter()
-            sample, alpha, result = solve_level(exp, delta, seed, warm)
-            rows.append(_make_row(exp, sample, alpha, seed, result, started))
-            if best_of_level is None or result.objective < best_of_level.objective:
-                best_of_level = result
-        warm = best_of_level.u_min
+        solved = [solve_level(exp, delta, seed, warm) for seed in exp.seeds]
+        rows.extend(row for row, _ in solved)
+        warm = min(solved, key=lambda pair: pair[0].objective)[1]
 
     if exp.exact_row:
-        started = time.perf_counter()
-        seed = exp.seeds[0]
-        sample, alpha, result = solve_level(exp, 0.0, seed, warm, weight_delta=levels[-1])
-        rows.append(_make_row(exp, sample, alpha, seed, result, started, exact=True))
+        rows.append(solve_level(exp, 0.0, exp.seeds[0], warm, weight_delta=levels[-1])[0])
 
     return _assemble_report(exp, rows)
-
-
-def _make_row(exp, sample, alpha, seed, result, started, exact=False) -> RateRow:
-    dist = bregman_poly(exp.integrand, result.u_min, exp.u_dagger, exp.w)
-    residual = data_term(
-        warp(exp.forward.reference, result.u_min), sample.image, exp.forward.q
-    ) ** (1.0 / exp.forward.q)
-    return RateRow(
-        delta=sample.delta,
-        alpha=float(alpha),
-        seed=int(seed),
-        d_poly=float(dist),
-        residual=float(residual),
-        objective=float(result.objective),
-        iterations=result.iterations,
-        converged=result.converged,
-        wallclock=time.perf_counter() - started,
-        admissibility_gap=admissibility_gap(result.u_min),
-        exact=exact,
-    )
 
 
 def _assemble_report(exp, rows) -> RateReport:

@@ -519,6 +519,6 @@ def solve_multi_start(problem, tol, max_iter, memory) -> MinimizeResult:
     ``rates.solve_level`` goes through.
 
     It is the benchmark's hook for counting the kept solves, until the
-    benchmark hooks ``rates.solve_level`` instead (ROADMAP item 1).
+    benchmark reads the ``RateRow`` of ``rates.solve_level`` (ROADMAP item 1b).
     """
     return minimize(problem, tol=tol, max_iter=max_iter, memory=memory)

@@ -218,7 +218,8 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"config key '{section}\.{key}' must be "):
             build_experiment(cfg)
 
-    @pytest.mark.parametrize("key, value", [("p", 2.0), ("p", float("inf")), ("q", 1.0)])
+    @pytest.mark.parametrize("key, value", [("p", 2.0), ("p", float("inf")), ("q", 1.0),
+                                            ("q", float("inf"))])
     def test_pq_exponent_outside_its_rule_rejected(self, key, value):
         cfg = _base_config()
         cfg["integrand"].update({"name": "pq", key: value})
@@ -303,6 +304,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=where):
             build_experiment(cfg)
 
+    def test_csv_mask_of_the_wrong_shape_rejected_naming_its_path(self, tmp_path):
+        mask_path = tmp_path / "mask.csv"
+        mask_path.write_text((",".join("1" * 20) + "\n") * 20)
+        cfg = _base_config()
+        cfg["grid"].update(nx=16, ny=16)
+        cfg["mask"].update(type="csv", path=str(mask_path))
+        where = re.escape(f"mask at mask.path {str(mask_path)!r} has shape (20, 20), "
+                          "but the 16 x 16 grid has (15, 15) cells")
+        with pytest.raises(ValueError, match=where):
+            build_experiment(cfg)
+
     @pytest.mark.filterwarnings("ignore:rotation field on a domain")
     def test_csv_mask_the_rotation_moves_out_names_theta_and_path(self, tmp_path):
         # the rotation moves corners of a pixelated disk out of the union of
@@ -382,6 +394,24 @@ class TestRegister:
         assert summary["stop_reason"] in ("gradient", "small-decrease")
         assert summary["d_poly"] >= 0.0
         assert summary["admissibility_gap"] < 0.05
+
+    def test_summary_is_the_rate_row_of_the_solve(self, tmp_path, capsys):
+        # register reports its solve as the sweep reports a level: every key
+        # of summary.json is the same field of solve_level's row (at 16^2 the
+        # cold solve starts from the identity, as solve_level does)
+        import dataclasses
+
+        from polyreg.rates import solve_level
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": {"nx": 16, "ny": 16},
+                                      "experiment": {"seeds": [0]}}))
+        main(["register", "--config", str(config), "--delta", "0.0125",
+              "--out", str(tmp_path / "reg")])
+        summary = json.loads((tmp_path / "reg" / "summary.json").read_text())
+        row, _ = solve_level(build_experiment(load_config(str(config))), 0.0125, 0)
+        assert set(summary) <= {f.name for f in dataclasses.fields(row)}
+        assert summary == {key: getattr(row, key) for key in summary}
 
     @pytest.mark.parametrize("delta, code", [("0", 1), ("0.0125", 0)])
     def test_field_leaving_the_domain_fails(self, tmp_path, capsys, delta, code):

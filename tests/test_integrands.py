@@ -204,6 +204,14 @@ class TestPqEnergy:
         with pytest.raises(ValueError):
             pq_energy(4.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_exponent_rejected(self, bad):
+        # |A|^p / p is inf / inf = NaN at p = inf, for any |A| > 1
+        with pytest.raises(ValueError, match=r"need a finite p > n"):
+            pq_energy(bad, 2.0)
+        with pytest.raises(ValueError, match=r"need a finite q > 1"):
+            pq_energy(2.5, bad)
+
     def test_identity_value(self):
         # |I|^2 = 2 so |I|^4 = 4: 4/4 + 1/2 = 1.5
         F = pq_energy(4.0, 2.0)

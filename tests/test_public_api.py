@@ -1,6 +1,7 @@
 """The public API of ``polyreg``, pinned by name, so that any name cut or added
 shows up in review.  It should hold only what the paper or the CLI needs."""
 
+import dataclasses
 import types
 
 import polyreg
@@ -22,9 +23,22 @@ PUBLIC = [
 ]
 
 
+# The fields of the per-solve record, pinned the same way: each number a
+# report adds to RateRow shows up here.
+RATE_ROW_FIELDS = [
+    "admissibility_gap", "alpha", "converged", "d_poly", "delta", "energy", "grad_sup",
+    "iterations", "metric_shift", "objective", "residual", "seed", "stop_reason",
+    "wallclock",
+]
+
+
 def test_public_names_are_pinned():
     # submodules are left out: which of them are attributes of the package
     # depends on what the session has imported
     names = sorted(name for name, value in vars(polyreg).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC
+
+
+def test_rate_row_fields_are_pinned():
+    assert sorted(f.name for f in dataclasses.fields(polyreg.RateRow)) == RATE_ROW_FIELDS

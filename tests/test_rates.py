@@ -11,10 +11,8 @@ from polyreg import (
     RateExperiment,
     SourceConditionParams,
     blob_image,
-    bregman_poly,
     choose_alpha,
     disk_mask,
-    energy,
     fit_slope,
     geometric_levels,
     random_blobs,
@@ -24,7 +22,6 @@ from polyreg import (
     warp,
     zero_subgradient,
 )
-from polyreg import rates
 from polyreg.config import build_experiment, load_config
 from polyreg.rates import coarse_sizes, coarse_to_fine_start, solve_level
 
@@ -114,26 +111,10 @@ def small_experiment(grid, **overrides):
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    """The 20 x 20 sweep's experiment, its report, and the ``(delta, result)``
-    of every level solve, kept by a wrapper around ``rates.solve_level``."""
+def report():
+    """The report of the 20 x 20 sweep."""
     base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 20, 20)
-    exp = small_experiment(base.with_mask(disk_mask(base, radius=1.0)))
-    solves = []
-
-    def keeping(experiment, delta, seed, warm_start=None, **kwargs):
-        sample, alpha, result = solve_level(experiment, delta, seed, warm_start, **kwargs)
-        solves.append((delta, result))
-        return sample, alpha, result
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rates, "solve_level", keeping)
-        return exp, run_rates(exp), solves
-
-
-@pytest.fixture(scope="module")
-def report(sweep):
-    return sweep[1]
+    return run_rates(small_experiment(base.with_mask(disk_mask(base, radius=1.0))))
 
 
 class TestRunRates:
@@ -154,12 +135,11 @@ class TestRunRates:
         ds = [r.d_poly for r in levels]
         assert all(a >= b for a, b in zip(ds, ds[1:]))
 
-    def test_energies_approach_minimum(self, sweep):
+    def test_energies_approach_minimum(self, report):
         # regularized energies decrease toward the exact-solution energy
-        exp, _, solves = sweep
-        levels = [result for delta, result in solves if delta > 0 and result.converged]
+        levels = [r for r in report.rows if r.delta > 0 and r.converged]
         assert len(levels) == 4
-        energies = [energy(result.u_min, exp.integrand) for result in levels]
+        energies = [r.energy for r in levels]
         floor = min(energies)
         assert all(a >= b * (1 - 0.05) for a, b in zip(energies, energies[1:]))
         assert energies[-1] == pytest.approx(floor, rel=0.05)
@@ -223,13 +203,13 @@ class TestSolveLevel:
         base = Grid(((-1.0, 1.0), (-1.0, 1.0)), 16, 16)
         exp = small_experiment(base.with_mask(disk_mask(base, radius=1.0)),
                                solver_tol=1e-6, solver_max_iter=200)
-        _, _, good = solve_level(exp, 0.01, 10)
+        good, good_u = solve_level(exp, 0.01, 10)
         # with a zero budget, the warm start is returned as is
         frozen_exp = dataclasses.replace(exp, solver_max_iter=0)
-        _, _, frozen = solve_level(frozen_exp, 0.01, 10, good.u_min)
-        assert np.array_equal(frozen.u_min.values, good.u_min.values)
+        _, frozen_u = solve_level(frozen_exp, 0.01, 10, good_u)
+        assert np.array_equal(frozen_u.values, good_u.values)
         # and with budget it can only improve on the warm objective
-        _, _, warm = solve_level(exp, 0.01, 10, good.u_min)
+        warm, _ = solve_level(exp, 0.01, 10, good_u)
         assert warm.objective <= good.objective + 1e-14
 
 
@@ -343,9 +323,8 @@ def test_h1_metric_solve_matches_reference_distance():
     cfg["grid"].update(nx=64, ny=64)
     exp = build_experiment(cfg)
     assert entry["deltas"][0] == 0.05
-    _, _, result = solve_level(exp, 0.05, 0)
-    assert result.converged
-    assert 0.0 < result.metric_shift <= 1.0
-    d_poly = bregman_poly(exp.integrand, result.u_min, exp.u_dagger, exp.w)
+    row, _ = solve_level(exp, 0.05, 0)
+    assert row.converged
+    assert 0.0 < row.metric_shift <= 1.0
     want = entry["d_poly"][0]
-    assert abs(d_poly - want) <= 0.01 * want, (d_poly, want)
+    assert abs(row.d_poly - want) <= 0.01 * want, (row.d_poly, want)
